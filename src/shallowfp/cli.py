@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from typing import Sequence
 
 from . import analysis, circuit, coeffsets, optimize, qfa
@@ -167,10 +168,19 @@ def _cmd_compare(args) -> int:
 
     cfg = optimize.DescentConfig(seed=args.seed, restarts=args.restarts)
 
+    last = time.perf_counter()
+
     def progress(rec):
-        print(f"p={rec.p} eps_general={rec.eps_general:.6g} "
-              f"eps_shallow={rec.eps_shallow:.6g} ratio={rec.ratio:.4g}",
-              file=sys.stderr)
+        # one JSON object per prime, flushed as soon as the prime is done
+        nonlocal last
+        now = time.perf_counter()
+        line = {"p": rec.p, "eps_general": rec.eps_general,
+                "eps_shallow": rec.eps_shallow, "ratio": rec.ratio,
+                "seconds": now - last,
+                "rows_evaluated": rec.general.rows_evaluated + rec.shallow.rows_evaluated,
+                "candidates": rec.general.evaluations + rec.shallow.evaluations}
+        last = now
+        print(json.dumps(line), file=sys.stderr, flush=True)
 
     records = optimize.compare_experiment(primes, args.m, cfg, progress=progress)
 
@@ -249,8 +259,6 @@ def build_parser() -> _Parser:
     cmp_.add_argument("--m", type=int, required=True)
     cmp_.add_argument("--seed", type=int, default=0)
     cmp_.add_argument("--restarts", type=int, default=0)
-    cmp_.add_argument("--threads", type=int, default=1,
-                      help="parallelism cap; outputs are independent of it")
     cmp_.add_argument("--out", required=True)
     cmp_.set_defaults(func=_cmd_compare)
 

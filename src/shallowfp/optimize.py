@@ -6,13 +6,42 @@ Two modes:
 * shallow -- only the m generators of a subset-sum set are optimized
              (t_0 is pinned to 0: the error is translation invariant).
 
-Each coordinate is swept exhaustively over all of [0, p); a move is
-accepted only on strict improvement, ties go to the smallest candidate
-value, and coordinates cycle in fixed index order, so a run is a pure
-function of (p, size, config).  The per-coordinate candidate sweep is
-vectorized: for the general mode the exponential sum splits into a
-rest-sum plus the candidate's own phase row; for the shallow mode the sum
-over subset sums factorizes as e(t_0 x) * prod_i (1 + e(t_i x)).
+Each coordinate is searched over all of [0, p); a move is accepted only on
+strict improvement, ties go to the smallest candidate value, and
+coordinates cycle in fixed index order, so a run is a pure function of
+(p, size, config).
+
+Scoring a candidate.  With the other coordinates fixed, the exponential sum
+splits into a rest-sum and the candidate's own phase row
+E_v(x) = e(v x / p) = W[(v x) mod p], x = 1 .. p-1: in general mode
+S_v(x) = rest(x) + E_v(x); in shallow mode the sum over subset sums
+factorizes as S_v(x) = rest(x) * (1 + E_v(x)).  The candidate's eps is
+max_x |S_v(x)|^2 / d^2.  Phase rows are gathered from the roots table on
+demand; no (p, p-1) table is built.
+
+Pruning.  Before any full row is scored, every candidate v gets a bound:
+the same formula restricted to the 16 columns x with the largest
+|rest(x)|.  The bound entries are computed with the same elementwise numpy
+operations as the full row (add or multiply, abs, square in place, divide
+by d*d), and numpy evaluates each of these per element independently of
+array shape, so every bound entry equals an entry of the full row bit for
+bit.  The maximum over a subset of the columns is then a true lower bound
+on the candidate's eps, with no rounding slack.  Candidates are taken in
+small batches in (bound, v) order, and the search stops at the first
+candidate whose (bound, v) exceeds the best (eps, v) found so far: no later
+candidate can beat or tie it with a smaller value.  Within a batch, a
+second bound over the 64 largest columns (exact for the same reason)
+drops the candidates that cannot beat the best, and only the rest get a
+full row.  The result is exactly the argmin of the full candidate vector,
+smallest value first.  Conjugate symmetry (W[p - r] vs conj(W[r])) is
+deliberately not used: it is not exact in floating point and could flip
+near-ties.
+
+Memory per coordinate is O(16 p + batch p) complex entries plus the
+size x (p - 1) rest computation, instead of the p (p - 1) table.  Time
+depends on how well the bounds prune: well for general sets, poorly for
+shallow sets whose eps is close to 1, where the bounds of most candidates
+stay below the best eps.
 """
 from __future__ import annotations
 
@@ -48,45 +77,92 @@ class DescentResult:
     best_point: tuple[int, ...]  # coefficients (general) or generators (shallow)
     best_epsilon: float
     sweeps_used: int
-    evaluations: int
+    evaluations: int  # candidates considered: p per coordinate searched
+    rows_evaluated: int  # full phase rows scored; the rest were pruned by bounds
     history: list[tuple[int, float]] = field(default_factory=list)
 
 
-class _Evaluator:
-    """Vectorized eps evaluation for single-coordinate candidate sweeps.
+_BOUND_COLUMNS = 16  # columns of the bound every candidate gets
+_REFINE_COLUMNS = 64  # columns of the second bound, taken batch by batch
+_BATCH = 8  # candidates per step of the pruned search
 
-    ``candidate_eps(point, i)`` returns eps for every value of coordinate i
-    in [0, p) with the other coordinates fixed; index v of the result is
-    the candidate value v, so argmin gives the smallest-value tie-break
-    for free.
+
+class _Evaluator:
+    """Exact single-coordinate moves without a (p, p-1) phase table.
+
+    ``best_move(point, i)`` returns the value of coordinate i that
+    minimizes eps with the other coordinates fixed (smallest value on
+    ties), its eps, and the eps of the current value -- the same numbers
+    as the argmin of the full candidate vector, bit for bit.
+    ``rows_evaluated`` counts the full phase rows scored so far.
     """
 
     def __init__(self, p: int, mode: str):
         self.p = p
         self.mode = mode
-        W = roots_of_unity(p)
-        xs = np.arange(1, p)
-        # E[v, x-1] = e(v x / p); one (p, p-1) table shared by all sweeps
-        self.E = W[np.outer(np.arange(p), xs) % p]
+        self.W = roots_of_unity(p)
+        self.xs = np.arange(1, p, dtype=np.int64)
+        self.values = np.arange(p, dtype=np.int64)
+        self.rows_evaluated = 0
 
-    def candidate_eps(self, point: np.ndarray, i: int) -> np.ndarray:
-        size = point.size
+    def _rest(self, point: np.ndarray, i: int) -> np.ndarray:
+        rows = self.W[np.multiply.outer(point, self.xs) % self.p]
         if self.mode == "general":
-            rest = self.E[point].sum(axis=0) - self.E[point[i]]
-            sums = rest[None, :] + self.E
+            return rows.sum(axis=0) - rows[i]
+        ones = 1.0 + rows
+        return np.prod(np.concatenate([ones[:i], ones[i + 1:]]), axis=0)
+
+    def _scores(self, rest: np.ndarray, values: np.ndarray, xs: np.ndarray,
+                size: int) -> np.ndarray:
+        """eps of each candidate in ``values`` over the columns ``xs``
+        (``rest`` holds the rest-sum at those columns)."""
+        E = self.W[np.multiply.outer(values, xs) % self.p]
+        if self.mode == "general":
+            sums = rest[None, :] + E
             d = size
         else:
-            ones = 1.0 + self.E[point]
-            rest = np.prod(np.concatenate([ones[:i], ones[i + 1:]]), axis=0)
-            sums = rest[None, :] * (1.0 + self.E)
+            sums = rest[None, :] * (1.0 + E)
             d = 1 << size
         mags = np.abs(sums)
         np.square(mags, out=mags)
         return mags.max(axis=1) / (d * d)
 
+    def _full(self, rest: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+        self.rows_evaluated += values.size
+        return self._scores(rest, values, self.xs, size)
+
+    def best_move(self, point: np.ndarray, i: int) -> tuple[int, float, float]:
+        size = point.size
+        rest = self._rest(point, i)
+        cur_v = int(point[i])
+        cur = float(self._full(rest, point[i:i + 1], size)[0])
+        by_mag = np.argsort(np.abs(rest))[::-1]  # column indices, largest first
+        coarse, fine = by_mag[:_BOUND_COLUMNS], by_mag[:_REFINE_COLUMNS]
+        bound = self._scores(rest[coarse], self.values, self.xs[coarse], size)
+        rest_fine, xs_fine = rest[fine], self.xs[fine]
+        # only candidates whose bound does not exceed cur can tie or beat it
+        cand = np.flatnonzero(bound <= cur)
+        cand = cand[cand != cur_v]
+        order = cand[np.argsort(bound[cand], kind="stable")]  # (bound, v) order
+        best, best_v = cur, cur_v
+        for lo in range(0, order.size, _BATCH):
+            head = int(order[lo])
+            if (bound[head], head) > (best, best_v):
+                break
+            batch = order[lo:lo + _BATCH]
+            ref = self._scores(rest_fine, batch, xs_fine, size)
+            batch = batch[(ref < best) | ((ref == best) & (batch < best_v))]
+            if batch.size == 0:
+                continue
+            scores = self._full(rest, batch, size)
+            low = float(scores.min())
+            v = int(batch[scores == low].min())
+            if (low, v) < (best, best_v):
+                best, best_v = low, v
+        return best_v, best, cur
+
     def point_eps(self, point: np.ndarray) -> float:
-        # consistent with candidate_eps(point, i)[point[i]] up to rounding
-        return float(self.candidate_eps(point, 0)[point[0]])
+        return float(self._full(self._rest(point, 0), point[:1], point.size)[0])
 
 
 def _descend(evaluator: _Evaluator, start: np.ndarray, cfg: DescentConfig
@@ -102,12 +178,11 @@ def _descend(evaluator: _Evaluator, start: np.ndarray, cfg: DescentConfig
         sweeps = sweep
         improved = False
         for i in range(size):
-            eps = evaluator.candidate_eps(point, i)
+            best_v, best, here = evaluator.best_move(point, i)
             evaluations += p
-            best_v = int(np.argmin(eps))  # first occurrence = smallest value
-            if eps[best_v] < eps[point[i]]:
+            if best < here:
                 point[i] = best_v
-                cur = min(cur, float(eps[best_v]))
+                cur = min(cur, best)
                 improved = True
         history.append((sweep, cur))
         if not improved:
@@ -159,7 +234,7 @@ def coordinate_descent(p: int, size: int, cfg: DescentConfig,
     # final value re-measured through the canonical eps path
     best_eps, _ = epsilon_of(best_set)
     return DescentResult(best_set, tuple(int(v) for v in point), best_eps,
-                         sweeps, total_evals, history)
+                         sweeps, total_evals, evaluator.rows_evaluated, history)
 
 
 def audit_local_optimality(result: DescentResult, p: int, cfg: DescentConfig) -> bool:
@@ -167,8 +242,8 @@ def audit_local_optimality(result: DescentResult, p: int, cfg: DescentConfig) ->
     evaluator = _Evaluator(int(p), cfg.mode)
     point = np.asarray(result.best_point, dtype=np.int64)
     for i in range(point.size):
-        eps = evaluator.candidate_eps(point, i)
-        if eps.min() < eps[point[i]]:
+        _, best, here = evaluator.best_move(point, i)
+        if best < here:
             return False
     return True
 

@@ -163,6 +163,24 @@ class TestCompare:
         assert code == 2
         assert "9" in err
 
+    def test_progress_is_one_json_object_per_prime(self, tmp_path, capsys):
+        code, _, err = run(capsys, "compare", "--p-max", "13", "--m", "2",
+                           "--seed", "7", "--out", str(tmp_path / "cmp.csv"))
+        assert code == 0
+        lines = [json.loads(line) for line in err.splitlines()]
+        assert [line["p"] for line in lines] == [2, 3, 5, 7, 11, 13]
+        for line in lines:
+            assert set(line) == {"p", "eps_general", "eps_shallow", "ratio", "seconds",
+                                 "rows_evaluated", "candidates"}
+            assert line["seconds"] >= 0
+            assert 0 < line["rows_evaluated"] <= line["candidates"]
+
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        code, _, err = run(capsys, "compare", "--p-max", "7", "--m", "2",
+                           "--threads", "2", "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "--threads" in err
+
     def test_empty_list_exit_1(self, tmp_path, capsys):
         plist = tmp_path / "primes.txt"
         plist.write_text("")

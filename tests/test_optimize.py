@@ -1,14 +1,122 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from shallowfp.analysis import epsilon_of
+from shallowfp.analysis import epsilon_of, roots_of_unity
 from shallowfp.coeffsets import expand_subset_sums, explicit_set
 from shallowfp.optimize import (
     DescentConfig,
+    _Evaluator,
     audit_local_optimality,
     compare_experiment,
     coordinate_descent,
 )
+
+
+def full_table_candidate_eps(p: int, mode: str, point: np.ndarray, i: int) -> np.ndarray:
+    """Reference: eps of every value of coordinate i, scored against the
+    full (p, p-1) phase table E[v, x-1] = e(v x / p)."""
+    W = roots_of_unity(p)
+    E = W[np.outer(np.arange(p), np.arange(1, p)) % p]
+    size = point.size
+    if mode == "general":
+        rest = E[point].sum(axis=0) - E[point[i]]
+        sums = rest[None, :] + E
+        d = size
+    else:
+        ones = 1.0 + E[point]
+        rest = np.prod(np.concatenate([ones[:i], ones[i + 1:]]), axis=0)
+        sums = rest[None, :] * (1.0 + E)
+        d = 1 << size
+    mags = np.abs(sums)
+    np.square(mags, out=mags)
+    return mags.max(axis=1) / (d * d)
+
+
+def oracle_move(p: int, mode: str, point: np.ndarray, i: int) -> tuple[int, float, float]:
+    eps = full_table_candidate_eps(p, mode, point, i)
+    best_v = int(np.argmin(eps))  # first occurrence = smallest value
+    return best_v, float(eps[best_v]), float(eps[point[i]])
+
+
+def oracle_locally_optimal(p: int, mode: str, point: np.ndarray) -> bool:
+    for i in range(point.size):
+        eps = full_table_candidate_eps(p, mode, point, i)
+        if eps.min() < eps[point[i]]:
+            return False
+    return True
+
+
+def _oracle_points(p: int, mode: str, rng: np.random.Generator):
+    sizes = (1, 2, 8) if mode == "general" else (1, 2, 3)
+    for size in sizes:
+        if mode == "shallow" and (1 << size) > 4 * p:
+            continue
+        yield rng.integers(0, p, size)
+        yield rng.integers(0, p, size)
+        yield np.full(size, rng.integers(0, p))  # all coordinates equal
+    size = 8 if mode == "general" else 3
+    if mode == "general" or (1 << size) <= 4 * p:
+        res = coordinate_descent(p, size, DescentConfig(seed=3, mode=mode))
+        yield np.asarray(res.best_point)  # converged: near-ties are likely
+
+
+class TestPrunedSearch:
+    @pytest.mark.parametrize("mode", ["general", "shallow"])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 101, 1013])
+    def test_matches_full_table_bit_for_bit(self, p, mode):
+        rng = np.random.default_rng(p)
+        evaluator = _Evaluator(p, mode)
+        for point in _oracle_points(p, mode, rng):
+            point = point.astype(np.int64)
+            for i in range(point.size):
+                assert evaluator.best_move(point, i) == oracle_move(p, mode, point, i), \
+                    (p, mode, point.tolist(), i)
+
+    @pytest.mark.parametrize("mode", ["general", "shallow"])
+    def test_point_eps_is_the_current_row(self, mode):
+        point = np.array([3, 17, 40], dtype=np.int64)
+        eps = full_table_candidate_eps(101, mode, point, 0)
+        assert _Evaluator(101, mode).point_eps(point) == eps[point[0]]
+
+    @pytest.mark.parametrize("mode", ["general", "shallow"])
+    def test_audit_agrees_with_oracle(self, mode):
+        p, size = 101, (4 if mode == "general" else 3)
+        cfg = DescentConfig(seed=5, mode=mode)
+        res = coordinate_descent(p, size, cfg)
+        point = np.asarray(res.best_point, dtype=np.int64)
+        assert audit_local_optimality(res, p, cfg)
+        assert oracle_locally_optimal(p, mode, point)
+        point[0] = (point[0] + 1) % p
+        perturbed = dataclasses.replace(res, best_point=tuple(int(v) for v in point))
+        assert not oracle_locally_optimal(p, mode, point)
+        assert audit_local_optimality(perturbed, p, cfg) is False
+
+    def test_rows_evaluated_are_a_fraction_of_candidates(self):
+        res = coordinate_descent(1013, 8, DescentConfig(seed=7))
+        assert 0 < res.rows_evaluated < res.evaluations // 10
+
+
+class TestMemory:
+    def test_descent_peak_stays_small(self):
+        # the (p, p-1) complex table alone would take 269 MB at p = 4099
+        tracemalloc.start()
+        try:
+            coordinate_descent(4099, 8, DescentConfig(seed=7, max_sweeps=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.full_scale
+    def test_general_descent_at_p_65537(self):
+        p = 65537
+        res = coordinate_descent(p, 8, DescentConfig(seed=7))
+        assert res.best_set.d == 8
+        assert res.best_epsilon == epsilon_of(explicit_set(p, res.best_point))[0]
+        assert res.rows_evaluated < res.evaluations
 
 
 class TestGeneralMode:
