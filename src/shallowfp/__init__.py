@@ -26,6 +26,7 @@ from .analysis import (
     fourier_coefficient,
     gap_epsilon_bound,
     representation_counts,
+    spectrum,
 )
 from .qfa import QfaState, accept_probability, initial_state, max_error_sweep, run_word, step
 from .circuit import (

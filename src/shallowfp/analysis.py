@@ -10,11 +10,33 @@ is the square of the epsilon of an epsilon-good set:
 
 Bounds on epsilon-good sets are stated in epsilon, and so is the Fourier
 bias (epsilon = (p/d) * bias); `analyze` compares `gap_epsilon_bound`,
-the Parseval ceiling sqrt(p/d), against sqrt(eps).  eps is evaluated by a
-direct sweep over x in [1, p-1]; phases are looked up in a precomputed
-table of the p-th roots of unity, so every angle stays in [0, 2 pi)
-regardless of the size of k * x.  Additive energy and representation
-counts are exact integer arithmetic throughout.
+the Parseval ceiling sqrt(p/d), against sqrt(eps).
+
+One kernel computes the exponential sum: `spectrum(K)` returns
+S(x) = sum_j e(k_j x / p) for every x in [0, p), the conjugated length-p
+DFT of the multiplicity vector bincount(K) (numpy's FFT, which handles a
+prime length with Bluestein's chirp-z transform).  It costs O(p log p),
+and each entry is within about 1e-16 * log2(p) * d of the exact sum.  eps,
+its argmax, the Fourier bias, the spectrum rows and the acceptance sweep
+of `qfa` all derive from it.
+
+eps and the bias are reported from direct sums, not from FFT values: every
+x != 0 whose FFT |S(x)| lies within 1e-9 * d of the FFT maximum is
+rescored as |sum_j W[k_j x mod p]|, with phases looked up in a table W of
+the p-th roots of unity, so every angle stays in [0, 2 pi) regardless of
+the size of k * x.  The window is far wider than the FFT error, so it
+holds every x whose direct value could be the largest, and the results
+equal those of a direct sweep over all x.  The reported argmax is the
+smallest x whose directly computed (|S(x)|/d)^2 is largest.  In exact
+arithmetic |S(x)| = |S(p - x)|, but the two direct sums may differ in the
+last bit, so the argmax can be the p - x of a conjugate pair.  When many x
+tie (d = 1, the full residue set) every x is rescored, at the cost of a
+full direct sweep.
+
+Length-p tables (the kernel and the representation-count vector) are
+refused for p > TABLE_MAX_P = 2^22 with `TableTooLargeError`; see
+TABLE_MAX_P for the memory this bounds.  Additive energy and
+representation counts are exact integer arithmetic throughout.
 """
 from __future__ import annotations
 
@@ -24,9 +46,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffsets import CoefficientSet
+from .errors import TableTooLargeError
 
-# x-chunk size for the sweep; keeps the (chunk x d) phase matrix small.
+# Element count of one chunk of a (rows x d) phase or sum matrix; keeps the
+# direct rescoring and the pairwise-sum enumeration in bounded memory.
 _CHUNK_ELEMS = 1 << 22
+
+# Largest modulus for which a length-p table is built.  The kernel's peak
+# is about 170 bytes per unit of p, most of it scratch of numpy's
+# Bluestein FFT (measured as max-RSS growth, numpy 2.4): about 0.7 GB
+# for `analyze` at the cap.
+TABLE_MAX_P = 1 << 22
+
+# FFT magnitudes within this multiple of d below the FFT maximum are
+# rescored directly; the FFT error is about 1e-16 * log2(p) * d.
+_RESCORE_WINDOW = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,19 +103,55 @@ def roots_of_unity(p: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(p) / p)
 
 
-def _abs_sums(K: CoefficientSet) -> np.ndarray:
-    """|sum_j e(k_j x / p)| for x = 1 .. p-1, multiplicity respected."""
+def _check_table_size(p: int) -> None:
+    if p > TABLE_MAX_P:
+        raise TableTooLargeError(f"p = {p} exceeds the cap p <= 2^22 on length-p tables")
+
+
+def _multiplicity_vector(A: CoefficientSet) -> np.ndarray:
+    return np.bincount(np.asarray(A.coefficients, dtype=np.int64), minlength=int(A.p))
+
+
+def spectrum(K: CoefficientSet) -> np.ndarray:
+    """S(x) = sum_j e(k_j x / p) for x in [0, p), multiplicity respected.
+
+    The conjugated DFT of the multiplicity vector: numpy's forward
+    transform uses e(-n x / p).  S(0) = d is set exactly.
+    """
+    p = int(K.p)
+    _check_table_size(p)
+    S = np.fft.fft(_multiplicity_vector(K))
+    np.conjugate(S, out=S)
+    S[0] = K.d
+    return S
+
+
+def _abs_sums(K: CoefficientSet, xs: np.ndarray) -> np.ndarray:
+    """|sum_j e(k_j x / p)| for each x in xs, summed directly in the roots table."""
     p = int(K.p)
     ks = np.asarray(K.coefficients, dtype=np.int64)
     W = roots_of_unity(p)
-    xs = np.arange(1, p, dtype=np.int64)
-    out = np.empty(p - 1)
+    out = np.empty(xs.size)
     step = max(1, _CHUNK_ELEMS // max(1, K.d))
-    for lo in range(0, p - 1, step):
+    for lo in range(0, xs.size, step):
         chunk = xs[lo:lo + step]
         idx = (chunk[:, None] * ks[None, :]) % p
         out[lo:lo + step] = np.abs(W[idx].sum(axis=1))
     return out
+
+
+def _peak(K: CoefficientSet, S: np.ndarray) -> tuple[float, int, float]:
+    """(eps, smallest maximizing x, bias) from direct sums at the x != 0
+    whose kernel value |S(x)| is within the rescoring window of the largest."""
+    p = int(K.p)
+    if p < 2:
+        raise ValueError("need p >= 2")
+    mag = np.abs(S[1:])
+    xs = np.flatnonzero(mag >= mag.max() - _RESCORE_WINDOW * K.d) + 1
+    sums = _abs_sums(K, xs)
+    vals = (sums / K.d) ** 2
+    i = int(np.argmax(vals))  # first occurrence = smallest x
+    return float(vals[i]), int(xs[i]), float(sums.max()) / p
 
 
 def exp_sum(K: CoefficientSet, x: int) -> complex:
@@ -97,14 +167,11 @@ def epsilon_of(K: CoefficientSet) -> tuple[float, int]:
 
     x = 0 is excluded: there the sum is trivially d for every K, while the
     quantity's role is bounding the acceptance probability on words whose
-    length is not divisible by p.
+    length is not divisible by p.  The tie rule is the module's: the
+    smallest x whose directly computed (|S(x)|/d)^2 is largest.
     """
-    p = int(K.p)
-    if p < 2:
-        raise ValueError("need p >= 2")
-    vals = (_abs_sums(K) / K.d) ** 2
-    arg = int(np.argmax(vals))  # first occurrence = smallest x
-    return float(vals[arg]), arg + 1
+    eps, x, _ = _peak(K, spectrum(K))
+    return eps, x
 
 
 def error_prob(K: CoefficientSet, x: int) -> float:
@@ -116,35 +183,38 @@ def error_prob(K: CoefficientSet, x: int) -> float:
     return (s / K.d) ** 2
 
 
-def _multiplicity_vector(A: CoefficientSet) -> np.ndarray:
-    return np.bincount(np.asarray(A.coefficients, dtype=np.int64), minlength=int(A.p))
-
-
 def _rep_count_vector(A: CoefficientSet, B: CoefficientSet) -> np.ndarray:
-    """R_n(A, B) = #{(a, b) in A x B : a + b = n mod p}, as a length-p vector."""
+    """R_n(A, B) = #{(a, b) in A x B : a + b = n mod p}, as a length-p vector.
+
+    Enumerates all |A| |B| pairs in chunks: O(|A| |B|) time, O(p + chunk) memory.
+    """
     if int(A.p) != int(B.p):
         raise ValueError("A and B must share the same modulus")
     p = int(A.p)
     if A.d > 1 << 16 or B.d > 1 << 16:
         raise ValueError("set too large for quadratic enumeration (cap 2^16)")
-    conv = np.convolve(_multiplicity_vector(A), _multiplicity_vector(B))
+    _check_table_size(p)
+    a = np.asarray(A.coefficients, dtype=np.int64)
+    b = np.asarray(B.coefficients, dtype=np.int64)
     out = np.zeros(p, dtype=np.int64)
-    for lo in range(0, conv.size, p):
-        seg = conv[lo:lo + p]
-        out[: seg.size] += seg
+    step = max(1, _CHUNK_ELEMS // b.size)
+    for lo in range(0, a.size, step):
+        sums = (a[lo:lo + step, None] + b[None, :]) % p
+        out += np.bincount(sums.ravel(), minlength=p)
     return out
 
 
 def representation_counts(A: CoefficientSet) -> dict[int, int]:
     """Map n -> R_n(A) over Z_p, zero entries omitted; sums to d^2."""
     vec = _rep_count_vector(A, A)
-    return {int(n): int(c) for n, c in enumerate(vec) if c}
+    nz = np.flatnonzero(vec)
+    return dict(zip(nz.tolist(), vec[nz].tolist()))
 
 
 def additive_energy(A: CoefficientSet, B: CoefficientSet | None = None) -> int:
     """E(A, B) = sum_n R_n(A, B)^2; quadruple count with a + b = a' + b'."""
     vec = _rep_count_vector(A, A if B is None else B)
-    return int(sum(int(c) ** 2 for c in vec))
+    return sum(c * c for c in vec.tolist())  # Python ints: no int64 overflow
 
 
 def fourier_coefficient(A: CoefficientSet, xi: int) -> complex:
@@ -155,11 +225,8 @@ def fourier_coefficient(A: CoefficientSet, xi: int) -> complex:
 
 
 def fourier_bias(A: CoefficientSet) -> float:
-    """max over xi in [1, p-1] of |hat(1_A)(xi)|."""
-    p = int(A.p)
-    if p < 2:
-        raise ValueError("need p >= 2")
-    return float(_abs_sums(A).max()) / p
+    """max over xi in [1, p-1] of |hat(1_A)(xi)|, from direct sums at the kernel's peak."""
+    return _peak(A, spectrum(A))[2]
 
 
 def check_bias_energy_chain(A: CoefficientSet, slack: float = 1e-9) -> list[BoundCheck]:
@@ -169,9 +236,12 @@ def check_bias_energy_chain(A: CoefficientSet, slack: float = 1e-9) -> list[Boun
     """
     if len(set(A.coefficients)) != A.d:
         raise ValueError("bias-energy chain applies to sets; multiset has repeats")
+    return _bias_energy_checks(A, fourier_bias(A), additive_energy(A), slack)
+
+
+def _bias_energy_checks(A: CoefficientSet, bias: float, energy: int,
+                        slack: float = 1e-9) -> list[BoundCheck]:
     p = int(A.p)
-    bias = fourier_bias(A)
-    energy = additive_energy(A)
     prob = A.d / p
     mid = energy / p ** 3 - prob ** 4
     lower = BoundCheck("bias^4 <= E/p^3 - density^4", bias ** 4, mid,
@@ -193,14 +263,17 @@ def gap_epsilon_bound(p: int, m: int) -> float:
 
 
 def analyze(K: CoefficientSet) -> AnalysisReport:
-    """Full report: eps, argmax, energy, bias, density, bound checks."""
+    """Full report: eps, argmax, energy, bias, density, bound checks.
+
+    The kernel is built once for eps, argmax and bias, and the energy is
+    computed once.
+    """
     p = int(K.p)
-    eps, argmax = epsilon_of(K)
-    bias = fourier_bias(K)
+    eps, argmax, bias = _peak(K, spectrum(K))
     energy = additive_energy(K)
     checks: list[BoundCheck] = []
     if len(set(K.coefficients)) == K.d:
-        checks.extend(check_bias_energy_chain(K))
+        checks.extend(_bias_energy_checks(K, bias, energy))
     if K.method == "gap" and "T" in K.params:
         bound = gap_epsilon_bound(p, len(K.params["T"]))
         # informational only; the bound is not asserted anywhere
@@ -211,8 +284,13 @@ def analyze(K: CoefficientSet) -> AnalysisReport:
 
 
 def spectrum_rows(K: CoefficientSet):
-    """Yield (x, re, im, magnitude2, error_prob) for every x in [0, p)."""
-    p = int(K.p)
-    for x in range(p):
-        s = exp_sum(K, x)
-        yield x, s.real, s.imag, abs(s) ** 2, (s.real / K.d) ** 2
+    """Yield (x, re, im, magnitude2, error_prob) for every x in [0, p), from the kernel."""
+    S = spectrum(K)
+    re, im = S.real, S.imag
+    mag2 = re * re + im * im
+    pe = (re / K.d) ** 2
+    step = 1 << 16  # rows converted to Python floats at a time
+    for lo in range(0, S.size, step):
+        hi = min(lo + step, S.size)
+        yield from zip(range(lo, hi), re[lo:hi].tolist(), im[lo:hi].tolist(),
+                       mag2[lo:hi].tolist(), pe[lo:hi].tolist())

@@ -19,3 +19,7 @@ class GapUnsatisfiableError(DomainError):
 
 class GapSearchExhaustedError(DomainError):
     """Raised when the seeded proper-GAP search runs out of tries."""
+
+
+class TableTooLargeError(DomainError):
+    """Raised when a length-p table would exceed the stated size cap on p."""

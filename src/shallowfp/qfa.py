@@ -6,6 +6,11 @@ amplitudes stay real: a state is a (d, 2) float array.  Acceptance after
 the end-marker is the squared overlap with the initial state; the final
 unitary is never materialized since the measured probability only depends
 on that single row.
+
+The acceptance probability after j letters is ((1/d) Re S(j mod p))^2 with
+S the exponential sum of `analysis.spectrum`; `acceptance_sweep` and
+`max_error_sweep` read it from that kernel, and `step` stays the
+independent simulation the tests hold them to.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import error_prob
+from .analysis import error_prob, spectrum
 from .coeffsets import CoefficientSet
 
 
@@ -82,35 +87,22 @@ def run_word(K: CoefficientSet, j: int, method: str = "closed") -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _accept_closed_form(K: CoefficientSet) -> np.ndarray:
+    """((1/d) Re S(j))^2 for j in [0, p)."""
+    return (spectrum(K).real / K.d) ** 2
+
+
 def acceptance_sweep(K: CoefficientSet, j_max: int | None = None) -> np.ndarray:
-    """Accept probabilities for j = 0 .. j_max (default p-1), one step at a time."""
+    """Accept probabilities for j = 0 .. j_max (default p-1), in closed form."""
     p = int(K.p)
     if j_max is None:
         j_max = p - 1
-    out = np.empty(j_max + 1)
-    s = initial_state(K)
-    out[0] = accept_probability(s)
-    for j in range(1, j_max + 1):
-        s = step(s)
-        out[j] = accept_probability(s)
-    return out
+    return _accept_closed_form(K)[np.arange(j_max + 1) % p]
 
 
 def max_error_sweep(K: CoefficientSet) -> tuple[float, int]:
-    """Largest acceptance probability over j in [1, p-1]; smallest worst j."""
-    p = int(K.p)
-    if p > 1 << 20:
-        raise ValueError("sweep capped at p <= 2^20")
-    ks = np.asarray(K.coefficients, dtype=np.int64)
-    worst = -1.0
-    worst_j = 1
-    chunk = max(1, (1 << 22) // max(1, K.d))
-    for lo in range(1, p, chunk):
-        js = np.arange(lo, min(p, lo + chunk), dtype=np.int64)
-        cosines = np.cos(2.0 * np.pi * ((js[:, None] * ks[None, :]) % p) / p)
-        vals = (cosines.sum(axis=1) / K.d) ** 2
-        i = int(np.argmax(vals))
-        if vals[i] > worst:
-            worst = float(vals[i])
-            worst_j = int(js[i])
-    return worst, worst_j
+    """Largest acceptance probability over j in [1, p-1] and the first j
+    attaining it, among the values `acceptance_sweep` returns."""
+    vals = _accept_closed_form(K)
+    j = int(np.argmax(vals[1:])) + 1
+    return float(vals[j]), j

@@ -1,7 +1,9 @@
 import cmath
 import math
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +18,13 @@ from shallowfp.analysis import (
     fourier_coefficient,
     gap_epsilon_bound,
     representation_counts,
+    roots_of_unity,
+    spectrum,
+    spectrum_rows,
 )
-from shallowfp.coeffsets import explicit_set, gen_gap, gen_random
+from shallowfp.coeffsets import explicit_set, gen_aikps, gen_gap, gen_random
+from shallowfp.errors import TableTooLargeError
+from shallowfp.zmod import is_prime, primitive_root
 
 
 def brute_exp_sum(K, x):
@@ -38,6 +45,57 @@ def brute_epsilon(K):
 def brute_rep_counts(A):
     p = int(A.p)
     return Counter((a + b) % p for a in A.coefficients for b in A.coefficients)
+
+
+def direct_sweep(K):
+    """(eps, smallest maximizing x, bias) from a direct sweep over every x in
+    [1, p-1], phases looked up in the roots table: the computation the FFT
+    kernel replaced, kept as the oracle its rescoring must reproduce exactly."""
+    p = int(K.p)
+    ks = np.asarray(K.coefficients, dtype=np.int64)
+    W = roots_of_unity(p)
+    xs = np.arange(1, p, dtype=np.int64)
+    sums = np.empty(p - 1)
+    step = max(1, (1 << 22) // K.d)
+    for lo in range(0, p - 1, step):
+        idx = (xs[lo:lo + step, None] * ks[None, :]) % p
+        sums[lo:lo + step] = np.abs(W[idx].sum(axis=1))
+    vals = (sums / K.d) ** 2
+    arg = int(np.argmax(vals))
+    return float(vals[arg]), arg + 1, float(sums.max()) / p
+
+
+def subgroup(p, d, coset=1):
+    """The order-d subgroup of Z_p^* (d | p - 1), dilated by ``coset``."""
+    h = pow(primitive_root(p), (p - 1) // d, p)
+    return explicit_set(p, [coset * pow(h, i, p) % p for i in range(d)])
+
+
+def oracle_family():
+    rng = random.Random(20240817)
+    primes = [n for n in range(2, 5000) if is_prime(n)]
+    sets = [explicit_set(p, [k]) for p, k in ((2, 1), (3, 0), (101, 7), (1013, 500))]
+    sets += [explicit_set(p, range(p)) for p in (2, 5, 101, 257)]
+    sets += [subgroup(13, 4), subgroup(101, 10), subgroup(257, 16), subgroup(1009, 36),
+             subgroup(1009, 36, coset=11), subgroup(4099, 683), subgroup(4099, 6, coset=5)]
+    sets += [gen_gap(p, m, seed=s).expanded
+             for p, m, s in ((101, 2, 1), (257, 3, 2), (1013, 4, 3), (4099, 5, 4))]
+    sets += [gen_aikps(p, e).coefficients for p, e in ((13, 0.5), (257, 0.3), (1013, 0.5))]
+    for _ in range(300):
+        p = rng.choice(primes)
+        d = rng.randint(1, 9)
+        sets.append(explicit_set(p, [rng.randrange(p) for _ in range(d)]))
+    return sets
+
+
+def convolve_rep_counts(A, B):
+    """R_n(A, B) by a full np.convolve of the multiplicity vectors, folded mod p."""
+    p = int(A.p)
+    conv = np.convolve(np.bincount(A.coefficients, minlength=p),
+                       np.bincount(B.coefficients, minlength=p))
+    out = conv[:p].copy()
+    out[:p - 1] += conv[p:]
+    return out
 
 
 class TestExpSum:
@@ -83,6 +141,22 @@ class TestEpsilon:
             at_arg = abs(brute_exp_sum(K, arg)) ** 2 / K.d ** 2
             assert at_arg == pytest.approx(b_eps, abs=1e-10)
 
+    def test_equals_direct_sweep(self):
+        # every x whose direct value could win is rescored, so the FFT kernel
+        # changes no bit of eps, its argmax or the bias
+        for K in oracle_family():
+            eps, x, bias = direct_sweep(K)
+            assert epsilon_of(K) == (eps, x), (int(K.p), K.coefficients[:9])
+            assert fourier_bias(K) == bias, (int(K.p), K.coefficients[:9])
+            report = analyze(K)
+            assert (report.epsilon, report.argmax_x, report.fourier_bias) == (eps, x, bias)
+
+    def test_table_size_cap(self):
+        K = explicit_set(4194319, [1, 2, 3])  # the smallest prime above 2^22
+        for fn in (spectrum, epsilon_of, fourier_bias, additive_energy, analyze):
+            with pytest.raises(TableTooLargeError):
+                fn(K)
+
     def test_translation_and_dilation_invariance(self):
         K = gen_random(257, 8, 3)
         eps, _ = epsilon_of(K)
@@ -102,6 +176,24 @@ class TestErrorProb:
         eps, _ = epsilon_of(K)
         for x in range(1, 101):
             assert error_prob(K, x) <= eps + 1e-12
+
+
+class TestSpectrum:
+    def test_rows_match_exp_sum(self):
+        for K in (gen_random(1013, 64, 2), gen_aikps(257, 0.3).coefficients,
+                  explicit_set(101, [0, 0, 5, 5, 5, 77]), explicit_set(2, [1])):
+            rows = list(spectrum_rows(K))
+            assert [r[0] for r in rows] == list(range(int(K.p)))
+            for x, re, im, mag2, pe in rows:
+                s = exp_sum(K, x)
+                assert abs(re - s.real) <= 1e-9 * K.d
+                assert abs(im - s.imag) <= 1e-9 * K.d
+                assert abs(mag2 - abs(s) ** 2) <= 1e-9 * K.d ** 2
+                assert abs(pe - error_prob(K, x)) <= 1e-9
+
+    def test_zero_frequency_is_exactly_d(self):
+        # at this length numpy's FFT rounds S(0) to 63.99999999999998
+        assert spectrum(gen_random(20011, 64, 4))[0] == 64
 
 
 class TestRepresentationCounts:
@@ -132,6 +224,24 @@ class TestAdditiveEnergy:
     def test_equals_sum_of_squared_rep_counts(self):
         A = gen_random(101, 8, 11)
         assert additive_energy(A) == sum(v * v for v in representation_counts(A).values())
+
+    def test_matches_convolution(self):
+        rng = random.Random(5)
+        for p in (2, 3, 31, 101, 257):
+            for _ in range(10):
+                A = explicit_set(p, [rng.randrange(p) for _ in range(rng.randint(1, 40))])
+                B = explicit_set(p, [rng.randrange(p) for _ in range(rng.randint(1, 40))])
+                ra, rab = convolve_rep_counts(A, A), convolve_rep_counts(A, B)
+                assert representation_counts(A) == {n: c for n, c in enumerate(ra.tolist())
+                                                    if c}
+                assert additive_energy(A) == sum(c * c for c in ra.tolist())
+                assert additive_energy(A, B) == sum(c * c for c in rab.tolist())
+
+    def test_limits(self):
+        with pytest.raises(ValueError, match="same modulus"):
+            additive_energy(explicit_set(7, [1]), explicit_set(11, [1]))
+        with pytest.raises(ValueError, match="2\\^16"):
+            additive_energy(explicit_set(65537, range(65537)))
 
     @pytest.mark.parametrize("p,m,seed", [(101, 2, 1), (257, 3, 2), (1013, 4, 3)])
     def test_proper_gap_energy(self, p, m, seed):

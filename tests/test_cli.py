@@ -65,6 +65,23 @@ class TestAnalyze:
         assert len(lines) == 8  # header + one row per x in [0, 7)
 
 
+class TestTableSizeCap:
+    # p = 10^18 + 3 is prime; a length-p table would need exabytes
+    @pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--spectrum", "s.csv"],
+                                      ["simulate", "--sweep"]])
+    def test_huge_modulus_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        kpath = tmp_path / "k.json"
+        kpath.write_text(json.dumps({"p": 10 ** 18 + 3, "method": "explicit", "params": {},
+                                     "coefficients": [1, 2, 3]}))
+        code, stdout, err = run(capsys, argv[0], "--coeffs", str(kpath), *argv[1:])
+        assert code == 2
+        assert stdout == ""
+        assert err.count("\n") == 1 and "2^22" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestSimulate:
     def test_single_word(self, tmp_path, capsys):
         kpath = tmp_path / "k.json"

@@ -5,6 +5,8 @@ outputs; a change that alters one of them has to say why.
 """
 import hashlib
 
+import pytest
+
 from shallowfp.cli import main
 
 COMPARE_SHA256 = {
@@ -23,3 +25,23 @@ def test_compare_csvs_are_byte_identical(tmp_path, capsys):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in COMPARE_SHA256}
     assert got == COMPARE_SHA256
+
+
+ANALYZE_SHA256 = {
+    "random-20011-64-s4": "053aedf01153b25c0d69e14b38fdf8d15f6500936b90aa2b0944862897c8fe7c",
+    "aikps-1013-0.5": "2ac2f11ab813672e9b639b1d066a36a251b6ea1dc1326a1388c21d82851b0358",
+}
+ANALYZE_GEN = {
+    "random-20011-64-s4": ["--method", "random", "--p", "20011", "--d", "64", "--seed", "4"],
+    "aikps-1013-0.5": ["--method", "aikps", "--p", "1013", "--eps", "0.5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_SHA256))
+def test_analyze_json_is_byte_identical(name, tmp_path, capsys):
+    kpath = str(tmp_path / "k.json")
+    assert main(["gen", *ANALYZE_GEN[name], "--out", kpath]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--coeffs", kpath]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[name]

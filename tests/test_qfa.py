@@ -13,6 +13,18 @@ from shallowfp.qfa import (
     run_word,
     step,
 )
+
+
+def stepped_sweep(K, n):
+    """Accept probabilities for j = 0 .. n-1 by iterating the transition."""
+    s = initial_state(K)
+    out = [accept_probability(s)]
+    for _ in range(n - 1):
+        s = step(s)
+        out.append(accept_probability(s))
+    return np.array(out)
+
+
 class TestInitialState:
     def test_d1(self):
         s = initial_state(explicit_set(7, [1]))
@@ -109,9 +121,26 @@ class TestRunWord:
 
     def test_agrees_with_error_prob(self):
         K = gen_random(101, 5, 8)
+        stepped = stepped_sweep(K, 101)
         sweep = acceptance_sweep(K)
         for j in range(101):
+            assert stepped[j] == pytest.approx(error_prob(K, j), abs=1e-10)
             assert sweep[j] == pytest.approx(error_prob(K, j), abs=1e-10)
+
+
+class TestAcceptanceSweep:
+    def test_agrees_with_step_iteration(self):
+        K = gen_random(65551, 64, 1)
+        sweep = acceptance_sweep(K)
+        assert sweep.shape == (65551,)
+        assert np.max(np.abs(sweep[:4096] - stepped_sweep(K, 4096))) <= 1e-9
+
+    def test_j_max_wraps_mod_p(self):
+        K = gen_random(31, 4, 2)
+        sweep = acceptance_sweep(K, j_max=70)
+        assert sweep.shape == (71,)
+        assert np.array_equal(sweep[31:62], sweep[:31])
+        assert sweep[0] == sweep[31] == 1.0
 
 
 class TestMaxErrorSweep:
@@ -130,3 +159,10 @@ class TestMaxErrorSweep:
             worst, _ = max_error_sweep(K)
             eps, _ = epsilon_of(K)
             assert worst <= eps + 1e-12
+
+    def test_is_the_maximum_of_the_sweep(self):
+        K = gen_random(1013, 8, 3)
+        sweep = acceptance_sweep(K)
+        worst, j = max_error_sweep(K)
+        assert worst == sweep[1:].max() == sweep[j]
+        assert j == 1 + int(np.argmax(sweep[1:]))
