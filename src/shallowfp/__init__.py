@@ -1,6 +1,6 @@
 """Shallow quantum-fingerprinting laboratory for the MOD_p language."""
 
-from .zmod import PrimeModulus, is_prime, mod_pow, mod_inverse, primitive_root, element_order
+from .zmod import PrimeModulus, is_prime, mod_inverse, primitive_root, element_order
 from .coeffsets import (
     AikpsSet,
     CoefficientSet,
@@ -31,7 +31,6 @@ from .analysis import (
 from .qfa import QfaState, accept_probability, initial_state, max_error_sweep, run_word, step
 from .circuit import (
     Circuit,
-    CostModel,
     Gate,
     build_aikps,
     build_deep,

@@ -17,9 +17,19 @@ highest bit.
 Depth is greedy disjoint-support layering; the LNN CX cost is a declared
 model (3 CX per singly-controlled rotation, d*ceil(log2 d) for the deep
 multi-controlled bank), not a router.
+
+QASM lowering.  A run of consecutive controlled rotations on one target
+with one tuple of control qubits is a single uniformly controlled R_y
+(a multiplexor): whatever the polarities, it applies R_y(a[v]) to the
+target when the controls read v.  `emit_qasm` lowers each run to 2^n R_y
+and 2^n CX (Mottonen, Vartiainen, Bergholm and Salomaa 2004), so the
+deep layout costs 2^m CX in all and no gate needs x conjugation.  A
+singly-controlled rotation is the n = 1 case:
+ry(theta/2) cx ry(-theta/2) cx.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -66,19 +76,9 @@ class Circuit:
         return self.label.split("[", 1)[0]
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Linear-nearest-neighbor CX budget per rotation construct."""
-
-    cx_per_controlled_ry_lnn: int = 3
-    cx_overhead_final: int = 3
-
-    @staticmethod
-    def multicontrolled_bank_cx(d: int) -> int:
-        """Nearest-neighbor decomposition of the d-rotation controlled bank."""
-        if d < 1:
-            raise ValueError("bank size must be positive")
-        return d * max(1, math.ceil(math.log2(d))) if d > 1 else 1
+# Declared linear-nearest-neighbor CX budget per rotation construct.
+CX_PER_CONTROLLED_RY_LNN = 3
+CX_OVERHEAD_FINAL = 3
 
 
 def _reduced_angle(k: int, x: int, p: int) -> float:
@@ -169,17 +169,17 @@ def depth(c: Circuit) -> int:
     return top
 
 
-def cx_count_lnn(c: Circuit, model: CostModel | None = None) -> int:
+def cx_count_lnn(c: Circuit) -> int:
     """Declared LNN CX cost; dispatches on the builder that made the circuit."""
-    model = model or CostModel()
     n_cry = sum(1 for g in c.gates if g.kind == "cry")
     style = c.style
     if style == "shallow":
-        return n_cry * model.cx_per_controlled_ry_lnn + model.cx_overhead_final
+        return n_cry * CX_PER_CONTROLLED_RY_LNN + CX_OVERHEAD_FINAL
     if style == "deep":
-        return model.multicontrolled_bank_cx(max(1, n_cry))
+        # nearest-neighbor decomposition of the d-rotation controlled bank
+        return n_cry * math.ceil(math.log2(n_cry)) if n_cry > 1 else 1
     if style == "aikps":
-        return n_cry * model.cx_per_controlled_ry_lnn
+        return n_cry * CX_PER_CONTROLLED_RY_LNN
     raise ValueError(f"no LNN cost model for circuit label {c.label!r}")
 
 
@@ -228,13 +228,13 @@ def fingerprint_blocks(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
     return sv[:half], sv[half:]
 
 
-def stats(c: Circuit, model: CostModel | None = None) -> dict:
+def stats(c: Circuit) -> dict:
     return {
         "label": c.label,
         "num_qubits": c.num_qubits,
         "gates": len(c.gates),
         "depth": depth(c),
-        "cx_lnn": cx_count_lnn(c, model),
+        "cx_lnn": cx_count_lnn(c),
     }
 
 
@@ -244,51 +244,71 @@ def _fmt(angle: float) -> str:
     return f"{angle:.17g}"
 
 
-def _emit_mcry(lines: list[str], theta: float, controls: tuple[int, ...], target: int) -> None:
-    """All-positive multi-controlled R_y via the Gray-code ladder.
+def _multiplexor_angles(run: list[Gate]) -> np.ndarray:
+    """Gray-ordered R_y angles of the multiplexor formed by ``run``.
 
-    Emits 2^n R_y and 2^n CX gates using only qelib1 primitives; rotation
-    angles are +-theta/2^n with signs given by the Gray-code parity.
+    a[v] is the total angle of the gates whose polarity pattern is v (bit b
+    set when control b is positive).  Before R_y(phi_k) the CX ladder has
+    flipped the target gray(k) . v times (mod 2) when the controls read v,
+    and X R_y(phi) X = R_y(-phi), so v sees sum_k (-1)^(gray(k) . v) phi_k.
+    That is a[v] when phi is the Walsh-Hadamard transform of a over 2^n,
+    read in Gray-code order.
     """
-    n = len(controls)
-    if n == 0:
-        lines.append(f"ry({_fmt(theta)}) q[{target}];")
-        return
-    base = theta / (1 << n)
-    for k in range(1 << n):
-        gray = k ^ (k >> 1)
-        sign = -1.0 if bin(gray).count("1") % 2 else 1.0
-        lines.append(f"ry({_fmt(sign * base)}) q[{target}];")
-        if k == (1 << n) - 1:
-            ctrl_bit = n - 1
-        else:
-            ctrl_bit = ((k + 1) & -(k + 1)).bit_length() - 1  # ruler sequence
-        lines.append(f"cx q[{controls[ctrl_bit]}],q[{target}];")
+    n = len(run[0].controls)
+    a = np.zeros(1 << n)
+    for gate in run:
+        a[sum(1 << b for b, (_, pol) in enumerate(gate.controls) if pol)] += gate.angle
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        u, v = pairs[:, 0], pairs[:, 1]
+        # -(v - u) equals u - v except that it gives -0 for u == v, so a
+        # lone rotation by 0 still lowers to ry(0) cx ry(-0) cx
+        a = np.stack([u + v, -(v - u)], axis=1).reshape(-1)
+        h *= 2
+    k = np.arange(a.size)
+    return a[k ^ (k >> 1)] / a.size
+
+
+def _emit_multiplexor(lines: list[str], run: list[Gate]) -> None:
+    """2^n R_y and 2^n CX; CX k comes from control ruler(k + 1), the last
+    from control n - 1, so the X-parities cancel at the end."""
+    target = run[0].target
+    controls = [q for q, _ in run[0].controls]
+    last = len(controls) - 1
+    for k, phi in enumerate(_multiplexor_angles(run).tolist()):
+        lines.append(f"ry({_fmt(phi)}) q[{target}];")
+        ctrl_bit = ((k + 1) & -(k + 1)).bit_length() - 1  # ruler sequence
+        lines.append(f"cx q[{controls[min(ctrl_bit, last)]}],q[{target}];")
+
+
+def _run_key(gate: Gate) -> tuple | None:
+    if gate.kind != "cry":
+        return None
+    return gate.target, tuple(q for q, _ in gate.controls)
 
 
 def emit_qasm(c: Circuit) -> str:
-    """OpenQASM 2.0 text using only h, x, ry and cx from qelib1.
+    """OpenQASM 2.0 text using only h, ry and cx from qelib1.
 
-    Negative controls are conjugated with x gates; multi-controlled
-    rotations are expanded by the Gray-code ladder, so the output is
-    consumable by any QASM 2.0 simulator.  Emission is byte-stable for a
-    fixed circuit (fixed ordering, angles at 17 significant digits).
+    Each run of consecutive cry gates sharing a target and a tuple of
+    control qubits is emitted as one multiplexor (2^n R_y, 2^n CX), so the
+    output is consumable by any QASM 2.0 simulator.  Emission is
+    byte-stable for a fixed circuit (fixed ordering, angles at 17
+    significant digits).
     """
     lines = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
         f"qreg q[{c.num_qubits}];",
     ]
-    for gate in c.gates:
-        if gate.kind == "h":
-            lines.append(f"h q[{gate.target}];")
-        elif gate.kind == "ry":
-            lines.append(f"ry({_fmt(gate.angle)}) q[{gate.target}];")
-        else:
-            negatives = [q for q, pol in gate.controls if not pol]
-            for q in negatives:
-                lines.append(f"x q[{q}];")
-            _emit_mcry(lines, gate.angle, tuple(q for q, _ in gate.controls), gate.target)
-            for q in negatives:
-                lines.append(f"x q[{q}];")
+    for key, group in itertools.groupby(c.gates, key=_run_key):
+        if key is not None:
+            _emit_multiplexor(lines, list(group))
+            continue
+        for gate in group:
+            if gate.kind == "h":
+                lines.append(f"h q[{gate.target}];")
+            else:
+                lines.append(f"ry({_fmt(gate.angle)}) q[{gate.target}];")
     return "\n".join(lines) + "\n"

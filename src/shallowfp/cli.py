@@ -144,13 +144,6 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _circuit_metrics(m: int, mode: str) -> tuple[int, int]:
-    model = circuit.CostModel()
-    if mode == "general":
-        return (1 << m) + 1, model.multicontrolled_bank_cx(1 << m)
-    return m + 2, m * model.cx_per_controlled_ry_lnn + model.cx_overhead_final
-
-
 def _cmd_compare(args) -> int:
     if args.p_list:
         with open(args.p_list) as fh:
@@ -189,12 +182,12 @@ def _cmd_compare(args) -> int:
         writer.writerow(["p", "m", "method", "epsilon", "argmax_x", "depth",
                          "cx_lnn", "sweeps", "evaluations", "seed"])
         for rec in records:
-            for mode, res in (("general", rec.general), ("shallow", rec.shallow)):
-                _, argmax = analysis.epsilon_of(res.best_set)
-                depth, cx = _circuit_metrics(args.m, mode)
-                writer.writerow([rec.p, rec.m, mode, _fmt(res.best_epsilon), argmax,
-                                 depth, cx, res.sweeps_used, res.evaluations,
-                                 args.seed])
+            for mode, style, res in (("general", "deep", rec.general),
+                                     ("shallow", "shallow", rec.shallow)):
+                built = circuit.stats(_build_circuit(res.best_set, style, res.argmax_x))
+                writer.writerow([rec.p, rec.m, mode, _fmt(res.best_epsilon), res.argmax_x,
+                                 built["depth"], built["cx_lnn"], res.sweeps_used,
+                                 res.evaluations, args.seed])
     ratios_path = args.out.rsplit(".", 1)[0] + "_ratios.csv"
     with open(ratios_path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -76,6 +76,7 @@ class DescentResult:
     best_set: CoefficientSet
     best_point: tuple[int, ...]  # coefficients (general) or generators (shallow)
     best_epsilon: float
+    argmax_x: int  # smallest x != 0 attaining best_epsilon, as epsilon_of reports it
     sweeps_used: int
     evaluations: int  # candidates considered: p per coordinate searched
     rows_evaluated: int  # full phase rows scored; the rest were pruned by bounds
@@ -232,8 +233,8 @@ def coordinate_descent(p: int, size: int, cfg: DescentConfig,
     point, _, sweeps, history = best
     best_set = _expand_point(p, point, cfg.mode)
     # final value re-measured through the canonical eps path
-    best_eps, _ = epsilon_of(best_set)
-    return DescentResult(best_set, tuple(int(v) for v in point), best_eps,
+    best_eps, argmax = epsilon_of(best_set)
+    return DescentResult(best_set, tuple(int(v) for v in point), best_eps, argmax,
                          sweeps, total_evals, evaluator.rows_evaluated, history)
 
 

@@ -67,24 +67,12 @@ def accept_probability(state: QfaState) -> float:
     return float(np.sum(state.amplitudes[:, 0]) / math.sqrt(d)) ** 2
 
 
-def run_word(K: CoefficientSet, j: int, method: str = "closed") -> float:
-    """Acceptance probability on the unary word a^j.
-
-    method="closed" evaluates ((1/d) sum_i cos(2 pi k_i j / p))^2;
-    method="steps" iterates the transition j mod p times.  The two paths
-    agree within 1e-10 and the tests hold them to that.
-    """
+def run_word(K: CoefficientSet, j: int) -> float:
+    """Acceptance probability on the unary word a^j, in closed form:
+    ((1/d) sum_i cos(2 pi k_i j / p))^2."""
     if j < 0:
         raise ValueError("word length must be nonnegative")
-    p = int(K.p)
-    if method == "closed":
-        return error_prob(K, j % p)
-    if method == "steps":
-        s = initial_state(K)
-        for _ in range(j % p):
-            s = step(s)
-        return accept_probability(s)
-    raise ValueError(f"unknown method {method!r}")
+    return error_prob(K, j % int(K.p))
 
 
 def _accept_closed_form(K: CoefficientSet) -> np.ndarray:

@@ -1,8 +1,7 @@
 """Exact modular number theory over Z_p.
 
 Everything here is deterministic integer arithmetic: primality testing,
-modular exponentiation and inverses, multiplicative orders and primitive
-roots.  Moduli are limited to 64 bits; Python integers make the 128-bit
+modular inverses, multiplicative orders and primitive roots.  Moduli are limited to 64 bits; Python integers make the 128-bit
 intermediate products exact for free.
 """
 from __future__ import annotations
@@ -56,13 +55,6 @@ class PrimeModulus(int):
 
     def __repr__(self) -> str:
         return f"PrimeModulus({int(self)})"
-
-
-def mod_pow(base: int, exp: int, p: int) -> int:
-    """base^exp mod p by square-and-multiply (stdlib pow)."""
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(base, exp, p)
 
 
 def mod_inverse(a: int, p: int) -> int:

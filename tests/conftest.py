@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 def pytest_addoption(parser):
     parser.addoption("--run-full-scale", action="store_true", default=False,
-                     help="run the long full-scale comparison (primes to 1013)")
+                     help="run the long full-scale experiments (descent at p = 65537)")
 
 
 def pytest_configure(config):

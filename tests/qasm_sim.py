@@ -1,6 +1,7 @@
 """Independent OpenQASM 2.0 re-simulator used to round-trip emitted circuits.
 
-Supports exactly the dialect the emitter produces: h, x, ry(theta), cx.
+Supports exactly the dialect the emitter produces: h, ry(theta), cx; any
+other op (x included) is rejected.
 Deliberately separate from the package's own statevector path except for
 the little-endian basis convention, which both sides share.
 """
@@ -33,7 +34,6 @@ def _apply_cx(state: np.ndarray, ctrl: int, tgt: int, n: int) -> np.ndarray:
 def simulate_qasm(text: str) -> np.ndarray:
     n = None
     state = None
-    x_mat = np.array([[0.0, 1.0], [1.0, 0.0]])
     h_mat = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     for raw in text.splitlines():
         line = raw.strip()
@@ -53,8 +53,6 @@ def simulate_qasm(text: str) -> np.ndarray:
             raise ValueError("gate before qreg declaration")
         if op == "h":
             state = _apply_1q(state, h_mat, qubits[0], n)
-        elif op == "x":
-            state = _apply_1q(state, x_mat, qubits[0], n)
         elif op == "ry":
             t = float(arg) / 2.0
             mat = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  Tests marked
-`full_scale` are opt-in via `pytest --run-full-scale`.
+Run with `pytest tests/test_acceptance.py -v -s`.
 
 Criterion 7 checks that shallow GAP fingerprints (m = 3 generators) come
 close to unconstrained d = 2^m sets: over all primes 11..1013, at least
@@ -210,25 +209,12 @@ def test_criterion_6_coordinate_descent_exhaustive():
         assert abs(best_found - oracle) <= 1e-12
 
 
-def _epsilon_ratios_in_band(primes):
-    """(in band, total) for sqrt(eps_shallow / eps_general) in [0.9, 1.5], m = 3."""
-    records = compare_experiment(primes, 3, DescentConfig(seed=7, restarts=3))
-    in_band = sum(1 for r in records if 0.9 <= math.sqrt(r.ratio) <= 1.5)
-    return in_band, len(records)
-
-
 def test_criterion_7_ratio_reproduction():
     with criterion(7, "shallow/general epsilon ratio band (m=3)"):
-        in_band, total = _epsilon_ratios_in_band(primes_in(8, 1013))
-        assert in_band >= math.ceil(0.8 * total), \
-            f"only {in_band}/{total} epsilon ratios in [0.9, 1.5]"
-
-
-@pytest.mark.full_scale
-def test_criterion_7_full_scale():
-    # the same experiment and band, opt-in via --run-full-scale
-    in_band, total = _epsilon_ratios_in_band(primes_in(8, 1013))
-    assert in_band >= math.ceil(0.8 * total)
+        records = compare_experiment(primes_in(8, 1013), 3, DescentConfig(seed=7, restarts=3))
+        in_band = sum(1 for r in records if 0.9 <= math.sqrt(r.ratio) <= 1.5)
+        assert in_band >= math.ceil(0.8 * len(records)), \
+            f"only {in_band}/{len(records)} epsilon ratios in [0.9, 1.5]"
 
 
 def test_criterion_8_theorem_parameterization_unsatisfiable():

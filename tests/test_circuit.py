@@ -7,7 +7,6 @@ from qasm_sim import simulate_qasm
 from shallowfp.analysis import error_prob
 from shallowfp.circuit import (
     Circuit,
-    CostModel,
     Gate,
     build_aikps,
     build_deep,
@@ -194,11 +193,6 @@ class TestMetrics:
         data = stats(build_shallow(fp, 1))
         assert list(data) == ["label", "num_qubits", "gates", "depth", "cx_lnn"]
 
-    def test_cost_model_override(self):
-        fp = make_gap_fingerprint(31, 0, (1, 3))
-        model = CostModel(cx_per_controlled_ry_lnn=5, cx_overhead_final=1)
-        assert cx_count_lnn(build_shallow(fp, 1), model) == 11
-
 
 class TestQasm:
     def test_empty_circuit(self):
@@ -228,6 +222,57 @@ class TestQasm:
     def test_bytes_stable(self):
         c = build_deep(gen_cyclic(13, 8), 5)
         assert emit_qasm(c) == emit_qasm(c)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 10])
+    def test_deep_is_one_multiplexor(self, m):
+        K = explicit_set(1000003, [(7919 * j) % 1000003 for j in range(1, 2 ** m + 1)])
+        ops = [line.split(" ", 1)[0].split("(", 1)[0]
+               for line in emit_qasm(build_deep(K, 3)).splitlines()[3:]]
+        assert (ops.count("h"), ops.count("ry"), ops.count("cx")) == (m, 2 ** m, 2 ** m)
+        assert len(ops) == m + 2 ** (m + 1)  # nothing else, no x
+
+    def test_multiplexor_runs_round_trip(self):
+        c = Circuit(4)
+        for q in range(4):
+            c.add(Gate("h", q))
+        # one run on target 3, controls (0, 1), mixed polarities; the first
+        # and third gates share a pattern, so their angles add
+        c.add(Gate("cry", 3, 0.7, ((0, True), (1, False))))
+        c.add(Gate("cry", 3, 1.9, ((0, False), (1, True))))
+        c.add(Gate("cry", 3, 2.3, ((0, True), (1, False))))
+        c.add(Gate("cry", 3, 4.1, ((0, False), (1, False))))
+        # same target, other control tuple: a new run, controls out of order
+        c.add(Gate("cry", 3, 0.4, ((2, False), (0, True))))
+        c.add(Gate("cry", 3, 5.2, ((2, True), (0, True))))
+        # other target, back to back
+        c.add(Gate("cry", 0, 3.3, ((3, False),)))
+        c.add(Gate("cry", 2, 1.1, ((1, True), (0, False), (3, True))))
+        c.add(Gate("ry", 1, 0.9))
+        c.add(Gate("cry", 3, 6.0, ((0, False), (1, False))))
+        text = emit_qasm(c)
+        cx = sum(1 for line in text.splitlines() if line.startswith("cx "))
+        assert cx == 4 + 4 + 2 + 8 + 4
+        assert np.allclose(simulate_qasm(text), statevector(c), atol=1e-9)
+
+    @pytest.mark.parametrize("theta", [0.0, 1.5])
+    def test_single_control_lowering(self, theta):
+        c = Circuit(2)
+        c.add(Gate("cry", 1, theta, ((0, True),)))
+        half = theta / 2
+        assert emit_qasm(c).splitlines()[3:] == [
+            f"ry({half:.17g}) q[1];", "cx q[0],q[1];", f"ry({-half:.17g}) q[1];", "cx q[0],q[1];"]
+
+    def test_same_pattern_angles_add(self):
+        def one_run(angles):
+            c = Circuit(3)
+            c.add(Gate("h", 0))
+            c.add(Gate("h", 1))
+            for a in angles:
+                c.add(Gate("cry", 2, a, ((0, False), (1, True))))
+            return emit_qasm(c)
+
+        split, merged = one_run([1.25, 2.5]), one_run([3.75])
+        assert split == merged
 
 
 class TestUnitarity:

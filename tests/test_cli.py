@@ -159,6 +159,10 @@ class TestCompare:
                             "sweeps,evaluations,seed")
         # primes 2..13 -> 6 primes, two rows each
         assert len(lines) == 1 + 12
+        # depth and cx_lnn of the built deep (d = 4) and shallow (m = 2) circuits
+        rows = [row.split(",") for row in lines[1:]]
+        assert {(r[2], r[5], r[6]) for r in rows} == {("general", "5", "8"),
+                                                      ("shallow", "4", "9")}
         ratios = (tmp_path / "cmp_ratios.csv").read_text().splitlines()
         assert ratios[0] == "p,ratio"
         assert len(ratios) == 7

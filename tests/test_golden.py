@@ -45,3 +45,25 @@ def test_analyze_json_is_byte_identical(name, tmp_path, capsys):
     assert main(["analyze", "--coeffs", kpath]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[name]
+
+
+QASM_SHA256 = {
+    "shallow-gap-1013-3-s1-x12": "456b2651a3b147338f44454ef35c747d43ade436924b17e91b099b38d6fd878a",
+    "aikps-1013-0.5-x5": "5fb534884f3c0158edfdf86188fe65195d16648e394bf0f1f8ea6a027713504c",
+}
+QASM_RUN = {
+    "shallow-gap-1013-3-s1-x12": (["--method", "gap", "--p", "1013", "--m", "3", "--seed", "1"],
+                                  ["--style", "shallow", "--x", "12"]),
+    "aikps-1013-0.5-x5": (["--method", "aikps", "--p", "1013", "--eps", "0.5"],
+                          ["--style", "aikps", "--x", "5"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QASM_SHA256))
+def test_circuit_qasm_is_byte_identical(name, tmp_path):
+    kpath, qpath = tmp_path / "k.json", tmp_path / "c.qasm"
+    gen_args, circuit_args = QASM_RUN[name]
+    assert main(["gen", *gen_args, "--out", str(kpath)]) == 0
+    assert main(["circuit", "--coeffs", str(kpath), *circuit_args,
+                 "--emit-qasm", str(qpath)]) == 0
+    assert hashlib.sha256(qpath.read_bytes()).hexdigest() == QASM_SHA256[name]

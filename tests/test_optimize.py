@@ -146,8 +146,8 @@ class TestGeneralMode:
 
     def test_final_epsilon_matches_canonical_path(self):
         res = coordinate_descent(31, 4, DescentConfig(seed=9))
-        eps, _ = epsilon_of(explicit_set(31, res.best_point))
-        assert res.best_epsilon == eps
+        eps, x = epsilon_of(explicit_set(31, res.best_point))
+        assert (res.best_epsilon, res.argmax_x) == (eps, x)
 
     def test_audit_passes_after_convergence(self):
         cfg = DescentConfig(seed=11)
@@ -161,8 +161,8 @@ class TestShallowMode:
         cfg = DescentConfig(seed=2, mode="shallow")
         res = coordinate_descent(31, 2, cfg)
         expanded = expand_subset_sums(0, res.best_point, 31)
-        eps, _ = epsilon_of(expanded)
-        assert res.best_epsilon == eps
+        eps, x = epsilon_of(expanded)
+        assert (res.best_epsilon, res.argmax_x) == (eps, x)
         assert res.best_set.coefficients == expanded.coefficients
 
     def test_size_guard(self):

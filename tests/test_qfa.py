@@ -95,10 +95,10 @@ class TestAcceptProbability:
     def test_period_p(self):
         K = gen_random(31, 4, 5)
         assert run_word(K, 31) == pytest.approx(1.0, abs=1e-10)
-        assert run_word(K, 62, method="steps") == pytest.approx(1.0, abs=1e-10)
+        assert stepped_sweep(K, 63)[62] == pytest.approx(1.0, abs=1e-10)
 
     def test_single_rotation(self):
-        assert run_word(explicit_set(3, [1]), 1, method="steps") == pytest.approx(0.25, abs=1e-12)
+        assert stepped_sweep(explicit_set(3, [1]), 2)[1] == pytest.approx(0.25, abs=1e-12)
 
 
 class TestRunWord:
@@ -110,9 +110,9 @@ class TestRunWord:
 
     def test_paths_agree(self):
         K = gen_cyclic(31, 6)
+        stepped = stepped_sweep(K, 31)
         for j in range(0, 40, 3):
-            assert run_word(K, j, "steps") == pytest.approx(run_word(K, j, "closed"),
-                                                            abs=1e-10)
+            assert stepped[j % 31] == pytest.approx(run_word(K, j), abs=1e-10)
 
     def test_periodicity(self):
         K = gen_random(31, 5, 7)
