@@ -1,8 +1,7 @@
 """Shallow quantum-fingerprinting laboratory for the MOD_p language."""
 
-from .zmod import PrimeModulus, is_prime, mod_inverse, primitive_root, element_order
+from .zmod import PrimeModulus, is_prime, mod_inverse, primitive_root
 from .coeffsets import (
-    AikpsSet,
     CoefficientSet,
     GapFingerprint,
     expand_subset_sums,
@@ -12,7 +11,6 @@ from .coeffsets import (
     gen_gap,
     gen_random,
     is_proper_gap,
-    make_gap_fingerprint,
 )
 from .analysis import (
     AnalysisReport,
@@ -23,7 +21,6 @@ from .analysis import (
     error_prob,
     exp_sum,
     fourier_bias,
-    fourier_coefficient,
     gap_epsilon_bound,
     representation_counts,
     spectrum,

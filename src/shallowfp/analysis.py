@@ -217,15 +217,9 @@ def additive_energy(A: CoefficientSet, B: CoefficientSet | None = None) -> int:
     return sum(c * c for c in vec.tolist())  # Python ints: no int64 overflow
 
 
-def fourier_coefficient(A: CoefficientSet, xi: int) -> complex:
-    """hat(1_A)(xi) = (1/p) sum_a e(-xi a / p), multiplicity respected."""
-    p = int(A.p)
-    s = exp_sum(A, (-xi) % p)
-    return s / p
-
-
 def fourier_bias(A: CoefficientSet) -> float:
-    """max over xi in [1, p-1] of |hat(1_A)(xi)|, from direct sums at the kernel's peak."""
+    """max over xi in [1, p-1] of |hat(1_A)(xi)| = |S(xi)| / p, with
+    hat(1_A)(xi) = (1/p) sum_a e(-xi a / p); from direct sums at the kernel's peak."""
     return _peak(A, spectrum(A))[2]
 
 

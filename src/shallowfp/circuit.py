@@ -1,13 +1,17 @@
 """Gate-level IR for fingerprinting circuits.
 
-Builders produce three layouts:
+Every builder takes a `CoefficientSet` K and produces one of three layouts:
 
 * deep    -- one multi-controlled R_y(4 pi k_j x / p) per coefficient, the
              j-th gate controlled on the binary pattern of j-1,
 * shallow -- one singly-controlled R_y(4 pi t_j x / p) per generator plus a
-             final uncontrolled R_y(4 pi t_0 x / p),
-* aikps   -- per small prime r: a bank of controlled R_y(2^{k-1} 4 pi
-             r^{-1} x / p) rotations plus one uncontrolled closing R_y.
+             final uncontrolled R_y(4 pi t_0 x / p), with t_0 and the
+             generators T read from K.params["t0"] (default 0) and
+             K.params["T"],
+* aikps   -- per small prime r in K.params["R"]: a bank of controlled
+             R_y(2^{k-1} 4 pi r^{-1} x / p) rotations plus one uncontrolled
+             closing R_y, with the bank width set by K.params["s_max"] and
+             the label by K.params["eps"].
 
 Basis convention is little-endian: qubit q contributes bit q of the basis
 index, so for deep/shallow circuits the control-register value equals the
@@ -35,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffsets import AikpsSet, CoefficientSet, GapFingerprint
+from .coeffsets import CoefficientSet
+from .zmod import mod_inverse
 
 
 @dataclass(frozen=True)
@@ -118,36 +123,37 @@ def build_deep(K: CoefficientSet, x: int) -> Circuit:
     return c
 
 
-def build_shallow(F: GapFingerprint, x: int) -> Circuit:
-    """Shallow layout: one singly-controlled rotation per generator."""
-    m = F.m
-    p = int(F.p)
+def build_shallow(K: CoefficientSet, x: int) -> Circuit:
+    """Shallow layout: one singly-controlled rotation per generator in K.params["T"]."""
+    T = K.params["T"]
+    m = len(T)
+    p = int(K.p)
     c = Circuit(m + 1, label=f"shallow[m={m}]")
     for q in range(m):
         c.add(Gate("h", q))
-    for q, t in enumerate(F.generators):
+    for q, t in enumerate(T):
         c.add(Gate("cry", m, _reduced_angle(t, x, p), ((q, True),)))
     # closing rotation R_0; kept even for t_0 = 0 for structural fidelity
-    c.add(Gate("ry", m, _reduced_angle(F.t0, x, p)))
+    c.add(Gate("ry", m, _reduced_angle(K.params.get("t0", 0), x, p)))
     return c
 
 
-def aikps_block_width(S: AikpsSet) -> int:
+def aikps_block_width(s_max: int) -> int:
     """Wires per block: enough control bits to index 1..s_max, plus target."""
-    return max(1, math.ceil(math.log2(S.s_max))) + 1 if S.s_max > 1 else 2
+    return max(1, math.ceil(math.log2(s_max))) + 1 if s_max > 1 else 2
 
 
-def build_aikps(S: AikpsSet, x: int) -> Circuit:
-    """AIKPS layout: per prime r, a bank of doubling rotations sharing the target."""
-    p = int(S.p)
-    w = aikps_block_width(S)
+def build_aikps(K: CoefficientSet, x: int) -> Circuit:
+    """AIKPS layout: per prime r in K.params["R"], a bank of doubling rotations
+    sharing the target."""
+    p = int(K.p)
+    R = K.params["R"]
+    w = aikps_block_width(K.params["s_max"])
     n_ctrl = w - 1
-    num_qubits = len(S.r_primes) * n_ctrl + 1
+    num_qubits = len(R) * n_ctrl + 1
     target = num_qubits - 1
-    c = Circuit(num_qubits, label=f"aikps[eps={S.eps:g},blocks={len(S.r_primes)},w={w}]")
-    from .zmod import mod_inverse
-
-    for b, r in enumerate(S.r_primes):
+    c = Circuit(num_qubits, label=f"aikps[eps={K.params['eps']:g},blocks={len(R)},w={w}]")
+    for b, r in enumerate(R):
         r_inv = mod_inverse(r, p)
         base = b * n_ctrl
         for k in range(1, w):

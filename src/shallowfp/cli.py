@@ -44,6 +44,20 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
+    return n
+
+
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {n}")
+    return n
+
+
 def _load_coeffs(path: str) -> coeffsets.CoefficientSet:
     with open(path) as fh:
         return coeffsets.CoefficientSet.from_json_dict(json.load(fh))
@@ -62,12 +76,11 @@ def _cmd_gen(args) -> int:
     elif args.method == "aikps":
         if args.eps is None:
             raise UsageError("--method aikps requires --eps")
-        K = coeffsets.gen_aikps(p, args.eps).coefficients
+        K = coeffsets.gen_aikps(p, args.eps)
     elif args.method == "gap":
         if args.m is None:
             raise UsageError("--method gap requires --m")
-        fp = coeffsets.gen_gap(p, args.m, args.seed, args.max_tries)
-        K = fp.expanded
+        K = coeffsets.gen_gap(p, args.m, args.seed, args.max_tries).expanded
     elif args.method == "random":
         if args.d is None:
             raise UsageError("--method random requires --d")
@@ -109,13 +122,16 @@ def _build_circuit(K: coeffsets.CoefficientSet, style: str, x: int) -> circuit.C
         if "T" not in K.params:
             raise DomainError("shallow circuit needs a subset-sum set (gap/optimized "
                               "shallow output with generators)")
-        fp = coeffsets.make_gap_fingerprint(K.p, K.params.get("t0", 0), K.params["T"])
-        return circuit.build_shallow(fp, x)
+        sums = coeffsets.expand_subset_sums(K.params.get("t0", 0), K.params["T"], K.p)
+        if K.coefficients != sums.coefficients:
+            raise DomainError("shallow circuit needs coefficients equal to the subset sums "
+                              "of t0 and generators")
+        return circuit.build_shallow(K, x)
     if style == "aikps":
         if K.method != "aikps" or "eps" not in K.params:
             raise DomainError("aikps circuit needs a set generated by --method aikps")
-        S = coeffsets.gen_aikps(K.p, K.params["eps"])
-        return circuit.build_aikps(S, x)
+        # rebuilt from (p, eps): R and s_max are not read from the file
+        return circuit.build_aikps(coeffsets.gen_aikps(K.p, K.params["eps"]), x)
     raise UsageError(f"unknown style {style}")
 
 
@@ -205,8 +221,8 @@ def build_parser() -> _Parser:
     g = sub.add_parser("gen", help="generate a coefficient set")
     g.add_argument("--method", required=True, choices=["cyclic", "aikps", "gap", "random"])
     g.add_argument("--p", type=int, required=True)
-    g.add_argument("--d", type=int)
-    g.add_argument("--m", type=int)
+    g.add_argument("--d", type=_positive_int)
+    g.add_argument("--m", type=_positive_int)
     g.add_argument("--eps", type=float)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--max-tries", type=int, default=1000)
@@ -221,7 +237,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("simulate", help="run the automaton on unary words")
     s.add_argument("--coeffs", required=True)
     group = s.add_mutually_exclusive_group(required=True)
-    group.add_argument("--j", type=int)
+    group.add_argument("--j", type=_nonnegative_int)
     group.add_argument("--sweep", action="store_true")
     s.add_argument("--out")
     s.set_defaults(func=_cmd_simulate)
@@ -237,7 +253,7 @@ def build_parser() -> _Parser:
 
     o = sub.add_parser("optimize", help="coordinate-descent search")
     o.add_argument("--p", type=int, required=True)
-    o.add_argument("--size", type=int, required=True)
+    o.add_argument("--size", type=_positive_int, required=True)
     o.add_argument("--mode", required=True, choices=["general", "shallow"])
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("--max-sweeps", type=int, default=100)
@@ -249,7 +265,7 @@ def build_parser() -> _Parser:
     group = cmp_.add_mutually_exclusive_group(required=True)
     group.add_argument("--p-list")
     group.add_argument("--p-max", type=int)
-    cmp_.add_argument("--m", type=int, required=True)
+    cmp_.add_argument("--m", type=_positive_int, required=True)
     cmp_.add_argument("--seed", type=int, default=0)
     cmp_.add_argument("--restarts", type=int, default=0)
     cmp_.add_argument("--out", required=True)

@@ -1,7 +1,11 @@
 """Construction and serialization of rotation-coefficient sets.
 
 A coefficient set K = (k_1, ..., k_d) over Z_p drives the d two-dimensional
-rotations of the MOD_p automaton.  Supported constructions:
+rotations of the MOD_p automaton.  `CoefficientSet` is the one type every
+generator returns and every circuit builder takes; the structure a builder
+needs lives in ``params``: ``t0`` and ``T`` (the generators) for subset-sum
+sets, ``eps``, ``R`` (the small primes) and ``s_max`` for AIKPS sets.
+Supported constructions:
 
 * cyclic     -- powers of the smallest primitive root,
 * aikps      -- products s * r^{-1} for small primes r and small s,
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .errors import EmptyAikpsRangeError, GapSearchExhaustedError, GapUnsatisfiableError
@@ -37,6 +41,8 @@ class CoefficientSet:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.p, PrimeModulus):
+            object.__setattr__(self, "p", PrimeModulus(self.p))
         if len(self.coefficients) == 0:
             raise ValueError("coefficient set must be non-empty")
         if any(not (0 <= k < self.p) for k in self.coefficients):
@@ -78,49 +84,23 @@ class CoefficientSet:
             params["t0"] = int(data["t0"])
         if "generators" in data:
             params["T"] = tuple(int(t) for t in data["generators"])
-        return cls(PrimeModulus(data["p"]), tuple(int(k) for k in data["coefficients"]),
+        return cls(data["p"], tuple(int(k) for k in data["coefficients"]),
                    data.get("method", "explicit"), params)
 
 
 @dataclass(frozen=True)
 class GapFingerprint:
-    """A subset-sum coefficient set together with its properness certificate.
+    """The result of the proper-GAP search.
 
-    ``expanded`` holds A = { t_0 + sum(S) mod p | S subseteq T } in
-    subset-bitmask order; ``proper`` certifies that the 3^m progression
-    B = { 2 t_0 + sum n_i t_i | n_i in {0,1,2} } has pairwise-distinct
-    elements in the chosen ambient group.
+    ``expanded`` is the subset-sum set A = { t_0 + sum(S) mod p | S subseteq T }
+    in subset-bitmask order, with t_0 and T in its ``params``; ``tries`` is
+    the number of draws the search made, the accepted one included.  The
+    search accepts a draw only when the 3^m progression
+    B = { 2 t_0 + sum n_i t_i | n_i in {0,1,2} } is proper mod p.
     """
 
-    p: PrimeModulus
-    t0: int
-    generators: tuple[int, ...]
     expanded: CoefficientSet
-    proper: bool
-    tries: int = 1
-
-    @property
-    def m(self) -> int:
-        return len(self.generators)
-
-
-@dataclass(frozen=True)
-class AikpsSet:
-    """AIKPS construction: coefficients s * r^{-1} mod p.
-
-    r runs over the primes strictly inside ((log2 p)^{1+eps} / 2,
-    (log2 p)^{1+eps}) and s over 1 .. floor((log2 p)^{1+2 eps}).
-    """
-
-    p: PrimeModulus
-    eps: float
-    r_primes: tuple[int, ...]
-    s_max: int
-    coefficients: CoefficientSet
-
-    @property
-    def d(self) -> int:
-        return self.coefficients.d
+    tries: int
 
 
 def gen_cyclic(p: int, d: int) -> CoefficientSet:
@@ -137,8 +117,13 @@ def gen_cyclic(p: int, d: int) -> CoefficientSet:
     return CoefficientSet(p, tuple(coeffs), "cyclic", {"g": g})
 
 
-def gen_aikps(p: int, eps: float) -> AikpsSet:
-    """AIKPS set for the given eps > 0.  Logarithms are base 2."""
+def gen_aikps(p: int, eps: float) -> CoefficientSet:
+    """AIKPS set for the given eps > 0: coefficients s * r^{-1} mod p.
+
+    r runs over the primes strictly inside ((log2 p)^{1+eps} / 2,
+    (log2 p)^{1+eps}) and s over 1 .. floor((log2 p)^{1+2 eps}); ``params``
+    holds eps, R (the primes r) and s_max.
+    """
     p = PrimeModulus(p)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -156,29 +141,20 @@ def gen_aikps(p: int, eps: float) -> AikpsSet:
     for r in r_primes:
         r_inv = mod_inverse(r, p)
         coeffs.extend(s * r_inv % p for s in range(1, s_max + 1))
-    cs = CoefficientSet(p, tuple(coeffs), "aikps",
-                        {"eps": eps, "R": list(r_primes), "s_max": s_max})
-    return AikpsSet(p, eps, r_primes, s_max, cs)
+    return CoefficientSet(p, tuple(coeffs), "aikps",
+                          {"eps": eps, "R": list(r_primes), "s_max": s_max})
 
 
-def is_proper_gap(t0: int, generators: Sequence[int], p: int, ambient: str = "mod_p") -> bool:
-    """True iff all 3^m values 2 t_0 + sum n_i t_i (n_i in {0,1,2}) are distinct.
-
-    ``ambient`` chooses where distinctness is checked: "mod_p" reduces the
-    values modulo p, "integers" compares them as plain integers.
-    """
+def is_proper_gap(t0: int, generators: Sequence[int], p: int) -> bool:
+    """True iff all 3^m values 2 t_0 + sum n_i t_i (n_i in {0,1,2}) are distinct mod p."""
     m = len(generators)
     if m < 1:
         raise ValueError("need at least one generator")
     if m > _MAX_GAP_DIM:
         raise ValueError(f"GAP dimension capped at {_MAX_GAP_DIM}, got {m}")
-    if ambient not in ("mod_p", "integers"):
-        raise ValueError(f"unknown ambient group {ambient!r}")
     seen = set()
     for digits in itertools.product((0, 1, 2), repeat=m):
-        v = 2 * t0 + sum(n * t for n, t in zip(digits, generators))
-        if ambient == "mod_p":
-            v %= p
+        v = (2 * t0 + sum(n * t for n, t in zip(digits, generators))) % p
         if v in seen:
             return False
         seen.add(v)
@@ -196,18 +172,8 @@ def expand_subset_sums(t0: int, generators: Sequence[int], p: int) -> Coefficien
     sums = [t0 % p]
     for t in generators:  # doubling trick keeps bitmask order: bit i appended at stage i
         sums = sums + [(v + t) % p for v in sums]
-    return CoefficientSet(PrimeModulus(p), tuple(sums), "gap",
+    return CoefficientSet(p, tuple(sums), "gap",
                           {"t0": t0 % p, "T": tuple(t % p for t in generators)})
-
-
-def make_gap_fingerprint(p: int, t0: int, generators: Sequence[int],
-                         tries: int = 1) -> GapFingerprint:
-    """Bundle an explicit (t_0, T) with its expansion and properness check."""
-    p = PrimeModulus(p)
-    gens = tuple(t % p for t in generators)
-    expanded = expand_subset_sums(t0 % p, gens, p)
-    proper = is_proper_gap(t0 % p, gens, p)
-    return GapFingerprint(p, t0 % p, gens, expanded, proper, tries)
 
 
 def gen_gap(p: int, m: int, seed: int, max_tries: int = 1000) -> GapFingerprint:
@@ -229,9 +195,8 @@ def gen_gap(p: int, m: int, seed: int, max_tries: int = 1000) -> GapFingerprint:
         t0 = rng.below(p)
         gens = tuple(rng.in_range(1, p) for _ in range(m))
         if is_proper_gap(t0, gens, p):
-            fp = make_gap_fingerprint(p, t0, gens, tries=attempt)
-            fp.expanded.params["seed"] = seed
-            return fp
+            K = expand_subset_sums(t0, gens, p)
+            return GapFingerprint(replace(K, params={**K.params, "seed": seed}), attempt)
     raise GapSearchExhaustedError(
         f"no proper GAP found for p={int(p)}, m={m} in {max_tries} tries (seed {seed})")
 

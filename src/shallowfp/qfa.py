@@ -50,11 +50,9 @@ def _rotation_columns(K: CoefficientSet) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta), np.sin(theta)
 
 
-def step(state: QfaState, inverse: bool = False) -> QfaState:
+def step(state: QfaState) -> QfaState:
     """Apply the one-letter transition: block i rotates by 2 pi k_i / p."""
     cos, sin = _rotation_columns(state.coefficients)
-    if inverse:
-        sin = -sin
     a0 = state.amplitudes[:, 0]
     a1 = state.amplitudes[:, 1]
     out = np.stack([a0 * cos - a1 * sin, a0 * sin + a1 * cos], axis=1)

@@ -1,7 +1,7 @@
 """Exact modular number theory over Z_p.
 
 Everything here is deterministic integer arithmetic: primality testing,
-modular inverses, multiplicative orders and primitive roots.  Moduli are limited to 64 bits; Python integers make the 128-bit
+modular inverses and primitive roots.  Moduli are limited to 64 bits; Python integers make the 128-bit
 intermediate products exact for free.
 """
 from __future__ import annotations
@@ -76,17 +76,6 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
-
-
-def element_order(a: int, p: int) -> int:
-    """Least t >= 1 with a^t = 1 mod p, via divisors of p-1."""
-    if a % p == 0:
-        raise ValueError("0 has no multiplicative order")
-    order = p - 1
-    for q in factorize(p - 1):
-        while order % q == 0 and pow(a, order // q, p) == 1:
-            order //= q
-    return order
 
 
 def primitive_root(p: int) -> int:

@@ -52,7 +52,7 @@ from shallowfp.coeffsets import (
     gen_cyclic,
     gen_gap,
     gen_random,
-    make_gap_fingerprint,
+    is_proper_gap,
 )
 from shallowfp.errors import GapUnsatisfiableError
 from shallowfp.optimize import (
@@ -86,10 +86,10 @@ def test_criterion_1_gap_energy_identity():
             # top of the admissible range: the proper-GAP search converges
             # quickly when 3^m is well below p
             for i, p in enumerate(primes_in(3 ** m, 2000)[-13:]):
-                fp = gen_gap(p, m, seed=1000 * m + i)
-                assert fp.proper
-                counts = representation_counts(fp.expanded)
-                assert additive_energy(fp.expanded) == 6 ** m
+                A = gen_gap(p, m, seed=1000 * m + i).expanded
+                assert is_proper_gap(A.params["t0"], A.params["T"], p)
+                counts = representation_counts(A)
+                assert additive_energy(A) == 6 ** m
                 assert sum(v * v for v in counts.values()) == 6 ** m
                 assert max(counts.values()) == 2 ** m
                 assert 6 ** m <= 2 ** (3 * m)
@@ -147,8 +147,8 @@ def _triple_agreement_sets():
         gen_random(31, 11, 6),     # padded to 16
         explicit_set(7, [1, 2, 4, 6]),
         explicit_set(11, [0, 1, 5]),
-        gen_aikps(13, 0.5).coefficients,
-        gen_aikps(257, 0.3).coefficients,
+        gen_aikps(13, 0.5),
+        gen_aikps(257, 0.3),
         coordinate_descent(31, 4, DescentConfig(seed=1)).best_set,
         coordinate_descent(31, 2, DescentConfig(seed=2, mode="shallow")).best_set,
     ]
@@ -178,10 +178,10 @@ def test_criterion_5_depth_width_cx_table():
     with criterion(5, "depth/width/CX table"):
         for p in (257, 1013, 65537):
             for m in range(1, 11):
-                fp = make_gap_fingerprint(p, 0, tuple(range(1, m + 1)))
-                shallow = build_shallow(fp, 1)
+                K = expand_subset_sums(0, tuple(range(1, m + 1)), p)
+                shallow = build_shallow(K, 1)
                 assert depth(shallow) == m + 2
-                assert fp.expanded.d == 2 ** m
+                assert K.d == 2 ** m
                 assert cx_count_lnn(shallow) == 3 * m + 3
                 deep = build_deep(explicit_set(p, [i % p for i in range(1, 2 ** m + 1)]), 1)
                 assert depth(deep) == 2 ** m + 1
@@ -236,10 +236,10 @@ def test_criterion_9_qasm_round_trip():
             build_deep(gen_cyclic(31, 16), 1),
             build_deep(gen_random(11, 4, 1), 3),
             build_deep(explicit_set(11, [1, 2, 3]), 2),
-            build_shallow(make_gap_fingerprint(31, 5, (1, 3, 9)), 7),
-            build_shallow(make_gap_fingerprint(101, 0, (2, 5, 11, 23)), 9),
-            build_shallow(gen_gap(1013, 3, seed=1), 12),
-            build_shallow(make_gap_fingerprint(7, 3, (1,)), 1),
+            build_shallow(expand_subset_sums(5, (1, 3, 9), 31), 7),
+            build_shallow(expand_subset_sums(0, (2, 5, 11, 23), 101), 9),
+            build_shallow(gen_gap(1013, 3, seed=1).expanded, 12),
+            build_shallow(expand_subset_sums(3, (1,), 7), 1),
             build_aikps(gen_aikps(5, 0.5), 1),
             build_aikps(gen_aikps(13, 0.5), 2),
         ]

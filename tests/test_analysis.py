@@ -15,7 +15,6 @@ from shallowfp.analysis import (
     error_prob,
     exp_sum,
     fourier_bias,
-    fourier_coefficient,
     gap_epsilon_bound,
     representation_counts,
     roots_of_unity,
@@ -80,7 +79,7 @@ def oracle_family():
              subgroup(1009, 36, coset=11), subgroup(4099, 683), subgroup(4099, 6, coset=5)]
     sets += [gen_gap(p, m, seed=s).expanded
              for p, m, s in ((101, 2, 1), (257, 3, 2), (1013, 4, 3), (4099, 5, 4))]
-    sets += [gen_aikps(p, e).coefficients for p, e in ((13, 0.5), (257, 0.3), (1013, 0.5))]
+    sets += [gen_aikps(p, e) for p, e in ((13, 0.5), (257, 0.3), (1013, 0.5))]
     for _ in range(300):
         p = rng.choice(primes)
         d = rng.randint(1, 9)
@@ -180,7 +179,7 @@ class TestErrorProb:
 
 class TestSpectrum:
     def test_rows_match_exp_sum(self):
-        for K in (gen_random(1013, 64, 2), gen_aikps(257, 0.3).coefficients,
+        for K in (gen_random(1013, 64, 2), gen_aikps(257, 0.3),
                   explicit_set(101, [0, 0, 5, 5, 5, 77]), explicit_set(2, [1])):
             rows = list(spectrum_rows(K))
             assert [r[0] for r in rows] == list(range(int(K.p)))
@@ -252,11 +251,12 @@ class TestAdditiveEnergy:
 
 class TestFourier:
     def test_coefficient_examples(self):
+        # hat(1_A)(xi) = conj(S(xi)) / p
         A = gen_random(101, 4, 8)
-        assert fourier_coefficient(A, 0) == pytest.approx(4 / 101, abs=1e-12)
+        assert spectrum(A)[0] == 4
         full = explicit_set(5, [0, 1, 2, 3, 4])
-        assert abs(fourier_coefficient(full, 1)) == pytest.approx(0.0, abs=1e-12)
-        assert fourier_coefficient(explicit_set(7, [0]), 3) == pytest.approx(1 / 7, abs=1e-12)
+        assert abs(spectrum(full)[1]) == pytest.approx(0.0, abs=1e-12)
+        assert spectrum(explicit_set(7, [0]))[3] == pytest.approx(1, abs=1e-12)
 
     def test_bias_examples(self):
         assert fourier_bias(explicit_set(5, [0, 1, 2, 3, 4])) == pytest.approx(0.0, abs=1e-12)
@@ -270,9 +270,10 @@ class TestFourier:
         assert eps == pytest.approx((101 / 6 * bias) ** 2, rel=1e-9)
 
     def test_plancherel(self):
+        # Parseval for a set: sum_x |S(x)|^2 = p * d
         A = explicit_set(101, [3, 17, 40, 77])
-        total = math.fsum(abs(fourier_coefficient(A, xi)) ** 2 for xi in range(101))
-        assert total == pytest.approx(4 / 101, abs=1e-9)
+        total = math.fsum(abs(s) ** 2 for s in spectrum(A).tolist())
+        assert total == pytest.approx(101 * 4, rel=1e-12)
 
 
 class TestBiasEnergyChain:

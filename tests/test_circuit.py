@@ -20,11 +20,11 @@ from shallowfp.circuit import (
     stats,
 )
 from shallowfp.coeffsets import (
+    expand_subset_sums,
     explicit_set,
     gen_aikps,
     gen_cyclic,
     gen_gap,
-    make_gap_fingerprint,
 )
 
 
@@ -114,44 +114,43 @@ class TestDeepBuilder:
 
 class TestShallowBuilder:
     def test_structure(self):
-        fp = make_gap_fingerprint(31, 5, (1, 3, 9))
-        c = build_shallow(fp, 2)
+        K = expand_subset_sums(5, (1, 3, 9), 31)
+        c = build_shallow(K, 2)
         kinds = [g.kind for g in c.gates]
         assert kinds == ["h", "h", "h", "cry", "cry", "cry", "ry"]
         assert depth(c) == 5
 
     def test_zero_offset_keeps_final_gate(self):
-        fp = make_gap_fingerprint(31, 0, (1, 3))
-        c = build_shallow(fp, 7)
+        K = expand_subset_sums(0, (1, 3), 31)
+        c = build_shallow(K, 7)
         assert c.gates[-1].kind == "ry"
         assert c.gates[-1].angle == 0.0
 
     @pytest.mark.parametrize("x", [0, 1, 17, 30])
     def test_fingerprint_matches_expansion(self, x):
-        fp = make_gap_fingerprint(31, 5, (1, 3, 9))
-        cos_block, sin_block = fingerprint_blocks(build_shallow(fp, x))
-        ref_cos, ref_sin = fingerprint_reference(fp.expanded.coefficients, 31, x)
+        K = expand_subset_sums(5, (1, 3, 9), 31)
+        cos_block, sin_block = fingerprint_blocks(build_shallow(K, x))
+        ref_cos, ref_sin = fingerprint_reference(K.coefficients, 31, x)
         assert np.allclose(cos_block, ref_cos, atol=1e-9)
         assert np.allclose(sin_block, ref_sin, atol=1e-9)
 
     def test_deep_and_shallow_agree_on_same_set(self):
-        fp = gen_gap(101, 3, seed=2)
+        K = gen_gap(101, 3, seed=2).expanded
         x = 11
-        deep_cos, deep_sin = fingerprint_blocks(build_deep(fp.expanded, x))
-        sh_cos, sh_sin = fingerprint_blocks(build_shallow(fp, x))
+        deep_cos, deep_sin = fingerprint_blocks(build_deep(K, x))
+        sh_cos, sh_sin = fingerprint_blocks(build_shallow(K, x))
         assert np.allclose(deep_cos, sh_cos, atol=1e-9)
         assert np.allclose(deep_sin, sh_sin, atol=1e-9)
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_depth_m_plus_2(self, m):
-        fp = make_gap_fingerprint(65537, 0, tuple(range(1, m + 1)))
-        assert depth(build_shallow(fp, 1)) == m + 2
+        K = expand_subset_sums(0, tuple(range(1, m + 1)), 65537)
+        assert depth(build_shallow(K, 1)) == m + 2
 
 
 class TestAikpsBuilder:
     def test_structure_65537(self):
-        S = gen_aikps(65537, 0.5)
-        c = build_aikps(S, 1)
+        c = build_aikps(gen_aikps(65537, 0.5), 1)
         n_cry = sum(1 for g in c.gates if g.kind == "cry")
         assert n_cry == 7 * 8
         assert depth(c) == 63  # 7 blocks of 9 serialized rotations
@@ -168,13 +167,13 @@ class TestAikpsBuilder:
 class TestMetrics:
     def test_depth_examples(self):
         assert depth(Circuit(3)) == 0
-        fp = make_gap_fingerprint(65537, 0, (1, 2, 4))
-        assert depth(build_shallow(fp, 1)) == 5
+        K = expand_subset_sums(0, (1, 2, 4), 65537)
+        assert depth(build_shallow(K, 1)) == 5
         assert depth(build_deep(explicit_set(17, list(range(1, 9))), 1)) == 9
 
     def test_cx_counts(self):
-        fp = make_gap_fingerprint(65537, 0, tuple(range(1, 6)))
-        assert cx_count_lnn(build_shallow(fp, 1)) == 18  # 3m+3 at m=5
+        K = expand_subset_sums(0, tuple(range(1, 6)), 65537)
+        assert cx_count_lnn(build_shallow(K, 1)) == 18  # 3m+3 at m=5
         K = explicit_set(65537, list(range(1, 33)))
         assert cx_count_lnn(build_deep(K, 1)) == 160  # 32 * 5
 
@@ -189,8 +188,8 @@ class TestMetrics:
             cx_count_lnn(c)
 
     def test_stats_keys(self):
-        fp = make_gap_fingerprint(31, 0, (1, 3))
-        data = stats(build_shallow(fp, 1))
+        K = expand_subset_sums(0, (1, 3), 31)
+        data = stats(build_shallow(K, 1))
         assert list(data) == ["label", "num_qubits", "gates", "depth", "cx_lnn"]
 
 
@@ -200,8 +199,8 @@ class TestQasm:
         assert text == 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
 
     def test_shallow_m1_structure(self):
-        fp = make_gap_fingerprint(31, 3, (7,))
-        text = emit_qasm(build_shallow(fp, 2))
+        K = expand_subset_sums(3, (7,), 31)
+        text = emit_qasm(build_shallow(K, 2))
         lines = text.splitlines()
         assert sum(1 for l in lines if l.startswith("h ")) == 1
         assert sum(1 for l in lines if l.startswith("cx ")) == 2  # one decomposed cry
@@ -211,7 +210,7 @@ class TestQasm:
     def test_round_trip(self, builder_idx):
         circuits = [
             build_deep(gen_cyclic(13, 8), 5),
-            build_shallow(make_gap_fingerprint(31, 5, (1, 3, 9)), 7),
+            build_shallow(expand_subset_sums(5, (1, 3, 9), 31), 7),
             build_deep(explicit_set(11, [1, 2, 3]), 2),  # padded
             build_aikps(gen_aikps(5, 0.5), 1),
         ]
@@ -279,5 +278,5 @@ class TestUnitarity:
     @pytest.mark.parametrize("x", [0, 3, 12])
     def test_norms(self, x):
         for c in (build_deep(gen_cyclic(13, 8), x),
-                  build_shallow(make_gap_fingerprint(31, 5, (1, 3, 9)), x)):
+                  build_shallow(expand_subset_sums(5, (1, 3, 9), 31), x)):
             assert np.linalg.norm(statevector(c)) == pytest.approx(1.0, abs=1e-12)

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from shallowfp import coeffsets
 from shallowfp.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(capsys, *argv):
@@ -39,6 +43,25 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "--method", "cyclic", "--p", "7", "--d", "3",
                          "--frobnicate")
         assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--p-max", "7", "--m", "0", "--out", "x.csv"],
+    ["optimize", "--p", "31", "--size", "0", "--mode", "general"],
+    ["gen", "--method", "cyclic", "--p", "7", "--d", "0"],
+    ["gen", "--method", "random", "--p", "7", "--d", "0"],
+    ["gen", "--method", "gap", "--p", "1013", "--m", "0"],
+    ["simulate", "--coeffs", "k.json", "--j", "-3"],
+], ids=["compare-m0", "optimize-size0", "cyclic-d0", "random-d0", "gap-m0", "simulate-j-3"])
+def test_bad_size_flag_exit_1(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.json").write_text(json.dumps({"p": 7, "method": "explicit", "params": {},
+                                                 "coefficients": [1, 2]}))
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("usage error:")
+    assert not (tmp_path / "x.csv").exists()
 
 
 class TestAnalyze:
@@ -126,6 +149,19 @@ class TestCircuit:
         assert code == 0
         assert qpath.read_text().startswith("OPENQASM 2.0;")
 
+    def test_shallow_refuses_edited_coefficients(self, tmp_path, capsys):
+        kpath = tmp_path / "k.json"
+        run(capsys, "gen", "--method", "gap", "--p", "1013", "--m", "3",
+            "--seed", "1", "--out", str(kpath))
+        data = json.loads(kpath.read_text())
+        data["coefficients"][3] = (data["coefficients"][3] + 1) % 1013
+        kpath.write_text(json.dumps(data))
+        code, stdout, err = run(capsys, "circuit", "--coeffs", str(kpath),
+                                "--style", "shallow", "--x", "5", "--stats")
+        assert code == 2
+        assert stdout == ""
+        assert err.count("\n") == 1 and "subset sums" in err
+
     def test_shallow_needs_generators(self, tmp_path, capsys):
         kpath = tmp_path / "k.json"
         run(capsys, "gen", "--method", "cyclic", "--p", "13", "--d", "4",
@@ -208,3 +244,68 @@ class TestCompare:
         code, _, _ = run(capsys, "compare", "--p-list", str(plist), "--m", "2",
                          "--seed", "1", "--out", str(tmp_path / "x.csv"))
         assert code == 1
+
+
+def count_calls(monkeypatch, name):
+    """Wrap coeffsets.<name> so that every call appends its result to a list."""
+    results = []
+    fn = getattr(coeffsets, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(coeffsets, name, wrapper)
+    return results
+
+
+class TestProperGapChecks:
+    """The 3^m properness check runs once per draw of the GAP search, and
+    nowhere else: building a circuit from a subset-sum set never runs it."""
+
+    def test_gen_gap_checks_each_draw_once(self, tmp_path, capsys, monkeypatch):
+        checks = count_calls(monkeypatch, "is_proper_gap")
+        searches = count_calls(monkeypatch, "gen_gap")
+        code, _, _ = run(capsys, "gen", "--method", "gap", "--p", "1013", "--m", "5",
+                         "--seed", "2", "--out", str(tmp_path / "k.json"))
+        assert code == 0
+        assert searches[0].tries == 10
+        assert len(checks) == 10 and checks[-1] and not any(checks[:-1])
+
+    def test_shallow_circuit_and_compare_run_no_check(self, tmp_path, capsys, monkeypatch):
+        kpath = tmp_path / "k.json"
+        run(capsys, "gen", "--method", "gap", "--p", "1013", "--m", "5",
+            "--seed", "2", "--out", str(kpath))
+        checks = count_calls(monkeypatch, "is_proper_gap")
+        code, _, _ = run(capsys, "circuit", "--coeffs", str(kpath),
+                         "--style", "shallow", "--x", "5", "--stats")
+        assert code == 0
+        code, _, _ = run(capsys, "compare", "--p-max", "13", "--m", "2",
+                         "--seed", "7", "--out", str(tmp_path / "cmp.csv"))
+        assert code == 0
+        assert checks == []
+
+
+def test_traced_run_patches_every_alias(tmp_path, capsys, monkeypatch):
+    # the per-layer benchmark wraps package functions by name; a refactor
+    # that drops one of them, or the .tries it counts, breaks its numbers
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    kpath = str(tmp_path / "k.json")
+    tracer = spans.Tracer()
+    patch = spans.Patch(tracer)
+    try:
+        assert main(["gen", "--method", "gap", "--p", "1013", "--m", "5", "--seed", "2",
+                     "--out", kpath]) == 0
+        assert main(["circuit", "--coeffs", kpath, "--style", "shallow", "--x", "5",
+                     "--stats"]) == 0
+    finally:
+        patch.remove()
+    capsys.readouterr()
+    assert patch.missing == []
+    totals = spans.layer_totals(tracer)
+    tries = coeffsets.gen_gap(1013, 5, 2).tries
+    assert totals["coeffsets.gen_gap.tries"] == tries
+    assert totals["coeffsets.is_proper_gap.calls"] == tries
+    assert totals["circuit.build.calls"] == 1

@@ -12,9 +12,14 @@ from shallowfp.coeffsets import (
     gen_gap,
     gen_random,
     is_proper_gap,
-    make_gap_fingerprint,
 )
-from shallowfp.errors import EmptyAikpsRangeError, GapSearchExhaustedError, GapUnsatisfiableError
+from shallowfp.errors import (
+    CompositeModulusError,
+    EmptyAikpsRangeError,
+    GapSearchExhaustedError,
+    GapUnsatisfiableError,
+)
+from shallowfp.zmod import PrimeModulus
 
 
 def brute_subset_sums(t0, T, p):
@@ -30,6 +35,18 @@ def brute_proper(t0, T, p, mod):
         v = 2 * t0 + sum(n * t for n, t in zip(digits, T))
         vals.append(v % p if mod else v)
     return len(set(vals)) == len(vals)
+
+
+class TestCoefficientSet:
+    def test_composite_int_modulus_rejected(self):
+        with pytest.raises(CompositeModulusError):
+            CoefficientSet(10, (1, 2))
+
+    def test_modulus_is_coerced_once(self):
+        K = CoefficientSet(7, (1, 2))
+        assert isinstance(K.p, PrimeModulus) and K.p == 7
+        p = PrimeModulus(7)
+        assert CoefficientSet(p, (1, 2)).p is p
 
 
 class TestCyclic:
@@ -51,8 +68,8 @@ class TestCyclic:
 class TestAikps:
     def test_p65537(self):
         s = gen_aikps(65537, 0.5)
-        assert s.r_primes == (37, 41, 43, 47, 53, 59, 61)
-        assert s.s_max == 256
+        assert s.params["R"] == [37, 41, 43, 47, 53, 59, 61]
+        assert s.params["s_max"] == 256
         assert s.d == 7 * 256 == 1792
         # Table-level width bound: |K| <= (log2 p)^(2 + 3 eps)
         assert s.d <= 16.00003 ** 3.5
@@ -60,14 +77,14 @@ class TestAikps:
     def test_p5_boundary(self):
         # brute-force oracle: interval (1.769, 3.538) contains the primes 2 and 3
         s = gen_aikps(5, 0.5)
-        assert s.r_primes == (2, 3)
-        assert s.s_max == 5
+        assert s.params["R"] == [2, 3]
+        assert s.params["s_max"] == 5
         assert s.d == 10
 
     def test_count_is_R_times_S(self):
         for p, eps in [(257, 0.5), (1013, 0.3), (65537, 0.5)]:
             s = gen_aikps(p, eps)
-            assert s.d == len(s.r_primes) * s.s_max
+            assert s.d == len(s.params["R"]) * s.params["s_max"]
 
     def test_empty_interval_is_distinct_error(self, monkeypatch):
         # For p >= 5 the interval (hi/2, hi) always contains a prime, so the
@@ -86,11 +103,11 @@ class TestProperGap:
         assert is_proper_gap(0, (1, 3, 9), 13) is False  # 27 values in Z_13
 
     def test_ambient_modes_differ(self):
-        # proper over the integers but wrapped collisions mod small p
-        t0, T, p = 0, (1, 3, 9), 29
+        # proper over the integers, but 0 and 23 collide mod 23: the check is mod p
+        t0, T, p = 0, (1, 3, 9), 23
         assert brute_proper(t0, T, p, mod=False)
-        assert is_proper_gap(t0, T, p, ambient="integers")
-        assert is_proper_gap(t0, T, p, ambient="mod_p") == brute_proper(t0, T, p, mod=True)
+        assert not brute_proper(t0, T, p, mod=True)
+        assert not is_proper_gap(t0, T, p)
 
     @given(st.integers(0, 30), st.lists(st.integers(1, 30), min_size=1, max_size=3),
            st.sampled_from([31, 101]))
@@ -124,18 +141,18 @@ class TestExpandSubsetSums:
 
 class TestGenGap:
     def test_seeded_search(self):
-        fp = gen_gap(1013, 3, seed=1, max_tries=1000)
-        assert fp.proper
-        assert fp.expanded.d == 8
+        K = gen_gap(1013, 3, seed=1, max_tries=1000).expanded
+        assert K.d == 8
         # re-verify with the direct oracle
-        assert brute_proper(fp.t0, fp.generators, 1013, mod=True)
-        assert fp.expanded.coefficients == tuple(
-            brute_subset_sums(fp.t0, list(fp.generators), 1013))
+        t0, T = K.params["t0"], K.params["T"]
+        assert brute_proper(t0, T, 1013, mod=True)
+        assert K.coefficients == tuple(brute_subset_sums(t0, list(T), 1013))
+        assert K.params == {"t0": t0, "T": T, "seed": 1}
 
     def test_determinism(self):
         a = gen_gap(1013, 4, seed=99)
         b = gen_gap(1013, 4, seed=99)
-        assert (a.t0, a.generators, a.tries) == (b.t0, b.generators, b.tries)
+        assert (a.expanded, a.tries) == (b.expanded, b.tries)
 
     def test_unsatisfiable(self):
         with pytest.raises(GapUnsatisfiableError):
@@ -146,8 +163,7 @@ class TestGenGap:
             gen_gap(1013, 6, seed=0, max_tries=1)
 
     def test_forced_trivial(self):
-        fp = make_gap_fingerprint(11, 0, (1,))
-        assert fp.expanded.coefficients == (0, 1)
+        assert expand_subset_sums(0, (1,), 11).coefficients == (0, 1)
 
     @pytest.mark.parametrize("m,p,seed", [(2, 101, 5), (3, 257, 7), (4, 257, 11)])
     def test_proper_expansion_is_distinct(self, m, p, seed):
@@ -175,7 +191,7 @@ class TestJsonRoundTrip:
         gen_cyclic(7, 3),
         gen_random(101, 5, 3),
         gen_gap(1013, 3, seed=1).expanded,
-        gen_aikps(257, 0.5).coefficients,
+        gen_aikps(257, 0.5),
     ])
     def test_round_trip(self, K):
         data = json.loads(json.dumps(K.to_json_dict()))

@@ -67,3 +67,35 @@ def test_circuit_qasm_is_byte_identical(name, tmp_path):
     assert main(["circuit", "--coeffs", str(kpath), *circuit_args,
                  "--emit-qasm", str(qpath)]) == 0
     assert hashlib.sha256(qpath.read_bytes()).hexdigest() == QASM_SHA256[name]
+
+
+GAP_1E6 = ["--method", "gap", "--p", "1000003", "--m", "10", "--seed", "5"]
+GAP_1E6_SHA256 = "3f99082fff06d6fde7943779cc468a40c92ed6bf657e6f67c604c3f11eb9d404"
+STATS_SHA256 = {
+    "shallow-gap-1000003-10-s5-x12345":
+        "a0b93b420f7319b2f52d7e71f8296f2d517a9a3318b1274a8952ff48df10139e",
+    "aikps-1000003-0.5-x12345":
+        "1662d5050ff0edf948e7445878797fe0f194360acde85d23fbd979f020c0caa2",
+}
+STATS_RUN = {
+    "shallow-gap-1000003-10-s5-x12345": (GAP_1E6, ["--style", "shallow", "--x", "12345"]),
+    "aikps-1000003-0.5-x12345": (["--method", "aikps", "--p", "1000003", "--eps", "0.5"],
+                                 ["--style", "aikps", "--x", "12345"]),
+}
+
+
+def test_gen_gap_json_is_byte_identical(tmp_path):
+    kpath = tmp_path / "k.json"
+    assert main(["gen", *GAP_1E6, "--out", str(kpath)]) == 0
+    assert hashlib.sha256(kpath.read_bytes()).hexdigest() == GAP_1E6_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(STATS_SHA256))
+def test_circuit_stats_are_byte_identical(name, tmp_path, capsys):
+    kpath = str(tmp_path / "k.json")
+    gen_args, circuit_args = STATS_RUN[name]
+    assert main(["gen", *gen_args, "--out", kpath]) == 0
+    capsys.readouterr()
+    assert main(["circuit", "--coeffs", kpath, *circuit_args, "--stats"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STATS_SHA256[name]

@@ -65,17 +65,6 @@ class TestStep:
             s = step(s)
             assert s.norm() == pytest.approx(1.0, abs=1e-12)
 
-    def test_reversibility(self):
-        K = gen_random(101, 6, 3)
-        s = initial_state(K)
-        for _ in range(7):
-            s = step(s)
-        back = step(s, inverse=True)
-        fwd = step(initial_state(K))
-        for _ in range(5):
-            fwd = step(fwd)
-        assert np.allclose(back.amplitudes, fwd.amplitudes, atol=1e-12)
-
 
 def explicit_set_with_modulus(p, coeffs):
     """Build a coefficient set over a possibly composite modulus (test-only)."""

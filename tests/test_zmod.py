@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from shallowfp.errors import CompositeModulusError
 from shallowfp.zmod import (
     PrimeModulus,
-    element_order,
     is_prime,
     mod_inverse,
     primitive_root,
@@ -47,29 +46,14 @@ def test_primitive_root_examples():
     assert primitive_root(2) == 1
 
 
-def test_element_order_examples():
-    assert element_order(2, 7) == 3
-    assert element_order(1, 101) == 1
-    assert element_order(3, 7) == 6
-    with pytest.raises(ValueError):
-        element_order(0, 7)
-
-
 @given(st.sampled_from([3, 7, 101, 257, 1013]), st.data())
 def test_inverse_property(p, data):
     a = data.draw(st.integers(min_value=1, max_value=p - 1))
     assert a * mod_inverse(a, p) % p == 1
 
 
-@given(st.sampled_from([3, 7, 101, 257, 1013]), st.data())
-def test_order_divides_group_order(p, data):
-    a = data.draw(st.integers(min_value=1, max_value=p - 1))
-    assert (p - 1) % element_order(a, p) == 0
-
-
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 257])
 def test_primitive_root_generates_group(p):
     g = primitive_root(p)
-    assert element_order(g, p) == p - 1
     seen = {pow(g, i, p) for i in range(1, p)}
     assert seen == set(range(1, p))
