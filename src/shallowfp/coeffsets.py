@@ -19,12 +19,18 @@ seeded ones use the SplitMix64 stream documented in rng.py.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from .errors import EmptyAikpsRangeError, GapSearchExhaustedError, GapUnsatisfiableError
+import numpy as np
+
+from .errors import (
+    EmptyAikpsRangeError,
+    GapSearchExhaustedError,
+    GapUnsatisfiableError,
+    ParameterRangeError,
+)
 from .rng import SplitMix64
 from .zmod import PrimeModulus, is_prime, mod_inverse, primitive_root
 
@@ -44,9 +50,9 @@ class CoefficientSet:
         if not isinstance(self.p, PrimeModulus):
             object.__setattr__(self, "p", PrimeModulus(self.p))
         if len(self.coefficients) == 0:
-            raise ValueError("coefficient set must be non-empty")
+            raise ParameterRangeError("coefficient set must be non-empty")
         if any(not (0 <= k < self.p) for k in self.coefficients):
-            raise ValueError("coefficients must lie in [0, p)")
+            raise ParameterRangeError(f"coefficients must lie in [0, p) for p={int(self.p)}")
 
     @property
     def d(self) -> int:
@@ -58,7 +64,7 @@ class CoefficientSet:
 
     def dilated(self, c: int) -> "CoefficientSet":
         if math.gcd(c, self.p) != 1:
-            raise ValueError("dilation factor must be coprime to p")
+            raise ParameterRangeError("dilation factor must be coprime to p")
         return CoefficientSet(self.p, tuple(k * c % self.p for k in self.coefficients),
                               "explicit", {"from": self.method, "dilation": c % self.p})
 
@@ -107,7 +113,7 @@ def gen_cyclic(p: int, d: int) -> CoefficientSet:
     """k_i = g^i mod p for i = 1..d, g the smallest primitive root."""
     p = PrimeModulus(p)
     if not (1 <= d <= p - 1):
-        raise ValueError(f"cyclic set needs 1 <= d <= p-1, got d={d}, p={p}")
+        raise ParameterRangeError(f"cyclic set needs 1 <= d <= p-1, got d={d}, p={int(p)}")
     g = primitive_root(p)
     coeffs = []
     v = 1
@@ -125,10 +131,10 @@ def gen_aikps(p: int, eps: float) -> CoefficientSet:
     holds eps, R (the primes r) and s_max.
     """
     p = PrimeModulus(p)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ParameterRangeError(f"AIKPS eps must be positive and finite, got {eps}")
     if p < 5:
-        raise ValueError("AIKPS construction needs p >= 5")
+        raise ParameterRangeError(f"AIKPS construction needs p >= 5, got p={int(p)}")
     log2p = math.log2(p)
     hi = log2p ** (1.0 + eps)
     lo = hi / 2.0
@@ -145,20 +151,41 @@ def gen_aikps(p: int, eps: float) -> CoefficientSet:
                           {"eps": eps, "R": list(r_primes), "s_max": s_max})
 
 
+def _half_sums(generators: Sequence[int], p: int) -> np.ndarray:
+    """The 5^len sums sum c_i t_i mod p over c_i in {-2, ..., 2}, as uint64."""
+    sums = np.zeros(1, dtype=np.uint64)
+    for t in generators:
+        steps = np.array([c * t % p for c in (-2, -1, 0, 1, 2)], dtype=np.uint64)
+        sums = (sums[:, None] + steps[None, :]).ravel() % np.uint64(p)
+    return sums
+
+
 def is_proper_gap(t0: int, generators: Sequence[int], p: int) -> bool:
-    """True iff all 3^m values 2 t_0 + sum n_i t_i (n_i in {0,1,2}) are distinct mod p."""
+    """True iff all 3^m values 2 t_0 + sum n_i t_i (n_i in {0,1,2}) are distinct mod p.
+
+    Difference criterion: two values collide iff their digit vectors differ
+    by a nonzero c in {-2, ..., 2}^m with sum c_i t_i = 0 mod p, so t_0
+    cancels.  The check is the Horowitz-Sahni split at h = m // 2: the 5^h
+    half-sums of T[:h] and the negated 5^(m-h) half-sums of T[h:] are sorted,
+    and every pair of equal entries is counted (half-sums may repeat, so
+    membership alone would miss collisions).  B is proper iff the count is
+    exactly 1, the pair c = 0.  That is 2 * 5^(m/2) values instead of 3^m.
+
+    Overflow rule: each c t_i is reduced mod p in Python ints, then the
+    half-sums are added in uint64 and reduced mod p after every generator,
+    so no partial sum reaches 2p; the check is exact for every p < 2^63.
+    """
     m = len(generators)
     if m < 1:
-        raise ValueError("need at least one generator")
+        raise ParameterRangeError("need at least one generator")
     if m > _MAX_GAP_DIM:
-        raise ValueError(f"GAP dimension capped at {_MAX_GAP_DIM}, got {m}")
-    seen = set()
-    for digits in itertools.product((0, 1, 2), repeat=m):
-        v = (2 * t0 + sum(n * t for n, t in zip(digits, generators))) % p
-        if v in seen:
-            return False
-        seen.add(v)
-    return True
+        raise ParameterRangeError(f"GAP dimension capped at {_MAX_GAP_DIM}, got {m}")
+    p = int(p)  # numpy promotes uint64 with an int subclass such as PrimeModulus to float64
+    h = m // 2
+    left = np.sort(_half_sums(generators[:h], p))
+    want = np.sort((p - _half_sums(generators[h:], p)) % np.uint64(p))
+    matches = np.searchsorted(left, want, "right") - np.searchsorted(left, want, "left")
+    return int(matches.sum()) == 1
 
 
 def expand_subset_sums(t0: int, generators: Sequence[int], p: int) -> CoefficientSet:
@@ -168,7 +195,7 @@ def expand_subset_sums(t0: int, generators: Sequence[int], p: int) -> Coefficien
     """
     m = len(generators)
     if m > _MAX_GAP_DIM:
-        raise ValueError(f"generator list capped at {_MAX_GAP_DIM}, got {m}")
+        raise ParameterRangeError(f"generator list capped at {_MAX_GAP_DIM}, got {m}")
     sums = [t0 % p]
     for t in generators:  # doubling trick keeps bitmask order: bit i appended at stage i
         sums = sums + [(v + t) % p for v in sums]
@@ -184,12 +211,12 @@ def gen_gap(p: int, m: int, seed: int, max_tries: int = 1000) -> GapFingerprint:
     """
     p = PrimeModulus(p)
     if not (1 <= m <= _MAX_GAP_DIM):
-        raise ValueError(f"need 1 <= m <= {_MAX_GAP_DIM}, got {m}")
+        raise ParameterRangeError(f"need 1 <= m <= {_MAX_GAP_DIM}, got {m}")
     if 3 ** m > p:
         raise GapUnsatisfiableError(
             f"hypothesis unsatisfiable in Z_p: 3^{m} = {3 ** m} > p = {int(p)}")
     if max_tries < 1:
-        raise ValueError("max_tries must be positive")
+        raise ParameterRangeError(f"max_tries must be positive, got {max_tries}")
     rng = SplitMix64(seed)
     for attempt in range(1, max_tries + 1):
         t0 = rng.below(p)
@@ -205,7 +232,7 @@ def gen_random(p: int, d: int, seed: int) -> CoefficientSet:
     """d seeded uniform draws from [1, p-1]; duplicates allowed."""
     p = PrimeModulus(p)
     if d < 1:
-        raise ValueError("d must be positive")
+        raise ParameterRangeError("d must be positive")
     rng = SplitMix64(seed)
     if p == 2:
         coeffs = tuple(1 for _ in range(d))

@@ -9,6 +9,14 @@ class CompositeModulusError(DomainError):
     """Raised when a modulus that must be prime fails the primality check."""
 
 
+class ModulusTooLargeError(DomainError):
+    """Raised when a modulus is 2^63 or more, beyond the exact 64-bit arithmetic."""
+
+
+class ParameterRangeError(DomainError):
+    """Raised when a size, parameter or coefficient lies outside its accepted range."""
+
+
 class EmptyAikpsRangeError(DomainError):
     """Raised when the AIKPS prime interval contains no prime at all."""
 

@@ -1,18 +1,22 @@
 """Exact modular number theory over Z_p.
 
 Everything here is deterministic integer arithmetic: primality testing,
-modular inverses and primitive roots.  Moduli are limited to 64 bits; Python integers make the 128-bit
-intermediate products exact for free.
+modular inverses and primitive roots.  Moduli are limited to p < 2^63
+(`PrimeModulus` refuses larger ones): `is_prime` is only claimed below that
+bound, and the GAP properness check adds two residues in uint64.  Python
+integers make the 128-bit intermediate products exact for free.
 """
 from __future__ import annotations
 
-from .errors import CompositeModulusError
+from .errors import CompositeModulusError, ModulusTooLargeError
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
 # (in particular for every n < 2^63).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+_MAX_MODULUS = 2 ** 63  # exclusive
 
 
 def is_prime(n: int) -> bool:
@@ -46,10 +50,12 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeModulus(int):
-    """A validated prime modulus.  Behaves like a plain int everywhere."""
+    """A validated prime modulus p < 2^63.  Behaves like a plain int everywhere."""
 
     def __new__(cls, p: int) -> "PrimeModulus":
-        if not is_prime(p):
+        if p >= _MAX_MODULUS:
+            raise ModulusTooLargeError(f"modulus {p} is not below 2^63")
+        if p < 2 or not is_prime(p):
             raise CompositeModulusError(f"{p} is not prime")
         return super().__new__(cls, p)
 

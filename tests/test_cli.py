@@ -64,6 +64,30 @@ def test_bad_size_flag_exit_1(tmp_path, capsys, monkeypatch, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["gen", "--method", "gap", "--p", "1000003", "--m", "17"], "m <= 16"),
+    (["gen", "--method", "cyclic", "--p", "7", "--d", "9"], "d <= p-1"),
+    (["gen", "--method", "aikps", "--p", "1013", "--eps", "-1"], "eps must be positive"),
+    (["analyze", "--coeffs", "range.json"], "[0, p)"),
+    (["circuit", "--coeffs", "wide.json", "--style", "shallow", "--x", "1", "--stats"],
+     "capped at 16"),
+    (["gen", "--method", "random", "--p", "9223372036854775837", "--d", "3"], "2^63"),
+], ids=["gap-m17", "cyclic-d9", "aikps-eps-1", "analyze-range", "shallow-17-generators",
+        "p-above-2^63"])
+def test_out_of_range_exit_2(tmp_path, capsys, monkeypatch, argv, needle):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "range.json").write_text(json.dumps({"p": 7, "method": "explicit",
+                                                     "params": {}, "coefficients": [1, 9]}))
+    (tmp_path / "wide.json").write_text(json.dumps({"p": 1000003, "method": "gap", "params": {},
+                                                    "coefficients": [0], "t0": 0,
+                                                    "generators": list(range(1, 18))}))
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and needle in err
+    assert "Traceback" not in err
+
+
 class TestAnalyze:
     def test_report_on_stdout(self, tmp_path, capsys):
         out = tmp_path / "k.json"

@@ -18,8 +18,10 @@ from shallowfp.errors import (
     EmptyAikpsRangeError,
     GapSearchExhaustedError,
     GapUnsatisfiableError,
+    ParameterRangeError,
 )
-from shallowfp.zmod import PrimeModulus
+from shallowfp.rng import SplitMix64
+from shallowfp.zmod import PrimeModulus, is_prime
 
 
 def brute_subset_sums(t0, T, p):
@@ -109,15 +111,45 @@ class TestProperGap:
         assert not brute_proper(t0, T, p, mod=True)
         assert not is_proper_gap(t0, T, p)
 
-    @given(st.integers(0, 30), st.lists(st.integers(1, 30), min_size=1, max_size=3),
-           st.sampled_from([31, 101]))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_bruteforce(self, t0, T, p):
+    @given(st.sampled_from([2, 3, 5, 31, 101, 1009, 1000003]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bruteforce(self, p, data):
+        t0 = data.draw(st.integers(0, p - 1))
+        T = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8))
+        # collisions on purpose: a copy, a negation or a double of another generator
+        for j, (i, kind) in data.draw(st.dictionaries(
+                st.integers(0, len(T) - 1),
+                st.tuples(st.integers(0, len(T) - 1), st.sampled_from([1, -1, 2])),
+                max_size=2)).items():
+            T[j] = kind * T[i] % p
         assert is_proper_gap(t0, tuple(T), p) == brute_proper(t0, T, p, mod=True)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_exhaustive_tiny_primes(self, p):
+        for m in (1, 2, 3):
+            for T in itertools.product(range(p), repeat=m):
+                for t0 in (0, 1):
+                    assert is_proper_gap(t0, T, p) == brute_proper(t0, T, p, mod=True), (t0, T)
+
+    def test_m16_below_2_63(self):
+        p = 2 ** 63 - 25
+        assert is_prime(p)
+        rng = SplitMix64(16)
+        T = [rng.in_range(1, p) for _ in range(16)]
+        assert is_proper_gap(rng.below(p), T, p)
+        across = T[:15] + [-T[0] % p]  # t_1 + t_16 = 0: a match across the split
+        within = [T[0], 2 * T[0] % p] + T[2:]  # 2 t_1 - t_2 = 0: inside the left half
+        # t_1 + ... + t_16 = 0: a half-sum of 8 residues overflows uint64 unless reduced per step
+        spread = T[:15] + [-sum(T[:15]) % p]
+        assert not is_proper_gap(0, across, p)
+        assert not is_proper_gap(0, within, p)
+        assert not is_proper_gap(0, spread, p)
+
     def test_dimension_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterRangeError):
             is_proper_gap(0, tuple(range(1, 18)), 101)
+        with pytest.raises(ParameterRangeError):
+            is_proper_gap(0, (), 101)
 
 
 class TestExpandSubsetSums:
@@ -157,6 +189,11 @@ class TestGenGap:
     def test_unsatisfiable(self):
         with pytest.raises(GapUnsatisfiableError):
             gen_gap(13, 3, seed=0)
+
+    @pytest.mark.parametrize("p,seed,tries", [(1000033, 5, 122), (1000003, 24, 121)])
+    def test_recorded_tries(self, p, seed, tries):
+        # circuits-pool entries of perfbench: the same draws get the same verdicts
+        assert gen_gap(p, 10, seed).tries == tries
 
     def test_exhaustion(self):
         with pytest.raises(GapSearchExhaustedError):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from shallowfp.errors import CompositeModulusError
+from shallowfp.errors import CompositeModulusError, ModulusTooLargeError
 from shallowfp.zmod import (
     PrimeModulus,
     is_prime,
@@ -30,6 +30,15 @@ def test_prime_modulus_rejects_composite():
     assert int(PrimeModulus(7)) == 7
     with pytest.raises(CompositeModulusError):
         PrimeModulus(561)
+
+
+def test_prime_modulus_is_below_2_63():
+    assert int(PrimeModulus(2 ** 63 - 25)) == 2 ** 63 - 25  # the largest prime below 2^63
+    assert is_prime(2 ** 63 + 29)
+    with pytest.raises(ModulusTooLargeError):
+        PrimeModulus(2 ** 63 + 29)
+    with pytest.raises(CompositeModulusError):
+        PrimeModulus(-7)
 
 
 def test_mod_inverse_examples():
