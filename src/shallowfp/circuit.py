@@ -36,11 +36,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coeffsets import CoefficientSet
 from .zmod import mod_inverse
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -189,16 +191,20 @@ def cx_count_lnn(c: Circuit) -> int:
     raise ValueError(f"no LNN cost model for circuit label {c.label!r}")
 
 
+# The statevector simulator checks the builders in tests; numpy is imported
+# here, not at module level, so building and emitting circuits needs none.
+
 def _ry_matrix(theta: float) -> np.ndarray:
+    import numpy as np
+
     h = theta / 2.0
     return np.array([[math.cos(h), -math.sin(h)], [math.sin(h), math.cos(h)]])
 
 
-_H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-
-
 def _apply_2x2(state: np.ndarray, mat: np.ndarray, target: int,
                controls: tuple[tuple[int, bool], ...], n: int) -> None:
+    import numpy as np
+
     idx = np.arange(state.size)
     sel = np.ones(state.size, dtype=bool)
     for q, pol in controls:
@@ -213,12 +219,15 @@ def _apply_2x2(state: np.ndarray, mat: np.ndarray, target: int,
 
 def statevector(c: Circuit) -> np.ndarray:
     """Simulate from |0...0>; little-endian basis indexing."""
+    import numpy as np
+
     if c.num_qubits > 20:
         raise ValueError("statevector simulation capped at 20 qubits")
+    h_matrix = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     state = np.zeros(1 << c.num_qubits)
     state[0] = 1.0
     for gate in c.gates:
-        mat = _H_MATRIX if gate.kind == "h" else _ry_matrix(gate.angle)
+        mat = h_matrix if gate.kind == "h" else _ry_matrix(gate.angle)
         _apply_2x2(state, mat, gate.target, gate.controls, c.num_qubits)
     return state
 
@@ -250,7 +259,7 @@ def _fmt(angle: float) -> str:
     return f"{angle:.17g}"
 
 
-def _multiplexor_angles(run: list[Gate]) -> np.ndarray:
+def _multiplexor_angles(run: list[Gate]) -> list[float]:
     """Gray-ordered R_y angles of the multiplexor formed by ``run``.
 
     a[v] is the total angle of the gates whose polarity pattern is v (bit b
@@ -260,20 +269,20 @@ def _multiplexor_angles(run: list[Gate]) -> np.ndarray:
     That is a[v] when phi is the Walsh-Hadamard transform of a over 2^n,
     read in Gray-code order.
     """
-    n = len(run[0].controls)
-    a = np.zeros(1 << n)
+    size = 1 << len(run[0].controls)
+    a = [0.0] * size
     for gate in run:
         a[sum(1 << b for b, (_, pol) in enumerate(gate.controls) if pol)] += gate.angle
     h = 1
-    while h < a.size:
-        pairs = a.reshape(-1, 2, h)
-        u, v = pairs[:, 0], pairs[:, 1]
-        # -(v - u) equals u - v except that it gives -0 for u == v, so a
-        # lone rotation by 0 still lowers to ry(0) cx ry(-0) cx
-        a = np.stack([u + v, -(v - u)], axis=1).reshape(-1)
+    while h < size:
+        for i in range(0, size, 2 * h):
+            for j in range(i, i + h):
+                u, v = a[j], a[j + h]
+                # -(v - u) equals u - v except that it gives -0 for u == v, so
+                # a lone rotation by 0 still lowers to ry(0) cx ry(-0) cx
+                a[j], a[j + h] = u + v, -(v - u)
         h *= 2
-    k = np.arange(a.size)
-    return a[k ^ (k >> 1)] / a.size
+    return [a[k ^ (k >> 1)] / size for k in range(size)]
 
 
 def _emit_multiplexor(lines: list[str], run: list[Gate]) -> None:
@@ -282,7 +291,7 @@ def _emit_multiplexor(lines: list[str], run: list[Gate]) -> None:
     target = run[0].target
     controls = [q for q, _ in run[0].controls]
     last = len(controls) - 1
-    for k, phi in enumerate(_multiplexor_angles(run).tolist()):
+    for k, phi in enumerate(_multiplexor_angles(run)):
         lines.append(f"ry({_fmt(phi)}) q[{target}];")
         ctrl_bit = ((k + 1) & -(k + 1)).bit_length() - 1  # ruler sequence
         lines.append(f"cx q[{controls[min(ctrl_bit, last)]}],q[{target}];")

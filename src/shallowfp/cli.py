@@ -18,7 +18,9 @@ import sys
 import time
 from typing import Sequence
 
-from . import analysis, circuit, coeffsets, optimize, qfa
+# analysis, qfa and optimize (and with them numpy) are imported by the
+# commands that run them, so gen and circuit start without numpy.
+from . import circuit, coeffsets
 from .errors import DomainError
 from .zmod import PrimeModulus, is_prime
 
@@ -59,8 +61,12 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _load_coeffs(path: str) -> coeffsets.CoefficientSet:
-    with open(path) as fh:
-        return coeffsets.CoefficientSet.from_json_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise UsageError(f"{path} is not a JSON file: {exc}") from None
+    return coeffsets.CoefficientSet.from_json_dict(data)
 
 
 def _json_dumps(obj) -> str:
@@ -92,6 +98,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis
     K = _load_coeffs(args.coeffs)
     report = analysis.analyze(K)
     _write_text(None, _json_dumps(report.to_json_dict()))
@@ -105,6 +112,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import qfa
     K = _load_coeffs(args.coeffs)
     if args.j is not None:
         _write_text(args.out, _fmt(qfa.run_word(K, args.j)) + "\n")
@@ -128,7 +136,7 @@ def _build_circuit(K: coeffsets.CoefficientSet, style: str, x: int) -> circuit.C
                               "of t0 and generators")
         return circuit.build_shallow(K, x)
     if style == "aikps":
-        if K.method != "aikps" or "eps" not in K.params:
+        if K.method != "aikps" or not isinstance(K.params.get("eps"), (int, float)):
             raise DomainError("aikps circuit needs a set generated by --method aikps")
         # rebuilt from (p, eps): R and s_max are not read from the file
         return circuit.build_aikps(coeffsets.gen_aikps(K.p, K.params["eps"]), x)
@@ -146,6 +154,7 @@ def _cmd_circuit(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from . import optimize
     cfg = optimize.DescentConfig(seed=args.seed, max_sweeps=args.max_sweeps,
                                  mode=args.mode, restarts=args.restarts)
     result = optimize.coordinate_descent(args.p, args.size, cfg)
@@ -161,6 +170,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import optimize
     if args.p_list:
         with open(args.p_list) as fh:
             entries = [line.strip() for line in fh if line.strip()]
@@ -282,6 +292,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -289,3 +302,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> None:  # console-script shim
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

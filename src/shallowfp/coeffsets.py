@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
+    CoefficientFileError,
     EmptyAikpsRangeError,
     GapSearchExhaustedError,
     GapUnsatisfiableError,
@@ -34,7 +33,30 @@ from .errors import (
 from .rng import SplitMix64
 from .zmod import PrimeModulus, is_prime, mod_inverse, primitive_root
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _MAX_GAP_DIM = 16
+
+# Cap on floor(hi) * s_max, the AIKPS size bound known before the prime scan
+# (|R| <= floor(hi), so d <= floor(hi) * s_max).  Every benchmark and test set
+# (eps <= 1 at p <= 10^6) lies below it.
+_MAX_AIKPS_BOUND = 1 << 22
+
+
+def _json_int(data: dict, key: str) -> int:
+    value = data[key]
+    if type(value) is not int:  # bool is an int subclass, and not a residue
+        raise CoefficientFileError(
+            f"field {key!r} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _json_ints(data: dict, key: str) -> tuple[int, ...]:
+    values = data[key]
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise CoefficientFileError(f"field {key!r} must be a list of integers")
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -84,13 +106,24 @@ class CoefficientSet:
         return out
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "CoefficientSet":
-        params = dict(data.get("params", {}))
+    def from_json_dict(cls, data) -> "CoefficientSet":
+        """Inverse of `to_json_dict`; a missing or mistyped field raises
+        `CoefficientFileError`."""
+        if not isinstance(data, dict):
+            raise CoefficientFileError("coefficient file must hold a JSON object")
+        missing = [key for key in ("p", "coefficients") if key not in data]
+        if missing:
+            raise CoefficientFileError(f"coefficient file lacks field {missing[0]!r}")
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise CoefficientFileError("field 'params' must be a JSON object")
+        # t0 and T come only from their own fields, as to_json_dict writes them
+        params = {k: v for k, v in params.items() if k not in ("t0", "T")}
         if "t0" in data:
-            params["t0"] = int(data["t0"])
+            params["t0"] = _json_int(data, "t0")
         if "generators" in data:
-            params["T"] = tuple(int(t) for t in data["generators"])
-        return cls(data["p"], tuple(int(k) for k in data["coefficients"]),
+            params["T"] = _json_ints(data, "generators")
+        return cls(_json_int(data, "p"), _json_ints(data, "coefficients"),
                    data.get("method", "explicit"), params)
 
 
@@ -128,7 +161,9 @@ def gen_aikps(p: int, eps: float) -> CoefficientSet:
 
     r runs over the primes strictly inside ((log2 p)^{1+eps} / 2,
     (log2 p)^{1+eps}) and s over 1 .. floor((log2 p)^{1+2 eps}); ``params``
-    holds eps, R (the primes r) and s_max.
+    holds eps, R (the primes r) and s_max.  Sizes whose bound
+    floor((log2 p)^{1+eps}) * s_max exceeds 2^22 are refused before the
+    prime scan.
     """
     p = PrimeModulus(p)
     if not 0 < eps < math.inf:
@@ -136,13 +171,19 @@ def gen_aikps(p: int, eps: float) -> CoefficientSet:
     if p < 5:
         raise ParameterRangeError(f"AIKPS construction needs p >= 5, got p={int(p)}")
     log2p = math.log2(p)
-    hi = log2p ** (1.0 + eps)
+    fits = (2.0 + 3.0 * eps) * math.log2(log2p) <= 64.0  # else a power overflows
+    if fits:
+        hi = log2p ** (1.0 + eps)
+        s_max = math.floor(log2p ** (1.0 + 2.0 * eps))
+        fits = math.floor(hi) * s_max <= _MAX_AIKPS_BOUND
+    if not fits:
+        raise ParameterRangeError(f"AIKPS size bound floor(hi) * s_max exceeds "
+                                  f"{_MAX_AIKPS_BOUND} for p={int(p)}, eps={eps}")
     lo = hi / 2.0
     r_primes = tuple(r for r in range(2, math.floor(hi) + 1) if lo < r < hi and is_prime(r))
     if not r_primes:
         raise EmptyAikpsRangeError(
             f"no prime in the AIKPS interval ({lo:.6g}, {hi:.6g}) for p={int(p)}, eps={eps}")
-    s_max = math.floor(log2p ** (1.0 + 2.0 * eps))
     coeffs = []
     for r in r_primes:
         r_inv = mod_inverse(r, p)
@@ -153,6 +194,8 @@ def gen_aikps(p: int, eps: float) -> CoefficientSet:
 
 def _half_sums(generators: Sequence[int], p: int) -> np.ndarray:
     """The 5^len sums sum c_i t_i mod p over c_i in {-2, ..., 2}, as uint64."""
+    import numpy as np
+
     sums = np.zeros(1, dtype=np.uint64)
     for t in generators:
         steps = np.array([c * t % p for c in (-2, -1, 0, 1, 2)], dtype=np.uint64)
@@ -180,6 +223,8 @@ def is_proper_gap(t0: int, generators: Sequence[int], p: int) -> bool:
         raise ParameterRangeError("need at least one generator")
     if m > _MAX_GAP_DIM:
         raise ParameterRangeError(f"GAP dimension capped at {_MAX_GAP_DIM}, got {m}")
+    import numpy as np
+
     p = int(p)  # numpy promotes uint64 with an int subclass such as PrimeModulus to float64
     h = m // 2
     left = np.sort(_half_sums(generators[:h], p))

@@ -17,6 +17,10 @@ class ParameterRangeError(DomainError):
     """Raised when a size, parameter or coefficient lies outside its accepted range."""
 
 
+class CoefficientFileError(DomainError):
+    """Raised when a coefficient-set JSON document lacks a field or has a mistyped one."""
+
+
 class EmptyAikpsRangeError(DomainError):
     """Raised when the AIKPS prime interval contains no prime at all."""
 

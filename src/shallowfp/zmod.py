@@ -8,6 +8,8 @@ integers make the 128-bit intermediate products exact for free.
 """
 from __future__ import annotations
 
+import math
+
 from .errors import CompositeModulusError, ModulusTooLargeError
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
@@ -70,18 +72,60 @@ def mod_inverse(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
+def _brent_divisor(n: int) -> int:
+    """A nontrivial divisor of the odd composite n (Pollard rho, Brent's cycle
+    search, batched gcds).  Deterministic: the polynomials y^2 + c start at
+    y = 2 and c counts up from 1 until one splits n."""
+    batch = 128
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division: {prime: exponent}."""
+    """Prime factorization {prime: exponent} of n >= 1, primes ascending.
+
+    Trial division by d < 2^10, then Pollard-Brent rho on the cofactor, with
+    `is_prime` deciding which parts are prime.  Milliseconds for any
+    n < 2^63, where trial division alone needs up to 1.5 * 10^9 steps.
+    """
     factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
+    for d in range(2, 1 << 10):
+        if d * d > n:
+            break
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _brent_divisor(m)
+            stack += [d, m // d]
+    return dict(sorted(factors.items()))
 
 
 def primitive_root(p: int) -> int:

@@ -8,6 +8,7 @@ from shallowfp.analysis import error_prob
 from shallowfp.circuit import (
     Circuit,
     Gate,
+    _multiplexor_angles,
     build_aikps,
     build_deep,
     build_shallow,
@@ -272,6 +273,46 @@ class TestQasm:
 
         split, merged = one_run([1.25, 2.5]), one_run([3.75])
         assert split == merged
+
+
+def numpy_multiplexor_angles(run):
+    """Reference: the vectorized Walsh-Hadamard butterfly the QASM golden
+    bytes were recorded with."""
+    n = len(run[0].controls)
+    a = np.zeros(1 << n)
+    for gate in run:
+        a[sum(1 << b for b, (_, pol) in enumerate(gate.controls) if pol)] += gate.angle
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        u, v = pairs[:, 0], pairs[:, 1]
+        a = np.stack([u + v, -(v - u)], axis=1).reshape(-1)
+        h *= 2
+    k = np.arange(a.size)
+    return a[k ^ (k >> 1)] / a.size
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_multiplexor_angles_match_numpy_reference(m):
+    # float.hex tells -0.0 from 0.0, so signed zeros must match too
+    rng = np.random.default_rng(m)
+    patterns = rng.integers(0, 2, size=(2 ** m + 3, m)).astype(bool)
+    angles = rng.uniform(0.0, 4 * math.pi, size=len(patterns))
+    angles[0] = 0.0
+    patterns[1] = patterns[2]  # a repeated pattern: angles add
+    runs = [
+        # one zero rotation: the butterfly's -(v - u) yields -0
+        [Gate("cry", m, 0.0, tuple((q, True) for q in range(m)))],
+        # mixed polarities, repeats, a zero angle
+        [Gate("cry", m, float(a), tuple((q, bool(pol)) for q, pol in enumerate(row)))
+         for a, row in zip(angles, patterns)],
+        # the deep layout of a d = 2^m set
+        build_deep(explicit_set(1000003, [(7919 * j) % 1000003
+                                          for j in range(1, 2 ** m + 1)]), 12345).gates[m:],
+    ]
+    for run in runs:
+        got = _multiplexor_angles(run)
+        assert [x.hex() for x in got] == [x.hex() for x in numpy_multiplexor_angles(run)]
 
 
 class TestUnitarity:

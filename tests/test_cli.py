@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,15 @@ from shallowfp import coeffsets
 from shallowfp.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(*args, cwd):
+    """Run ``python *args`` in a new interpreter that imports the package from SRC."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=60)
 
 
 def run(capsys, *argv):
@@ -72,8 +84,9 @@ def test_bad_size_flag_exit_1(tmp_path, capsys, monkeypatch, argv):
     (["circuit", "--coeffs", "wide.json", "--style", "shallow", "--x", "1", "--stats"],
      "capped at 16"),
     (["gen", "--method", "random", "--p", "9223372036854775837", "--d", "3"], "2^63"),
+    (["gen", "--method", "aikps", "--p", "1013", "--eps", "8"], "AIKPS size bound"),
 ], ids=["gap-m17", "cyclic-d9", "aikps-eps-1", "analyze-range", "shallow-17-generators",
-        "p-above-2^63"])
+        "p-above-2^63", "aikps-eps-8"])
 def test_out_of_range_exit_2(tmp_path, capsys, monkeypatch, argv, needle):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "range.json").write_text(json.dumps({"p": 7, "method": "explicit",
@@ -86,6 +99,55 @@ def test_out_of_range_exit_2(tmp_path, capsys, monkeypatch, argv, needle):
     assert stdout == ""
     assert err.count("\n") == 1 and err.startswith("error:") and needle in err
     assert "Traceback" not in err
+
+
+COMMANDS_ON_FILE = {
+    "analyze": ["analyze", "--coeffs", "k.json"],
+    "simulate": ["simulate", "--coeffs", "k.json", "--j", "3"],
+    "circuit": ["circuit", "--coeffs", "k.json", "--style", "deep", "--x", "1", "--stats"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS_ON_FILE))
+@pytest.mark.parametrize("content,code,needle", [
+    (None, 1, "No such file"),
+    ('{"p": 7, "coefficients": [1, 2]', 1, "not a JSON file"),
+    (b"\xff\xfe{}", 1, "not a JSON file"),
+    ('{"p": 7}', 2, "'coefficients'"),
+    ('{"coefficients": [1, 2]}', 2, "'p'"),
+    ('[7, [1, 2]]', 2, "JSON object"),
+    ('{"p": "7", "coefficients": [1, 2]}', 2, "'p' must be an integer"),
+    ('{"p": 7.0, "coefficients": [1, 2]}', 2, "'p' must be an integer"),
+    ('{"p": 7, "coefficients": [1, "2"]}', 2, "'coefficients' must be a list"),
+    ('{"p": 7, "coefficients": 3}', 2, "'coefficients' must be a list"),
+    ('{"p": 7, "coefficients": [1, 2], "t0": null}', 2, "'t0' must be an integer"),
+    ('{"p": 7, "coefficients": [1, 2], "generators": [true]}', 2, "'generators'"),
+    ('{"p": 7, "coefficients": [1, 2], "params": [1]}', 2, "'params'"),
+], ids=["missing", "garbled", "binary", "no-coefficients", "no-p", "array", "p-string",
+        "p-float", "coefficient-string", "coefficients-int", "t0-null", "generator-bool",
+        "params-list"])
+def test_bad_coefficient_file(tmp_path, capsys, monkeypatch, command, content, code, needle):
+    # an unreadable file or invalid JSON is a usage error (1); valid JSON
+    # without the schema's fields is a domain error (2); one line either way
+    monkeypatch.chdir(tmp_path)
+    if isinstance(content, str):
+        (tmp_path / "k.json").write_text(content)
+    elif content is not None:
+        (tmp_path / "k.json").write_bytes(content)
+    rc, stdout, err = run(capsys, *COMMANDS_ON_FILE[command])
+    assert rc == code
+    assert stdout == ""
+    assert err.count("\n") == 1 and needle in err
+    assert err.startswith("usage error:" if code == 1 else "error:")
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_exit_1(tmp_path, capsys):
+    code, stdout, err = run(capsys, "gen", "--method", "cyclic", "--p", "7", "--d", "3",
+                            "--out", str(tmp_path / "no-such-dir" / "k.json"))
+    assert code == 1
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("usage error:")
 
 
 class TestAnalyze:
@@ -185,6 +247,20 @@ class TestCircuit:
         assert code == 2
         assert stdout == ""
         assert err.count("\n") == 1 and "subset sums" in err
+
+    @pytest.mark.parametrize("style,params", [("aikps", {"eps": "0.5"}),
+                                              ("shallow", {"t0": 0, "T": "ab"})])
+    def test_builder_params_from_file_are_checked(self, tmp_path, capsys, style, params):
+        # a mistyped eps, or generators hidden in "params" instead of their
+        # own field, end in one line instead of a TypeError
+        kpath = tmp_path / "k.json"
+        kpath.write_text(json.dumps({"p": 13, "method": style, "params": params,
+                                     "coefficients": [1, 2]}))
+        code, stdout, err = run(capsys, "circuit", "--coeffs", str(kpath),
+                                "--style", style, "--x", "1", "--stats")
+        assert code == 2
+        assert stdout == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_shallow_needs_generators(self, tmp_path, capsys):
         kpath = tmp_path / "k.json"
@@ -333,3 +409,45 @@ def test_traced_run_patches_every_alias(tmp_path, capsys, monkeypatch):
     assert totals["coeffsets.gen_gap.tries"] == tries
     assert totals["coeffsets.is_proper_gap.calls"] == tries
     assert totals["circuit.build.calls"] == 1
+
+
+def test_module_form_writes_what_main_writes(tmp_path, capsys):
+    argv = ["gen", "--method", "random", "--p", "1013", "--d", "16", "--seed", "9"]
+    assert main(argv + ["--out", str(tmp_path / "main.json")]) == 0
+    result = fresh_python("-m", "shallowfp.cli", *argv, "--out", "module.json", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+# gen (but not --method gap), circuit --stats and --emit-qasm do integer
+# work only; starting numpy would cost them more than the work itself
+NUMPY_FREE = {
+    "import": None,
+    "gen-cyclic": ["gen", "--method", "cyclic", "--p", "1000003", "--d", "64", "--out", "o.json"],
+    "gen-aikps": ["gen", "--method", "aikps", "--p", "65537", "--eps", "0.5", "--out", "o.json"],
+    "gen-random": ["gen", "--method", "random", "--p", "1000003", "--d", "64", "--seed", "3",
+                   "--out", "o.json"],
+    "stats-deep": ["circuit", "--coeffs", "gap.json", "--style", "deep", "--x", "7", "--stats"],
+    "stats-shallow": ["circuit", "--coeffs", "gap.json", "--style", "shallow", "--x", "7",
+                      "--stats"],
+    "stats-aikps": ["circuit", "--coeffs", "aikps.json", "--style", "aikps", "--x", "7",
+                    "--stats"],
+    "qasm-deep": ["circuit", "--coeffs", "gap.json", "--style", "deep", "--x", "7",
+                  "--emit-qasm", "c.qasm"],
+}
+
+
+@pytest.mark.parametrize("name", list(NUMPY_FREE))
+def test_command_never_imports_numpy(tmp_path, name):
+    gap = coeffsets.gen_gap(1000003, 10, 5).expanded
+    (tmp_path / "gap.json").write_text(json.dumps(gap.to_json_dict()))
+    aikps = coeffsets.gen_aikps(1000003, 0.5)
+    (tmp_path / "aikps.json").write_text(json.dumps(aikps.to_json_dict()))
+    argv = NUMPY_FREE[name]
+    script = ("import sys\n"
+              "import shallowfp.cli\n"
+              f"rc = shallowfp.cli.main({argv!r}) if {argv!r} else 0\n"
+              "print(rc, 'numpy' in sys.modules)\n")
+    result = fresh_python("-c", script, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[-2:] == ["0", "False"]

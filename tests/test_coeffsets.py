@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +88,15 @@ class TestAikps:
         for p, eps in [(257, 0.5), (1013, 0.3), (65537, 0.5)]:
             s = gen_aikps(p, eps)
             assert s.d == len(s.params["R"]) * s.params["s_max"]
+
+    def test_size_bound_refused_before_prime_scan(self):
+        # floor(hi) * s_max: 512 * 16384 at (65537, 1.25); 9.9e8 * 9.7e16 at
+        # (1013, 8), whose scan alone ran for minutes; 1e300 would overflow
+        start = time.perf_counter()
+        for p, eps in [(65537, 1.25), (1013, 3), (1013, 8), (5, 1e300)]:
+            with pytest.raises(ParameterRangeError, match="size bound"):
+                gen_aikps(p, eps)
+        assert time.perf_counter() - start < 1.0
 
     def test_empty_interval_is_distinct_error(self, monkeypatch):
         # For p >= 5 the interval (hi/2, hi) always contains a prime, so the
