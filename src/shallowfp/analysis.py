@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffsets import CoefficientSet
-from .errors import TableTooLargeError
+from .errors import ParameterRangeError, TableTooLargeError
 
 # Element count of one chunk of a (rows x d) phase or sum matrix; keeps the
 # direct rescoring and the pairwise-sum enumeration in bounded memory.
@@ -61,6 +61,9 @@ TABLE_MAX_P = 1 << 22
 # FFT magnitudes within this multiple of d below the FFT maximum are
 # rescored directly; the FFT error is about 1e-16 * log2(p) * d.
 _RESCORE_WINDOW = 1e-9
+
+# Absolute slack of the bias-energy inequalities, far above their roundoff.
+_CHAIN_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,6 @@ def _peak(K: CoefficientSet, S: np.ndarray) -> tuple[float, int, float]:
     """(eps, smallest maximizing x, bias) from direct sums at the x != 0
     whose kernel value |S(x)| is within the rescoring window of the largest."""
     p = int(K.p)
-    if p < 2:
-        raise ValueError("need p >= 2")
     mag = np.abs(S[1:])
     xs = np.flatnonzero(mag >= mag.max() - _RESCORE_WINDOW * K.d) + 1
     sums = _abs_sums(K, xs)
@@ -175,45 +176,40 @@ def epsilon_of(K: CoefficientSet) -> tuple[float, int]:
 
 
 def error_prob(K: CoefficientSet, x: int) -> float:
-    """P_e = ((1/d) sum_j cos(2 pi k_j x / p))^2."""
-    p = int(K.p)
-    if not (0 <= x < p):
+    """P_e = ((1/d) sum_j cos(2 pi k_j x / p))^2, from the real part of `exp_sum`."""
+    if not (0 <= x < K.p):
         raise ValueError("x must lie in [0, p)")
-    s = math.fsum(math.cos(2.0 * math.pi * (k * x % p) / p) for k in K.coefficients)
-    return (s / K.d) ** 2
+    return (exp_sum(K, x).real / K.d) ** 2
 
 
-def _rep_count_vector(A: CoefficientSet, B: CoefficientSet) -> np.ndarray:
-    """R_n(A, B) = #{(a, b) in A x B : a + b = n mod p}, as a length-p vector.
+def _rep_count_vector(A: CoefficientSet) -> np.ndarray:
+    """R_n(A) = #{(a, b) in A x A : a + b = n mod p}, as a length-p vector.
 
-    Enumerates all |A| |B| pairs in chunks: O(|A| |B|) time, O(p + chunk) memory.
+    Enumerates all d^2 pairs in chunks: O(d^2) time, O(p + chunk) memory.
     """
-    if int(A.p) != int(B.p):
-        raise ValueError("A and B must share the same modulus")
     p = int(A.p)
-    if A.d > 1 << 16 or B.d > 1 << 16:
-        raise ValueError("set too large for quadratic enumeration (cap 2^16)")
+    if A.d > 1 << 16:
+        raise ParameterRangeError("set too large for quadratic enumeration (cap 2^16)")
     _check_table_size(p)
     a = np.asarray(A.coefficients, dtype=np.int64)
-    b = np.asarray(B.coefficients, dtype=np.int64)
     out = np.zeros(p, dtype=np.int64)
-    step = max(1, _CHUNK_ELEMS // b.size)
+    step = max(1, _CHUNK_ELEMS // a.size)
     for lo in range(0, a.size, step):
-        sums = (a[lo:lo + step, None] + b[None, :]) % p
+        sums = (a[lo:lo + step, None] + a[None, :]) % p
         out += np.bincount(sums.ravel(), minlength=p)
     return out
 
 
 def representation_counts(A: CoefficientSet) -> dict[int, int]:
     """Map n -> R_n(A) over Z_p, zero entries omitted; sums to d^2."""
-    vec = _rep_count_vector(A, A)
+    vec = _rep_count_vector(A)
     nz = np.flatnonzero(vec)
     return dict(zip(nz.tolist(), vec[nz].tolist()))
 
 
-def additive_energy(A: CoefficientSet, B: CoefficientSet | None = None) -> int:
-    """E(A, B) = sum_n R_n(A, B)^2; quadruple count with a + b = a' + b'."""
-    vec = _rep_count_vector(A, A if B is None else B)
+def additive_energy(A: CoefficientSet) -> int:
+    """E(A) = sum_n R_n(A)^2; quadruple count with a + b = a' + b'."""
+    vec = _rep_count_vector(A)
     return sum(c * c for c in vec.tolist())  # Python ints: no int64 overflow
 
 
@@ -223,36 +219,36 @@ def fourier_bias(A: CoefficientSet) -> float:
     return _peak(A, spectrum(A))[2]
 
 
-def check_bias_energy_chain(A: CoefficientSet, slack: float = 1e-9) -> list[BoundCheck]:
+def check_bias_energy_chain(A: CoefficientSet) -> list[BoundCheck]:
     """Both inequalities of the bias-energy sandwich for a genuine set A:
 
         ||A||_U^4  <=  E(A,A)/p^3 - (|A|/p)^4  <=  ||A||_U^2 * |A|/p
     """
     if len(set(A.coefficients)) != A.d:
         raise ValueError("bias-energy chain applies to sets; multiset has repeats")
-    return _bias_energy_checks(A, fourier_bias(A), additive_energy(A), slack)
+    return _bias_energy_checks(A, fourier_bias(A), additive_energy(A))
 
 
-def _bias_energy_checks(A: CoefficientSet, bias: float, energy: int,
-                        slack: float = 1e-9) -> list[BoundCheck]:
+def _bias_energy_checks(A: CoefficientSet, bias: float, energy: int) -> list[BoundCheck]:
     p = int(A.p)
     prob = A.d / p
     mid = energy / p ** 3 - prob ** 4
     lower = BoundCheck("bias^4 <= E/p^3 - density^4", bias ** 4, mid,
-                       bias ** 4 <= mid + slack)
+                       bias ** 4 <= mid + _CHAIN_SLACK)
     upper = BoundCheck("E/p^3 - density^4 <= bias^2 * density", mid, bias ** 2 * prob,
-                       mid <= bias ** 2 * prob + slack)
+                       mid <= bias ** 2 * prob + _CHAIN_SLACK)
     return [lower, upper]
 
 
 def gap_epsilon_bound(p: int, m: int) -> float:
     """sqrt(p / 2^m): the claimed ceiling on epsilon = sqrt(eps) for a
-    proper subset-sum set (the Parseval ceiling at d = 2^m).
+    proper subset-sum set (the Parseval ceiling at d = 2^m).  m = 0 is the
+    one-point set, d = 1.
 
     Reported for comparison only; often vacuous (> 1) at desk scale.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
+    if m < 0:
+        raise ValueError("m must be nonnegative")
     return math.sqrt(p / 2 ** m)
 
 

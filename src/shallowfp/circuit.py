@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .coeffsets import CoefficientSet
-from .zmod import mod_inverse
 
 if TYPE_CHECKING:
     import numpy as np
@@ -101,8 +100,7 @@ def pad_pow2(K: CoefficientSet) -> CoefficientSet:
         return K
     target = 1 << d.bit_length()
     coeffs = K.coefficients + (K.coefficients[-1],) * (target - d)
-    return CoefficientSet(K.p, coeffs, K.method,
-                          dict(K.params, padded_from=d))
+    return CoefficientSet(K.p, coeffs, K.method, K.params)
 
 
 def build_deep(K: CoefficientSet, x: int) -> Circuit:
@@ -156,7 +154,7 @@ def build_aikps(K: CoefficientSet, x: int) -> Circuit:
     target = num_qubits - 1
     c = Circuit(num_qubits, label=f"aikps[eps={K.params['eps']:g},blocks={len(R)},w={w}]")
     for b, r in enumerate(R):
-        r_inv = mod_inverse(r, p)
+        r_inv = pow(r, -1, p)
         base = b * n_ctrl
         for k in range(1, w):
             coeff = (1 << (k - 1)) * r_inv % p

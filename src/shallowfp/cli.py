@@ -46,18 +46,14 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
-    return n
-
-
-def _nonnegative_int(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {n}")
-    return n
+def _int_at_least(low: int):
+    """argparse type for an integer >= low (argparse calls it 'integer' in errors)."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {n}")
+        return n
+    return integer
 
 
 def _load_coeffs(path: str) -> coeffsets.CoefficientSet:
@@ -174,24 +170,21 @@ def _cmd_compare(args) -> int:
     if args.p_list:
         with open(args.p_list) as fh:
             entries = [line.strip() for line in fh if line.strip()]
-        primes = []
-        for entry in entries:
-            n = int(entry)
-            if not is_prime(n):
-                raise DomainError(f"prime list contains non-prime entry {n}")
-            primes.append(n)
+        try:
+            numbers = [int(entry) for entry in entries]
+        except ValueError as exc:
+            raise UsageError(f"prime list {args.p_list}: {exc}") from None
+        primes = [PrimeModulus(n) for n in numbers]
     else:
         primes = [n for n in range(2, args.p_max + 1) if is_prime(n)]
     if not primes:
         raise UsageError("empty prime list")
 
     cfg = optimize.DescentConfig(seed=args.seed, restarts=args.restarts)
-
+    records = []
     last = time.perf_counter()
-
-    def progress(rec):
+    for rec in optimize.compare_experiment(primes, args.m, cfg):
         # one JSON object per prime, flushed as soon as the prime is done
-        nonlocal last
         now = time.perf_counter()
         line = {"p": rec.p, "eps_general": rec.eps_general,
                 "eps_shallow": rec.eps_shallow, "ratio": rec.ratio,
@@ -200,8 +193,7 @@ def _cmd_compare(args) -> int:
                 "candidates": rec.general.evaluations + rec.shallow.evaluations}
         last = now
         print(json.dumps(line), file=sys.stderr, flush=True)
-
-    records = optimize.compare_experiment(primes, args.m, cfg, progress=progress)
+        records.append(rec)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -231,8 +223,8 @@ def build_parser() -> _Parser:
     g = sub.add_parser("gen", help="generate a coefficient set")
     g.add_argument("--method", required=True, choices=["cyclic", "aikps", "gap", "random"])
     g.add_argument("--p", type=int, required=True)
-    g.add_argument("--d", type=_positive_int)
-    g.add_argument("--m", type=_positive_int)
+    g.add_argument("--d", type=_int_at_least(1))
+    g.add_argument("--m", type=_int_at_least(1))
     g.add_argument("--eps", type=float)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--max-tries", type=int, default=1000)
@@ -247,7 +239,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("simulate", help="run the automaton on unary words")
     s.add_argument("--coeffs", required=True)
     group = s.add_mutually_exclusive_group(required=True)
-    group.add_argument("--j", type=_nonnegative_int)
+    group.add_argument("--j", type=_int_at_least(0))
     group.add_argument("--sweep", action="store_true")
     s.add_argument("--out")
     s.set_defaults(func=_cmd_simulate)
@@ -263,11 +255,11 @@ def build_parser() -> _Parser:
 
     o = sub.add_parser("optimize", help="coordinate-descent search")
     o.add_argument("--p", type=int, required=True)
-    o.add_argument("--size", type=_positive_int, required=True)
+    o.add_argument("--size", type=_int_at_least(1), required=True)
     o.add_argument("--mode", required=True, choices=["general", "shallow"])
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--max-sweeps", type=int, default=100)
-    o.add_argument("--restarts", type=int, default=0)
+    o.add_argument("--max-sweeps", type=_int_at_least(1), default=100)
+    o.add_argument("--restarts", type=_int_at_least(0), default=0)
     o.add_argument("--out")
     o.set_defaults(func=_cmd_optimize)
 
@@ -275,9 +267,9 @@ def build_parser() -> _Parser:
     group = cmp_.add_mutually_exclusive_group(required=True)
     group.add_argument("--p-list")
     group.add_argument("--p-max", type=int)
-    cmp_.add_argument("--m", type=_positive_int, required=True)
+    cmp_.add_argument("--m", type=_int_at_least(1), required=True)
     cmp_.add_argument("--seed", type=int, default=0)
-    cmp_.add_argument("--restarts", type=int, default=0)
+    cmp_.add_argument("--restarts", type=_int_at_least(0), default=0)
     cmp_.add_argument("--out", required=True)
     cmp_.set_defaults(func=_cmd_compare)
 
@@ -289,10 +281,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # a file that cannot be read or written
+    except (UsageError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DomainError as exc:

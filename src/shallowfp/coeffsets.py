@@ -31,7 +31,7 @@ from .errors import (
     ParameterRangeError,
 )
 from .rng import SplitMix64
-from .zmod import PrimeModulus, is_prime, mod_inverse, primitive_root
+from .zmod import PrimeModulus, is_prime, primitive_root
 
 if TYPE_CHECKING:
     import numpy as np
@@ -160,8 +160,9 @@ def gen_aikps(p: int, eps: float) -> CoefficientSet:
     """AIKPS set for the given eps > 0: coefficients s * r^{-1} mod p.
 
     r runs over the primes strictly inside ((log2 p)^{1+eps} / 2,
-    (log2 p)^{1+eps}) and s over 1 .. floor((log2 p)^{1+2 eps}); ``params``
-    holds eps, R (the primes r) and s_max.  Sizes whose bound
+    (log2 p)^{1+eps}) other than p, which has no inverse mod p, and s over
+    1 .. floor((log2 p)^{1+2 eps}); ``params`` holds eps, R (the primes r)
+    and s_max.  Sizes whose bound
     floor((log2 p)^{1+eps}) * s_max exceeds 2^22 are refused before the
     prime scan.
     """
@@ -180,13 +181,14 @@ def gen_aikps(p: int, eps: float) -> CoefficientSet:
         raise ParameterRangeError(f"AIKPS size bound floor(hi) * s_max exceeds "
                                   f"{_MAX_AIKPS_BOUND} for p={int(p)}, eps={eps}")
     lo = hi / 2.0
-    r_primes = tuple(r for r in range(2, math.floor(hi) + 1) if lo < r < hi and is_prime(r))
+    r_primes = tuple(r for r in range(2, math.floor(hi) + 1)
+                     if lo < r < hi and r != p and is_prime(r))
     if not r_primes:
-        raise EmptyAikpsRangeError(
-            f"no prime in the AIKPS interval ({lo:.6g}, {hi:.6g}) for p={int(p)}, eps={eps}")
+        raise EmptyAikpsRangeError(f"no prime other than p in the AIKPS interval "
+                                   f"({lo:.6g}, {hi:.6g}) for p={int(p)}, eps={eps}")
     coeffs = []
     for r in r_primes:
-        r_inv = mod_inverse(r, p)
+        r_inv = pow(r, -1, p)
         coeffs.extend(s * r_inv % p for s in range(1, s_max + 1))
     return CoefficientSet(p, tuple(coeffs), "aikps",
                           {"eps": eps, "R": list(r_primes), "s_max": s_max})
@@ -279,10 +281,7 @@ def gen_random(p: int, d: int, seed: int) -> CoefficientSet:
     if d < 1:
         raise ParameterRangeError("d must be positive")
     rng = SplitMix64(seed)
-    if p == 2:
-        coeffs = tuple(1 for _ in range(d))
-    else:
-        coeffs = tuple(rng.in_range(1, p) for _ in range(d))
+    coeffs = tuple(rng.in_range(1, p) for _ in range(d))
     return CoefficientSet(p, coeffs, "random", {"seed": seed})
 
 

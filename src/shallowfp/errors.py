@@ -22,7 +22,7 @@ class CoefficientFileError(DomainError):
 
 
 class EmptyAikpsRangeError(DomainError):
-    """Raised when the AIKPS prime interval contains no prime at all."""
+    """Raised when the AIKPS prime interval contains no prime other than p."""
 
 
 class GapUnsatisfiableError(DomainError):

@@ -45,12 +45,13 @@ stay below the best eps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .analysis import epsilon_of, roots_of_unity
 from .coeffsets import CoefficientSet, expand_subset_sums
+from .errors import ParameterRangeError
 from .rng import SplitMix64
 from .zmod import PrimeModulus
 
@@ -64,11 +65,11 @@ class DescentConfig:
 
     def __post_init__(self):
         if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
+            raise ParameterRangeError("max_sweeps must be >= 1")
         if self.mode not in ("general", "shallow"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ParameterRangeError(f"unknown mode {self.mode!r}")
         if self.restarts < 0:
-            raise ValueError("restarts must be nonnegative")
+            raise ParameterRangeError("restarts must be nonnegative")
 
 
 @dataclass
@@ -193,12 +194,17 @@ def _descend(evaluator: _Evaluator, start: np.ndarray, cfg: DescentConfig
 
 def _expand_point(p: int, point: np.ndarray, mode: str) -> CoefficientSet:
     if mode == "general":
-        return CoefficientSet(PrimeModulus(p), tuple(int(v) for v in point),
+        return CoefficientSet(p, tuple(int(v) for v in point),
                               "optimized", {"mode": "general"})
     expanded = expand_subset_sums(0, [int(v) for v in point], p)
-    return CoefficientSet(expanded.p, expanded.coefficients, "optimized",
-                          {"mode": "shallow", "t0": 0,
-                           "T": tuple(int(v) for v in point)})
+    return replace(expanded, method="optimized", params={"mode": "shallow", **expanded.params})
+
+
+def _check_size(p: int, size: int, mode: str) -> None:
+    if size < 1:
+        raise ParameterRangeError("size must be positive")
+    if mode == "shallow" and (1 << size) > 4 * p:
+        raise ParameterRangeError(f"2^{size} far exceeds p={p}; shallow search is pointless")
 
 
 def coordinate_descent(p: int, size: int, cfg: DescentConfig,
@@ -207,17 +213,12 @@ def coordinate_descent(p: int, size: int, cfg: DescentConfig,
     independent starts is kept.  ``initial`` overrides the first start
     point (used by exhaustive-start experiments)."""
     p = int(PrimeModulus(p))
-    if size < 1:
-        raise ValueError("size must be positive")
-    if cfg.mode == "shallow" and (1 << size) > 4 * p:
-        raise ValueError(f"2^{size} far exceeds p={p}; shallow search is pointless")
+    _check_size(p, size, cfg.mode)
     evaluator = _Evaluator(p, cfg.mode)
     rng = SplitMix64(cfg.seed)
 
     def draw_start() -> np.ndarray:
-        lo = 1 if p > 2 else 0
-        return np.array([rng.in_range(lo, p) if p > 2 else 1 for _ in range(size)],
-                        dtype=np.int64)
+        return np.array([rng.in_range(1, p) for _ in range(size)], dtype=np.int64)
 
     best = None
     total_evals = 0
@@ -238,9 +239,10 @@ def coordinate_descent(p: int, size: int, cfg: DescentConfig,
                          sweeps, total_evals, evaluator.rows_evaluated, history)
 
 
-def audit_local_optimality(result: DescentResult, p: int, cfg: DescentConfig) -> bool:
-    """Post-hoc check: no single-coordinate change strictly improves eps."""
-    evaluator = _Evaluator(int(p), cfg.mode)
+def audit_local_optimality(result: DescentResult) -> bool:
+    """Post-hoc check: no single-coordinate change strictly improves eps.
+    The modulus and the mode are read from ``result.best_set``."""
+    evaluator = _Evaluator(int(result.best_set.p), result.best_set.params["mode"])
     point = np.asarray(result.best_point, dtype=np.int64)
     for i in range(point.size):
         _, best, here = evaluator.best_move(point, i)
@@ -260,20 +262,17 @@ class ComparisonRecord:
     shallow: DescentResult
 
 
-def compare_experiment(primes: list[int], m: int, cfg: DescentConfig,
-                       progress=None) -> list[ComparisonRecord]:
+def compare_experiment(primes: list[int], m: int, cfg: DescentConfig):
     """For each prime: optimize d = 2^m free coefficients and m generators,
-    and record the shallow/general error ratio."""
-    records = []
+    and yield its record as soon as the prime is done.  Every prime and size
+    is checked before the first search.  The shallow/general ratio clamps
+    both errors at 1e-15, so two roundoff-level errors (p < 2^m) give 1."""
+    primes = [int(PrimeModulus(p)) for p in primes]
     for p in primes:
-        p = int(PrimeModulus(p))
-        gen_res = coordinate_descent(
-            p, 1 << m, DescentConfig(cfg.seed, cfg.max_sweeps, "general", cfg.restarts))
-        sh_res = coordinate_descent(
-            p, m, DescentConfig(cfg.seed, cfg.max_sweeps, "shallow", cfg.restarts))
-        ratio = sh_res.best_epsilon / max(gen_res.best_epsilon, 1e-15)
-        records.append(ComparisonRecord(p, m, gen_res.best_epsilon,
-                                        sh_res.best_epsilon, ratio, gen_res, sh_res))
-        if progress is not None:
-            progress(records[-1])
-    return records
+        _check_size(p, m, "shallow")
+    for p in primes:
+        gen_res = coordinate_descent(p, 1 << m, replace(cfg, mode="general"))
+        sh_res = coordinate_descent(p, m, replace(cfg, mode="shallow"))
+        eps_g, eps_s = gen_res.best_epsilon, sh_res.best_epsilon
+        ratio = max(eps_s, 1e-15) / max(eps_g, 1e-15)
+        yield ComparisonRecord(p, m, eps_g, eps_s, ratio, gen_res, sh_res)

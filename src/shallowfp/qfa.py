@@ -27,11 +27,6 @@ from .coeffsets import CoefficientSet
 class QfaState:
     coefficients: CoefficientSet
     amplitudes: np.ndarray  # shape (d, 2): columns are the q_{i,0}, q_{i,1} amplitudes
-    letters_read: int = 0
-
-    @property
-    def p(self) -> int:
-        return int(self.coefficients.p)
 
     def norm(self) -> float:
         return float(np.sum(self.amplitudes ** 2))
@@ -41,7 +36,7 @@ def initial_state(K: CoefficientSet) -> QfaState:
     """Uniform superposition 1/sqrt(d) over the q_{i,0} states."""
     amps = np.zeros((K.d, 2))
     amps[:, 0] = 1.0 / math.sqrt(K.d)
-    return QfaState(K, amps, 0)
+    return QfaState(K, amps)
 
 
 def _rotation_columns(K: CoefficientSet) -> tuple[np.ndarray, np.ndarray]:
@@ -56,7 +51,7 @@ def step(state: QfaState) -> QfaState:
     a0 = state.amplitudes[:, 0]
     a1 = state.amplitudes[:, 1]
     out = np.stack([a0 * cos - a1 * sin, a0 * sin + a1 * cos], axis=1)
-    return QfaState(state.coefficients, out, state.letters_read + 1)
+    return QfaState(state.coefficients, out)
 
 
 def accept_probability(state: QfaState) -> float:
@@ -73,22 +68,14 @@ def run_word(K: CoefficientSet, j: int) -> float:
     return error_prob(K, j % int(K.p))
 
 
-def _accept_closed_form(K: CoefficientSet) -> np.ndarray:
-    """((1/d) Re S(j))^2 for j in [0, p)."""
+def acceptance_sweep(K: CoefficientSet) -> np.ndarray:
+    """Accept probabilities for j in [0, p), in closed form ((1/d) Re S(j))^2."""
     return (spectrum(K).real / K.d) ** 2
-
-
-def acceptance_sweep(K: CoefficientSet, j_max: int | None = None) -> np.ndarray:
-    """Accept probabilities for j = 0 .. j_max (default p-1), in closed form."""
-    p = int(K.p)
-    if j_max is None:
-        j_max = p - 1
-    return _accept_closed_form(K)[np.arange(j_max + 1) % p]
 
 
 def max_error_sweep(K: CoefficientSet) -> tuple[float, int]:
     """Largest acceptance probability over j in [1, p-1] and the first j
     attaining it, among the values `acceptance_sweep` returns."""
-    vals = _accept_closed_form(K)
+    vals = acceptance_sweep(K)
     j = int(np.argmax(vals[1:])) + 1
     return float(vals[j]), j

@@ -1,7 +1,7 @@
 """Exact modular number theory over Z_p.
 
 Everything here is deterministic integer arithmetic: primality testing,
-modular inverses and primitive roots.  Moduli are limited to p < 2^63
+factorization and primitive roots.  Moduli are limited to p < 2^63
 (`PrimeModulus` refuses larger ones): `is_prime` is only claimed below that
 bound, and the GAP properness check adds two residues in uint64.  Python
 integers make the 128-bit intermediate products exact for free.
@@ -13,10 +13,8 @@ import math
 from .errors import CompositeModulusError, ModulusTooLargeError
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
-# (in particular for every n < 2^63).
+# (in particular for every n < 2^63); also the primes trial-divided first.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _MAX_MODULUS = 2 ** 63  # exclusive
 
@@ -27,7 +25,7 @@ def is_prime(n: int) -> bool:
         raise ValueError("is_prime expects a nonnegative integer")
     if n < 2:
         return False
-    for q in _SMALL_PRIMES:
+    for q in _MR_WITNESSES:
         if n == q:
             return True
         if n % q == 0:
@@ -63,13 +61,6 @@ class PrimeModulus(int):
 
     def __repr__(self) -> str:
         return f"PrimeModulus({int(self)})"
-
-
-def mod_inverse(a: int, p: int) -> int:
-    """Multiplicative inverse of a modulo prime p."""
-    if a % p == 0:
-        raise ValueError("0 has no inverse modulo p")
-    return pow(a, p - 2, p)
 
 
 def _brent_divisor(n: int) -> int:

@@ -51,6 +51,12 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "--method", "cyclic", "--p", "7")
         assert code == 1
 
+    @pytest.mark.parametrize("p", ["5", "7"])
+    def test_aikps_interval_containing_p(self, capsys, p):
+        code, stdout, err = run(capsys, "gen", "--method", "aikps", "--p", p, "--eps", "1")
+        assert (code, err) == (0, "")
+        assert int(p) not in json.loads(stdout)["params"]["R"]
+
     def test_unknown_flag_exit_1(self, capsys):
         code, _, _ = run(capsys, "gen", "--method", "cyclic", "--p", "7", "--d", "3",
                          "--frobnicate")
@@ -64,7 +70,11 @@ class TestGen:
     ["gen", "--method", "random", "--p", "7", "--d", "0"],
     ["gen", "--method", "gap", "--p", "1013", "--m", "0"],
     ["simulate", "--coeffs", "k.json", "--j", "-3"],
-], ids=["compare-m0", "optimize-size0", "cyclic-d0", "random-d0", "gap-m0", "simulate-j-3"])
+    ["optimize", "--p", "31", "--size", "2", "--mode", "general", "--max-sweeps", "0"],
+    ["optimize", "--p", "31", "--size", "2", "--mode", "general", "--restarts", "-1"],
+    ["compare", "--p-max", "7", "--m", "2", "--restarts", "-1", "--out", "x.csv"],
+], ids=["compare-m0", "optimize-size0", "cyclic-d0", "random-d0", "gap-m0", "simulate-j-3",
+        "optimize-sweeps0", "optimize-restarts-1", "compare-restarts-1"])
 def test_bad_size_flag_exit_1(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "k.json").write_text(json.dumps({"p": 7, "method": "explicit", "params": {},
@@ -85,8 +95,10 @@ def test_bad_size_flag_exit_1(tmp_path, capsys, monkeypatch, argv):
      "capped at 16"),
     (["gen", "--method", "random", "--p", "9223372036854775837", "--d", "3"], "2^63"),
     (["gen", "--method", "aikps", "--p", "1013", "--eps", "8"], "AIKPS size bound"),
+    (["optimize", "--p", "7", "--size", "20", "--mode", "shallow"], "far exceeds"),
+    (["compare", "--p-max", "7", "--m", "4", "--out", "x.csv"], "far exceeds"),
 ], ids=["gap-m17", "cyclic-d9", "aikps-eps-1", "analyze-range", "shallow-17-generators",
-        "p-above-2^63", "aikps-eps-8"])
+        "p-above-2^63", "aikps-eps-8", "optimize-shallow-size20", "compare-m4"])
 def test_out_of_range_exit_2(tmp_path, capsys, monkeypatch, argv, needle):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "range.json").write_text(json.dumps({"p": 7, "method": "explicit",
@@ -161,6 +173,16 @@ class TestAnalyze:
         assert report["p"] == 7
         assert report["d"] == 3
 
+    def test_gap_without_generators(self, tmp_path, capsys):
+        # a one-point set is a 0-dimensional GAP: d = 1, ceiling sqrt(p)
+        kpath = tmp_path / "k.json"
+        kpath.write_text(json.dumps({"p": 7, "method": "gap", "params": {},
+                                     "coefficients": [3], "t0": 3, "generators": []}))
+        code, stdout, err = run(capsys, "analyze", "--coeffs", str(kpath))
+        assert (code, err) == (0, "")
+        (gap_check,) = [b for b in json.loads(stdout)["bounds"] if "sqrt(p/d)" in b["name"]]
+        assert gap_check["rhs"] == 7 ** 0.5
+
     def test_spectrum_csv(self, tmp_path, capsys):
         kpath = tmp_path / "k.json"
         spath = tmp_path / "spectrum.csv"
@@ -175,6 +197,15 @@ class TestAnalyze:
 
 
 class TestTableSizeCap:
+    def test_energy_size_cap_exit_2(self, tmp_path, capsys):
+        # d = 94208 > 2^16: the pairwise-sum enumeration is refused
+        kpath = tmp_path / "k.json"
+        run(capsys, "gen", "--method", "aikps", "--p", "65537", "--eps", "1",
+            "--out", str(kpath))
+        code, stdout, err = run(capsys, "analyze", "--coeffs", str(kpath))
+        assert (code, stdout) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error:") and "2^16" in err
+
     # p = 10^18 + 3 is prime; a length-p table would need exabytes
     @pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--spectrum", "s.csv"],
                                       ["simulate", "--sweep"]])
@@ -302,6 +333,8 @@ class TestCompare:
         ratios = (tmp_path / "cmp_ratios.csv").read_text().splitlines()
         assert ratios[0] == "p,ratio"
         assert len(ratios) == 7
+        # at p = 2 < 2^m both errors are roundoff; each is clamped at 1e-15
+        assert ratios[1] == "2,1"
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -319,6 +352,15 @@ class TestCompare:
                            "--seed", "1", "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "9" in err
+
+    def test_non_integer_list_entry_exit_1(self, tmp_path, capsys):
+        plist = tmp_path / "primes.txt"
+        plist.write_text("7\nabc\n")
+        code, stdout, err = run(capsys, "compare", "--p-list", str(plist), "--m", "2",
+                                "--out", str(tmp_path / "x.csv"))
+        assert (code, stdout) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("usage error:") and "'abc'" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_progress_is_one_json_object_per_prime(self, tmp_path, capsys):
         code, _, err = run(capsys, "compare", "--p-max", "13", "--m", "2",

@@ -84,6 +84,15 @@ class TestAikps:
         assert s.params["s_max"] == 5
         assert s.d == 10
 
+    def test_interval_containing_p_skips_p(self):
+        # r = p has no inverse mod p: at (5, 1) the interval (2.69, 5.39)
+        # holds the primes 3 and 5, and at (7, 1) it holds 5 and 7
+        assert gen_aikps(5, 1).params["R"] == [3]
+        assert gen_aikps(7, 1).params["R"] == [5]
+        for p in [q for q in range(5, 51) if is_prime(q)]:
+            for eps in (0.5, 1, 1.5):
+                assert p not in gen_aikps(p, eps).params["R"]
+
     def test_count_is_R_times_S(self):
         for p, eps in [(257, 0.5), (1013, 0.3), (65537, 0.5)]:
             s = gen_aikps(p, eps)

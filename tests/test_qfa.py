@@ -42,7 +42,6 @@ class TestStep:
         s = initial_state(explicit_set(7, [0]))
         s2 = step(s)
         assert np.allclose(s.amplitudes, s2.amplitudes)
-        assert s2.letters_read == 1
 
     def test_quarter_turn(self):
         # composite modulus on purpose: one step rotates by 2*pi*1/4
@@ -123,13 +122,6 @@ class TestAcceptanceSweep:
         sweep = acceptance_sweep(K)
         assert sweep.shape == (65551,)
         assert np.max(np.abs(sweep[:4096] - stepped_sweep(K, 4096))) <= 1e-9
-
-    def test_j_max_wraps_mod_p(self):
-        K = gen_random(31, 4, 2)
-        sweep = acceptance_sweep(K, j_max=70)
-        assert sweep.shape == (71,)
-        assert np.array_equal(sweep[31:62], sweep[:31])
-        assert sweep[0] == sweep[31] == 1.0
 
 
 class TestMaxErrorSweep:

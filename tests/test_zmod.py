@@ -2,14 +2,12 @@ import math
 import time
 
 import pytest
-from hypothesis import given, strategies as st
 
 from shallowfp.errors import CompositeModulusError, ModulusTooLargeError
 from shallowfp.zmod import (
     PrimeModulus,
     factorize,
     is_prime,
-    mod_inverse,
     primitive_root,
 )
 
@@ -71,24 +69,10 @@ def test_prime_modulus_is_below_2_63():
         PrimeModulus(-7)
 
 
-def test_mod_inverse_examples():
-    assert mod_inverse(3, 7) == 5
-    assert mod_inverse(1, 101) == 1
-    assert mod_inverse(1012, 1013) == 1012
-    with pytest.raises(ValueError):
-        mod_inverse(0, 7)
-
-
 def test_primitive_root_examples():
     assert primitive_root(7) == 3
     assert primitive_root(3) == 2
     assert primitive_root(2) == 1
-
-
-@given(st.sampled_from([3, 7, 101, 257, 1013]), st.data())
-def test_inverse_property(p, data):
-    a = data.draw(st.integers(min_value=1, max_value=p - 1))
-    assert a * mod_inverse(a, p) % p == 1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 257])
