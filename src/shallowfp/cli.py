@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
@@ -34,8 +35,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_FLOAT = "%.17g"  # 17 significant digits: every float reads back exactly
+_CHUNK = 1 << 12  # rows formatted by one template in _format_rows
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return _FLOAT % x
+
+
+def _format_rows(row: str, rows) -> str:
+    """Every tuple of ``rows`` formatted by the %-template ``row``, one
+    template per chunk of rows instead of one call per value."""
+    rows, chunks = iter(rows), []
+    while chunk := list(itertools.islice(rows, _CHUNK)):
+        chunks.append((row * len(chunk)) % tuple(itertools.chain.from_iterable(chunk)))
+    return "".join(chunks)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -99,11 +113,11 @@ def _cmd_analyze(args) -> int:
     report = analysis.analyze(K)
     _write_text(None, _json_dumps(report.to_json_dict()))
     if args.spectrum:
+        # the bytes csv.writer wrote: numeric fields unquoted, \r\n line ends
+        rows = _format_rows(f"%d,{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT}\r\n",
+                            analysis.spectrum_rows(K))
         with open(args.spectrum, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "re", "im", "magnitude2", "error_prob"])
-            for x, re, im, mag2, pe in analysis.spectrum_rows(K):
-                writer.writerow([x, _fmt(re), _fmt(im), _fmt(mag2), _fmt(pe)])
+            fh.write("x,re,im,magnitude2,error_prob\r\n" + rows)
     return 0
 
 
@@ -113,8 +127,8 @@ def _cmd_simulate(args) -> int:
     if args.j is not None:
         _write_text(args.out, _fmt(qfa.run_word(K, args.j)) + "\n")
         return 0
-    probs = qfa.acceptance_sweep(K)
-    rows = "".join(f"{j},{_fmt(float(v))}\n" for j, v in enumerate(probs))
+    probs = qfa.acceptance_sweep(K).tolist()
+    rows = _format_rows(f"%d,{_FLOAT}\n", enumerate(probs))
     _write_text(args.out, "j,accept_prob\n" + rows)
     return 0
 
@@ -181,22 +195,27 @@ def _cmd_compare(args) -> int:
         raise UsageError("empty prime list")
 
     cfg = optimize.DescentConfig(seed=args.seed, restarts=args.restarts)
-    records = []
-    last = time.perf_counter()
-    for rec in optimize.compare_experiment(primes, args.m, cfg):
-        # one JSON object per prime, flushed as soon as the prime is done
-        now = time.perf_counter()
-        line = {"p": rec.p, "eps_general": rec.eps_general,
-                "eps_shallow": rec.eps_shallow, "ratio": rec.ratio,
-                "seconds": now - last,
-                "rows_evaluated": rec.general.rows_evaluated + rec.shallow.rows_evaluated,
-                "candidates": rec.general.evaluations + rec.shallow.evaluations}
-        last = now
-        print(json.dumps(line), file=sys.stderr, flush=True)
-        records.append(rec)
+    experiment = optimize.compare_experiment(primes, args.m, cfg)  # checks primes and sizes
+    ratios_path = args.out.rsplit(".", 1)[0] + "_ratios.csv"
+    # both outputs are opened before the first search, so a path that cannot
+    # be written ends the run at once rather than after the experiment
+    with open(args.out, "w", newline="") as out_fh, \
+            open(ratios_path, "w", newline="") as ratios_fh:
+        records = []
+        last = time.perf_counter()
+        for rec in experiment:
+            # one JSON object per prime, flushed as soon as the prime is done
+            now = time.perf_counter()
+            line = {"p": rec.p, "eps_general": rec.eps_general,
+                    "eps_shallow": rec.eps_shallow, "ratio": rec.ratio,
+                    "seconds": now - last,
+                    "rows_evaluated": rec.general.rows_evaluated + rec.shallow.rows_evaluated,
+                    "candidates": rec.general.evaluations + rec.shallow.evaluations}
+            last = now
+            print(json.dumps(line), file=sys.stderr, flush=True)
+            records.append(rec)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(out_fh)
         writer.writerow(["p", "m", "method", "epsilon", "argmax_x", "depth",
                          "cx_lnn", "sweeps", "evaluations", "seed"])
         for rec in records:
@@ -206,9 +225,7 @@ def _cmd_compare(args) -> int:
                 writer.writerow([rec.p, rec.m, mode, _fmt(res.best_epsilon), res.argmax_x,
                                  built["depth"], built["cx_lnn"], res.sweeps_used,
                                  res.evaluations, args.seed])
-    ratios_path = args.out.rsplit(".", 1)[0] + "_ratios.csv"
-    with open(ratios_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(ratios_fh)
         writer.writerow(["p", "ratio"])
         for rec in records:
             writer.writerow([rec.p, _fmt(rec.ratio)])

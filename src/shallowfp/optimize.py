@@ -19,29 +19,46 @@ factorizes as S_v(x) = rest(x) * (1 + E_v(x)).  The candidate's eps is
 max_x |S_v(x)|^2 / d^2.  Phase rows are gathered from the roots table on
 demand; no (p, p-1) table is built.
 
-Pruning.  Before any full row is scored, every candidate v gets a bound:
-the same formula restricted to the 16 columns x with the largest
+Pruning: an exact ladder.  Each rung bounds a candidate by the same
+formula restricted to some columns x, taken in order of decreasing
 |rest(x)|.  The bound entries are computed with the same elementwise numpy
 operations as the full row (add or multiply, abs, square in place, divide
 by d*d), and numpy evaluates each of these per element independently of
-array shape, so every bound entry equals an entry of the full row bit for
-bit.  The maximum over a subset of the columns is then a true lower bound
-on the candidate's eps, with no rounding slack.  Candidates are taken in
-small batches in (bound, v) order, and the search stops at the first
-candidate whose (bound, v) exceeds the best (eps, v) found so far: no later
-candidate can beat or tie it with a smaller value.  Within a batch, a
-second bound over the 64 largest columns (exact for the same reason)
-drops the candidates that cannot beat the best, and only the rest get a
-full row.  The result is exactly the argmin of the full candidate vector,
-smallest value first.  Conjugate symmetry (W[p - r] vs conj(W[r])) is
-deliberately not used: it is not exact in floating point and could flip
-near-ties.
+array shape and layout, so every bound entry equals an entry of the full
+row bit for bit.  The maximum over a subset of the columns is then a true
+lower bound on the candidate's eps, with no rounding slack, and a bound
+over more columns is never lower.
 
-Memory per coordinate is O(16 p + batch p) complex entries plus the
-size x (p - 1) rest computation, instead of the p (p - 1) table.  Time
-depends on how well the bounds prune: well for general sets, poorly for
-shallow sets whose eps is close to 1, where the bounds of most candidates
-stay below the best eps.
+1. Every candidate is bounded on the 4 largest columns; only those whose
+   bound does not exceed the current value's eps survive.
+2. The survivors are bounded on the 16 largest columns, and those that
+   still survive are visited in small batches in (bound, v) order.  The
+   search stops at the first candidate whose (bound, v) exceeds the best
+   (eps, v) found so far: no later candidate can beat or tie it with a
+   smaller value.  A candidate pruned by rung 1 would fail rung 2 too, so
+   the visiting order is that of a single 16-column bound.
+3. Within a batch, a bound over the refine set drops the candidates that
+   cannot beat the best, and only the rest get a full row.  The refine set
+   is every column whose ceiling U(x) -- the largest value any candidate
+   can reach there, 4 |rest|^2 / d^2 in shallow mode and
+   (|rest| + 1)^2 / d^2 in general mode -- is at least the best eps (less
+   a 1e-9 relative margin), at least 64 and at most 8192 columns.  It grows
+   each time the best eps falls.  Where eps is close to 1 (shallow sets at
+   large p) few columns can reach it, and those decide almost every
+   candidate.
+
+The result is exactly the argmin of the full candidate vector, smallest
+value first; U only decides how many columns the last rung takes.
+Conjugate symmetry (W[p - r] vs conj(W[r])) is deliberately not used: it
+is not exact in floating point and could flip near-ties.
+
+The gathered rows W[(k_j x) mod p] of the current point (1 + row in
+shallow mode) are cached between moves; a move regathers only the rows of
+coordinates that changed.  The rest-sum is still the sum (or the ordered
+product) of those rows, bit for bit the same.
+
+Memory per coordinate is O(16 p + batch p) complex entries plus the cached
+size x (p - 1) rows, instead of the p (p - 1) table.
 """
 from __future__ import annotations
 
@@ -84,8 +101,10 @@ class DescentResult:
     history: list[tuple[int, float]] = field(default_factory=list)
 
 
-_BOUND_COLUMNS = 16  # columns of the bound every candidate gets
-_REFINE_COLUMNS = 64  # columns of the second bound, taken batch by batch
+_FIRST_COLUMNS = 4  # columns of the bound every candidate gets
+_BOUND_COLUMNS = 16  # columns of the bound that orders the survivors of the first
+_REFINE_MIN, _REFINE_MAX = 64, 8192  # size limits of the ceiling-sized refine set
+_CEILING_SLACK = 1e-9  # relative margin on U(x) >= best, against rounding in U
 _BATCH = 8  # candidates per step of the pruned search
 
 
@@ -97,6 +116,11 @@ class _Evaluator:
     ties), its eps, and the eps of the current value -- the same numbers
     as the argmin of the full candidate vector, bit for bit.
     ``rows_evaluated`` counts the full phase rows scored so far.
+
+    The gathered rows of the last point seen are cached and keyed by the
+    point's values: a call regathers only the rows of coordinates that
+    changed since the previous call, so a caller may mutate ``point`` in
+    place, start a new point or change its size.
     """
 
     def __init__(self, p: int, mode: str):
@@ -106,28 +130,53 @@ class _Evaluator:
         self.xs = np.arange(1, p, dtype=np.int64)
         self.values = np.arange(p, dtype=np.int64)
         self.rows_evaluated = 0
+        self._point = np.empty(0, dtype=np.int64)  # values the cached rows belong to
+        self._rows = np.empty((0, p - 1), dtype=complex)
+
+    def _point_rows(self, point: np.ndarray) -> np.ndarray:
+        """Rows W[(k_j x) mod p] of ``point`` (1 + row in shallow mode)."""
+        if point.shape != self._point.shape:
+            self._point = np.full(point.shape, -1, dtype=np.int64)
+            self._rows = np.empty((point.size, self.p - 1), dtype=complex)
+        changed = np.flatnonzero(point != self._point)
+        if changed.size:
+            rows = self.W[np.multiply.outer(point[changed], self.xs) % self.p]
+            self._rows[changed] = rows if self.mode == "general" else 1.0 + rows
+            self._point[changed] = point[changed]
+        return self._rows
 
     def _rest(self, point: np.ndarray, i: int) -> np.ndarray:
-        rows = self.W[np.multiply.outer(point, self.xs) % self.p]
+        rows = self._point_rows(point)
         if self.mode == "general":
             return rows.sum(axis=0) - rows[i]
-        ones = 1.0 + rows
-        return np.prod(np.concatenate([ones[:i], ones[i + 1:]]), axis=0)
+        return np.prod(np.concatenate([rows[:i], rows[i + 1:]]), axis=0)
 
     def _scores(self, rest: np.ndarray, values: np.ndarray, xs: np.ndarray,
                 size: int) -> np.ndarray:
         """eps of each candidate in ``values`` over the columns ``xs``
-        (``rest`` holds the rest-sum at those columns)."""
-        E = self.W[np.multiply.outer(values, xs) % self.p]
+        (``rest`` holds the rest-sum at those columns).  The entry matrix
+        has its longer axis contiguous -- columns x candidates for a bound
+        over many candidates, candidates x columns for full rows -- so
+        numpy's max runs over long rows; its entries are the same either
+        way.  The operations run in place, in the operand order of
+        ``rest + E`` and ``rest * (1 + E)``: with FMA the complex product
+        rounds differently when its operands are swapped."""
+        if values.size > xs.size:
+            idx, rest, axis = np.multiply.outer(xs, values), rest[:, None], 0
+        else:
+            idx, axis = np.multiply.outer(values, xs), 1
+        idx %= self.p
+        E = self.W.take(idx)
         if self.mode == "general":
-            sums = rest[None, :] + E
+            np.add(rest, E, out=E)
             d = size
         else:
-            sums = rest[None, :] * (1.0 + E)
+            np.add(1.0, E, out=E)
+            np.multiply(rest, E, out=E)
             d = 1 << size
-        mags = np.abs(sums)
+        mags = np.abs(E)
         np.square(mags, out=mags)
-        return mags.max(axis=1) / (d * d)
+        return mags.max(axis=axis) / (d * d)
 
     def _full(self, rest: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
         self.rows_evaluated += values.size
@@ -138,20 +187,36 @@ class _Evaluator:
         rest = self._rest(point, i)
         cur_v = int(point[i])
         cur = float(self._full(rest, point[i:i + 1], size)[0])
-        by_mag = np.argsort(np.abs(rest))[::-1]  # column indices, largest first
-        coarse, fine = by_mag[:_BOUND_COLUMNS], by_mag[:_REFINE_COLUMNS]
-        bound = self._scores(rest[coarse], self.values, self.xs[coarse], size)
-        rest_fine, xs_fine = rest[fine], self.xs[fine]
-        # only candidates whose bound does not exceed cur can tie or beat it
+        mag = np.abs(rest)
+        by_mag = np.argsort(mag)[::-1]  # column indices, largest first
+        xs_mag, rest_mag, mag = self.xs[by_mag], rest[by_mag], mag[by_mag]
+        # rung 1: every candidate on the first columns; only a candidate whose
+        # bound does not exceed cur can tie or beat the current value
+        bound = self._scores(rest_mag[:_FIRST_COLUMNS], self.values,
+                             xs_mag[:_FIRST_COLUMNS], size)
         cand = np.flatnonzero(bound <= cur)
         cand = cand[cand != cur_v]
-        order = cand[np.argsort(bound[cand], kind="stable")]  # (bound, v) order
-        best, best_v = cur, cur_v
-        for lo in range(0, order.size, _BATCH):
-            head = int(order[lo])
-            if (bound[head], head) > (best, best_v):
+        # rung 2: the survivors on more columns, visited in (bound, v) order
+        bound = self._scores(rest_mag[:_BOUND_COLUMNS], cand, xs_mag[:_BOUND_COLUMNS], size)
+        keep = np.flatnonzero(bound <= cur)
+        keep = keep[np.argsort(bound[keep], kind="stable")]
+        cand, bound = cand[keep], bound[keep]
+        # rung 3: the columns whose ceiling U(x) reaches best, resized as best falls
+        if self.mode == "general":
+            ceiling = (mag + 1.0) ** 2 / (size * size)
+        else:
+            ceiling = 4.0 * mag ** 2 / (1 << 2 * size)
+        best, best_v, fine_for = cur, cur_v, None
+        for lo in range(0, cand.size, _BATCH):
+            head = int(cand[lo])
+            if (bound[lo], head) > (best, best_v):
                 break
-            batch = order[lo:lo + _BATCH]
+            if best != fine_for:
+                fine_for = best
+                n = int(np.count_nonzero(ceiling >= best * (1 - _CEILING_SLACK)))
+                n = min(max(n, _REFINE_MIN), _REFINE_MAX)
+                rest_fine, xs_fine = rest_mag[:n], xs_mag[:n]
+            batch = cand[lo:lo + _BATCH]
             ref = self._scores(rest_fine, batch, xs_fine, size)
             batch = batch[(ref < best) | ((ref == best) & (batch < best_v))]
             if batch.size == 0:
@@ -263,13 +328,18 @@ class ComparisonRecord:
 
 
 def compare_experiment(primes: list[int], m: int, cfg: DescentConfig):
-    """For each prime: optimize d = 2^m free coefficients and m generators,
-    and yield its record as soon as the prime is done.  Every prime and size
-    is checked before the first search.  The shallow/general ratio clamps
-    both errors at 1e-15, so two roundoff-level errors (p < 2^m) give 1."""
+    """For each prime: optimize d = 2^m free coefficients and m generators.
+    Every prime and size is checked when this is called; the returned
+    iterator runs the searches and yields each prime's record as soon as
+    the prime is done.  The shallow/general ratio clamps both errors at
+    1e-15, so two roundoff-level errors (p < 2^m) give 1."""
     primes = [int(PrimeModulus(p)) for p in primes]
     for p in primes:
         _check_size(p, m, "shallow")
+    return _compare_records(primes, m, cfg)
+
+
+def _compare_records(primes: list[int], m: int, cfg: DescentConfig):
     for p in primes:
         gen_res = coordinate_descent(p, 1 << m, replace(cfg, mode="general"))
         sh_res = coordinate_descent(p, m, replace(cfg, mode="shallow"))

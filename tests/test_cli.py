@@ -374,6 +374,19 @@ class TestCompare:
             assert line["seconds"] >= 0
             assert 0 < line["rows_evaluated"] <= line["candidates"]
 
+    @pytest.mark.parametrize("blocked", ["out-dir", "ratios"])
+    def test_unwritable_output_fails_before_the_search(self, tmp_path, capsys, blocked):
+        if blocked == "out-dir":
+            out = tmp_path / "missing" / "x.csv"
+        else:
+            out = tmp_path / "x.csv"
+            (tmp_path / "x_ratios.csv").mkdir()  # the ratios path is a directory
+        code, stdout, err = run(capsys, "compare", "--p-max", "13", "--m", "2",
+                                "--out", str(out))
+        assert (code, stdout) == (1, "")
+        # one line and no progress object: no search ran
+        assert err.count("\n") == 1 and err.startswith("usage error:")
+
     def test_threads_flag_is_gone(self, tmp_path, capsys):
         code, _, err = run(capsys, "compare", "--p-max", "7", "--m", "2",
                            "--threads", "2", "--out", str(tmp_path / "x.csv"))

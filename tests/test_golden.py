@@ -99,3 +99,26 @@ def test_circuit_stats_are_byte_identical(name, tmp_path, capsys):
     assert main(["circuit", "--coeffs", kpath, *circuit_args, "--stats"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STATS_SHA256[name]
+
+
+SPECTRAL_CSV_SHA256 = {
+    "sweep-cyclic-65537-64": "215d2f1e0da8e1c1490578395e53664ae7b54cdb7ca341c84c2aadb9c3eaefb3",
+    "spectrum-random-20011-64-s4":
+        "993eaf23a956cc14c35de0f73607af167cc61b21348b1454d5aafe824cee833f",
+}
+SPECTRAL_CSV_RUN = {
+    "sweep-cyclic-65537-64": (["--method", "cyclic", "--p", "65537", "--d", "64"],
+                              ["simulate", "--sweep", "--out"]),
+    "spectrum-random-20011-64-s4": (ANALYZE_GEN["random-20011-64-s4"],
+                                    ["analyze", "--spectrum"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_CSV_SHA256))
+def test_spectral_csvs_are_byte_identical(name, tmp_path, capsys):
+    kpath, cpath = tmp_path / "k.json", tmp_path / "out.csv"
+    gen_args, (command, *flags) = SPECTRAL_CSV_RUN[name]
+    assert main(["gen", *gen_args, "--out", str(kpath)]) == 0
+    assert main([command, "--coeffs", str(kpath), *flags, str(cpath)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(cpath.read_bytes()).hexdigest() == SPECTRAL_CSV_SHA256[name]

@@ -76,6 +76,24 @@ class TestPrunedSearch:
                     (p, mode, point.tolist(), i)
 
     @pytest.mark.parametrize("mode", ["general", "shallow"])
+    def test_cached_rows_follow_the_point(self, mode):
+        # one evaluator for two start points, each moved in place as _descend does
+        p, size = 101, (4 if mode == "general" else 3)
+        rng = np.random.default_rng(11)
+        evaluator = _Evaluator(p, mode)
+        moves = 0
+        for _start in range(2):
+            point = rng.integers(1, p, size)
+            for _sweep in range(2):
+                for i in range(size):
+                    move = evaluator.best_move(point, i)
+                    assert move == oracle_move(p, mode, point, i), (mode, point.tolist(), i)
+                    if move[1] < move[2]:
+                        point[i] = move[0]
+                        moves += 1
+        assert moves > 0
+
+    @pytest.mark.parametrize("mode", ["general", "shallow"])
     def test_point_eps_is_the_current_row(self, mode):
         point = np.array([3, 17, 40], dtype=np.int64)
         eps = full_table_candidate_eps(101, mode, point, 0)
@@ -157,6 +175,20 @@ class TestGeneralMode:
 
 
 class TestShallowMode:
+    def test_one_sweep_at_p_16411_scores_few_rows(self):
+        # eps near 1: only the columns whose ceiling reaches the best eps decide
+        res = coordinate_descent(16411, 3, DescentConfig(seed=7, mode="shallow", max_sweeps=1))
+        assert res.best_point == (11433, 5500, 6793)
+        assert res.best_epsilon == 0.9822980284984616
+        assert res.rows_evaluated <= 100
+
+    @pytest.mark.full_scale
+    def test_shallow_descent_at_p_65537(self):
+        res = coordinate_descent(65537, 3, DescentConfig(seed=7, mode="shallow", max_sweeps=2))
+        assert res.best_point == (7001, 4162, 27266)
+        assert res.best_epsilon == 0.9926054799162713
+        assert res.rows_evaluated <= 100
+
     def test_expanded_set_epsilon(self):
         cfg = DescentConfig(seed=2, mode="shallow")
         res = coordinate_descent(31, 2, cfg)
