@@ -47,6 +47,7 @@ import numpy as np
 
 from .coeffsets import CoefficientSet
 from .errors import ParameterRangeError, TableTooLargeError
+from .qfa import error_prob, exp_sum  # noqa: F401 -- re-exported: the numpy-free closed forms
 
 # Element count of one chunk of a (rows x d) phase or sum matrix; keeps the
 # direct rescoring and the pairwise-sum enumeration in bounded memory.
@@ -106,7 +107,7 @@ def roots_of_unity(p: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(p) / p)
 
 
-def _check_table_size(p: int) -> None:
+def check_table_size(p: int) -> None:
     if p > TABLE_MAX_P:
         raise TableTooLargeError(f"p = {p} exceeds the cap p <= 2^22 on length-p tables")
 
@@ -122,7 +123,7 @@ def spectrum(K: CoefficientSet) -> np.ndarray:
     transform uses e(-n x / p).  S(0) = d is set exactly.
     """
     p = int(K.p)
-    _check_table_size(p)
+    check_table_size(p)
     S = np.fft.fft(_multiplicity_vector(K))
     np.conjugate(S, out=S)
     S[0] = K.d
@@ -155,14 +156,6 @@ def _peak(K: CoefficientSet, S: np.ndarray) -> tuple[float, int, float]:
     return float(vals[i]), int(xs[i]), float(sums.max()) / p
 
 
-def exp_sum(K: CoefficientSet, x: int) -> complex:
-    """sum_j e(k_j x / p) with compensated (fsum) accumulation."""
-    p = int(K.p)
-    re = math.fsum(math.cos(2.0 * math.pi * (k * x % p) / p) for k in K.coefficients)
-    im = math.fsum(math.sin(2.0 * math.pi * (k * x % p) / p) for k in K.coefficients)
-    return complex(re, im)
-
-
 def epsilon_of(K: CoefficientSet) -> tuple[float, int]:
     """Worst-case error eps(K) and the smallest maximizing x in [1, p-1].
 
@@ -175,13 +168,6 @@ def epsilon_of(K: CoefficientSet) -> tuple[float, int]:
     return eps, x
 
 
-def error_prob(K: CoefficientSet, x: int) -> float:
-    """P_e = ((1/d) sum_j cos(2 pi k_j x / p))^2, from the real part of `exp_sum`."""
-    if not (0 <= x < K.p):
-        raise ValueError("x must lie in [0, p)")
-    return (exp_sum(K, x).real / K.d) ** 2
-
-
 def _rep_count_vector(A: CoefficientSet) -> np.ndarray:
     """R_n(A) = #{(a, b) in A x A : a + b = n mod p}, as a length-p vector.
 
@@ -190,7 +176,7 @@ def _rep_count_vector(A: CoefficientSet) -> np.ndarray:
     p = int(A.p)
     if A.d > 1 << 16:
         raise ParameterRangeError("set too large for quadratic enumeration (cap 2^16)")
-    _check_table_size(p)
+    check_table_size(p)
     a = np.asarray(A.coefficients, dtype=np.int64)
     out = np.zeros(p, dtype=np.int64)
     step = max(1, _CHUNK_ELEMS // a.size)
@@ -210,7 +196,13 @@ def representation_counts(A: CoefficientSet) -> dict[int, int]:
 def additive_energy(A: CoefficientSet) -> int:
     """E(A) = sum_n R_n(A)^2; quadruple count with a + b = a' + b'."""
     vec = _rep_count_vector(A)
-    return sum(c * c for c in vec.tolist())  # Python ints: no int64 overflow
+    # sum_n R_n^2 <= max R * sum_n R_n = max R * d^2, and below 2^63 the
+    # int64 dot product is exact.  A set has max R <= d <= 2^16 (the cap of
+    # _rep_count_vector), so the bound is at most 2^48; only a multiset with
+    # heavy repeats (max R up to d^2) can exceed it and is summed in Python ints.
+    if int(vec.max()) * A.d ** 2 < 1 << 63:
+        return int(vec @ vec)
+    return sum(c * c for c in vec.tolist())
 
 
 def fourier_bias(A: CoefficientSet) -> float:

@@ -19,8 +19,8 @@ import sys
 import time
 from typing import Sequence
 
-# analysis, qfa and optimize (and with them numpy) are imported by the
-# commands that run them, so gen and circuit start without numpy.
+# analysis, qfa and optimize are imported by the commands that run them,
+# so gen, circuit and simulate --j start without numpy.
 from . import circuit, coeffsets
 from .errors import DomainError
 from .zmod import PrimeModulus, is_prime

@@ -16,8 +16,19 @@ splits into a rest-sum and the candidate's own phase row
 E_v(x) = e(v x / p) = W[(v x) mod p], x = 1 .. p-1: in general mode
 S_v(x) = rest(x) + E_v(x); in shallow mode the sum over subset sums
 factorizes as S_v(x) = rest(x) * (1 + E_v(x)).  The candidate's eps is
-max_x |S_v(x)|^2 / d^2.  Phase rows are gathered from the roots table on
-demand; no (p, p-1) table is built.
+max_x |S_v(x)|^2 / d^2.  No (p, p-1) table is built.
+
+The log-domain phase table.  The columns x are kept in the order
+x = g^j, j = 0 .. p-2, of the primitive root g (Rader's reindexing of a
+prime-length DFT).  With L[v] = log_g v (and L[0] = 2(p-1)) and T the
+table of W[g^j mod p] twice over, then p-1 ones, W[(v g^j) mod p] is
+T[L[v] + j]: a full phase row is the contiguous slice T[L[v] : L[v]+p-1],
+and a bound reads T at sums of logs.  No move multiplies or reduces an
+index mod p.  The results are bit-identical to indexing W by (v x) mod p:
+T holds the entries of W themselves (permuted, not recomputed), every
+score is the same elementwise formula on the same entries in the same
+operand order, and the maximum over a row does not depend on the order
+of its columns.
 
 Pruning: an exact ladder.  Each rung bounds a candidate by the same
 formula restricted to some columns x, taken in order of decreasing
@@ -45,7 +56,10 @@ over more columns is never lower.
    a 1e-9 relative margin), at least 64 and at most 8192 columns.  It grows
    each time the best eps falls.  Where eps is close to 1 (shallow sets at
    large p) few columns can reach it, and those decide almost every
-   candidate.
+   candidate.  One call bounds the next 8 batches on the refine set; they
+   are bounded again only when the set grows or the block runs out, so a
+   move pays a numpy call per block, not per batch, and wastes at most a
+   block when the search stops early.
 
 The result is exactly the argmin of the full candidate vector, smallest
 value first; U only decides how many columns the last rung takes.
@@ -57,20 +71,24 @@ shallow mode) are cached between moves; a move regathers only the rows of
 coordinates that changed.  The rest-sum is still the sum (or the ordered
 product) of those rows, bit for bit the same.
 
-Memory per coordinate is O(16 p + batch p) complex entries plus the cached
-size x (p - 1) rows, instead of the p (p - 1) table.
+Memory per evaluator is the table T (3 (p - 1) complex entries, 74 KB at
+p = 1549) and the logs (p int64), plus per coordinate O(16 p + batch p)
+complex entries and the cached size x (p - 1) rows, instead of the
+p (p - 1) table.  p is capped at analysis.TABLE_MAX_P = 2^22, checked
+before anything is allocated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .analysis import epsilon_of, roots_of_unity
+from .analysis import check_table_size, epsilon_of, roots_of_unity
 from .coeffsets import CoefficientSet, expand_subset_sums
 from .errors import ParameterRangeError
 from .rng import SplitMix64
-from .zmod import PrimeModulus
+from .zmod import PrimeModulus, primitive_root
 
 
 @dataclass(frozen=True)
@@ -106,6 +124,33 @@ _BOUND_COLUMNS = 16  # columns of the bound that orders the survivors of the fir
 _REFINE_MIN, _REFINE_MAX = 64, 8192  # size limits of the ceiling-sized refine set
 _CEILING_SLACK = 1e-9  # relative margin on U(x) >= best, against rounding in U
 _BATCH = 8  # candidates per step of the pruned search
+_REFINE_BATCHES = 8  # batches whose refine bounds one call scores
+
+
+def _log_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(L, T) for the primitive root g of p, with the columns x = g^j,
+    j in [0, p-1), in log order: W[(v g^j) mod p] = T[L[v] + j] for every v
+    in [0, p), where W = roots_of_unity(p).
+
+    L[v] = log_g v for v != 0 and L[0] = 2(p-1).  T holds W[g^j mod p] for
+    j in [0, p-1) twice, then p-1 copies of W[0] = 1, so every phase row is
+    the contiguous slice T[L[v] : L[v] + p-1].  T is W permuted, never
+    recomputed, and the powers are exact: int64 products of two residues
+    stay below p^2 <= 2^44 (p <= TABLE_MAX_P).
+    """
+    n = p - 1
+    g = primitive_root(p)
+    powers = np.ones(n, dtype=np.int64)  # powers[j] = g^j mod p, by doubling
+    k = 1
+    while k < n:
+        step = min(k, n - k)
+        powers[k:k + step] = powers[:step] * pow(g, k, p) % p
+        k += step
+    log = np.empty(p, dtype=np.int64)
+    log[powers] = np.arange(n)
+    log[0] = 2 * n
+    T = roots_of_unity(p)[np.concatenate([powers, powers, np.zeros(n, dtype=np.int64)])]
+    return log, T
 
 
 class _Evaluator:
@@ -117,6 +162,11 @@ class _Evaluator:
     as the argmin of the full candidate vector, bit for bit.
     ``rows_evaluated`` counts the full phase rows scored so far.
 
+    Columns are kept in log order (see `_log_tables`): the phase row of v is
+    ``rows_of[L[v]]``, a row of a sliding-window view of T, and a bound
+    reads T at ``np.add.outer`` of logs, so no move multiplies or reduces
+    an index mod p.
+
     The gathered rows of the last point seen are cached and keyed by the
     point's values: a call regathers only the rows of coordinates that
     changed since the previous call, so a caller may mutate ``point`` in
@@ -126,9 +176,8 @@ class _Evaluator:
     def __init__(self, p: int, mode: str):
         self.p = p
         self.mode = mode
-        self.W = roots_of_unity(p)
-        self.xs = np.arange(1, p, dtype=np.int64)
-        self.values = np.arange(p, dtype=np.int64)
+        self.log, self._T = _log_tables(p)
+        self._rows_of = sliding_window_view(self._T, p - 1)
         self.rows_evaluated = 0
         self._point = np.empty(0, dtype=np.int64)  # values the cached rows belong to
         self._rows = np.empty((0, p - 1), dtype=complex)
@@ -140,7 +189,7 @@ class _Evaluator:
             self._rows = np.empty((point.size, self.p - 1), dtype=complex)
         changed = np.flatnonzero(point != self._point)
         if changed.size:
-            rows = self.W[np.multiply.outer(point[changed], self.xs) % self.p]
+            rows = self._rows_of[self.log[point[changed]]]
             self._rows[changed] = rows if self.mode == "general" else 1.0 + rows
             self._point[changed] = point[changed]
         return self._rows
@@ -151,22 +200,12 @@ class _Evaluator:
             return rows.sum(axis=0) - rows[i]
         return np.prod(np.concatenate([rows[:i], rows[i + 1:]]), axis=0)
 
-    def _scores(self, rest: np.ndarray, values: np.ndarray, xs: np.ndarray,
-                size: int) -> np.ndarray:
-        """eps of each candidate in ``values`` over the columns ``xs``
-        (``rest`` holds the rest-sum at those columns).  The entry matrix
-        has its longer axis contiguous -- columns x candidates for a bound
-        over many candidates, candidates x columns for full rows -- so
-        numpy's max runs over long rows; its entries are the same either
-        way.  The operations run in place, in the operand order of
-        ``rest + E`` and ``rest * (1 + E)``: with FMA the complex product
-        rounds differently when its operands are swapped."""
-        if values.size > xs.size:
-            idx, rest, axis = np.multiply.outer(xs, values), rest[:, None], 0
-        else:
-            idx, axis = np.multiply.outer(values, xs), 1
-        idx %= self.p
-        E = self.W.take(idx)
+    def _scores(self, rest: np.ndarray, E: np.ndarray, axis: int, size: int) -> np.ndarray:
+        """eps of each candidate from its phase entries ``E``, which runs
+        over the columns along ``axis`` (``rest`` broadcasts against it).
+        The operations run in place, in the operand order of ``rest + E``
+        and ``rest * (1 + E)``: with FMA the complex product rounds
+        differently when its operands are swapped."""
         if self.mode == "general":
             np.add(rest, E, out=E)
             d = size
@@ -178,35 +217,49 @@ class _Evaluator:
         np.square(mags, out=mags)
         return mags.max(axis=axis) / (d * d)
 
-    def _full(self, rest: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-        self.rows_evaluated += values.size
-        return self._scores(rest, values, self.xs, size)
+    def _bound(self, rest: np.ndarray, cols: np.ndarray, logs: np.ndarray,
+               size: int) -> np.ndarray:
+        """eps of the candidates with logs ``logs`` over the columns ``cols``
+        (``rest`` holds the rest-sum there).  The entry matrix keeps its
+        longer axis contiguous -- columns x candidates for many candidates,
+        candidates x columns otherwise -- so numpy's max runs over long rows;
+        its entries are the same either way."""
+        if logs.size > cols.size:
+            return self._scores(rest[:, None], self._T.take(np.add.outer(cols, logs)), 0, size)
+        return self._scores(rest, self._T.take(np.add.outer(logs, cols)), 1, size)
+
+    def _full(self, rest: np.ndarray, logs: np.ndarray, size: int) -> np.ndarray:
+        self.rows_evaluated += logs.size
+        return self._scores(rest, self._rows_of[logs], 1, size)
 
     def best_move(self, point: np.ndarray, i: int) -> tuple[int, float, float]:
         size = point.size
+        log = self.log
         rest = self._rest(point, i)
         cur_v = int(point[i])
-        cur = float(self._full(rest, point[i:i + 1], size)[0])
+        cur = float(self._full(rest, log[point[i:i + 1]], size)[0])
         mag = np.abs(rest)
-        by_mag = np.argsort(mag)[::-1]  # column indices, largest first
-        xs_mag, rest_mag, mag = self.xs[by_mag], rest[by_mag], mag[by_mag]
+        by_mag = np.argsort(mag)[::-1]  # columns (logs of x), largest |rest| first
+        rest_mag, mag = rest[by_mag], mag[by_mag]
         # rung 1: every candidate on the first columns; only a candidate whose
         # bound does not exceed cur can tie or beat the current value
-        bound = self._scores(rest_mag[:_FIRST_COLUMNS], self.values,
-                             xs_mag[:_FIRST_COLUMNS], size)
+        bound = self._bound(rest_mag[:_FIRST_COLUMNS], by_mag[:_FIRST_COLUMNS], log, size)
         cand = np.flatnonzero(bound <= cur)
         cand = cand[cand != cur_v]
         # rung 2: the survivors on more columns, visited in (bound, v) order
-        bound = self._scores(rest_mag[:_BOUND_COLUMNS], cand, xs_mag[:_BOUND_COLUMNS], size)
+        bound = self._bound(rest_mag[:_BOUND_COLUMNS], by_mag[:_BOUND_COLUMNS],
+                            log[cand], size)
         keep = np.flatnonzero(bound <= cur)
         keep = keep[np.argsort(bound[keep], kind="stable")]
         cand, bound = cand[keep], bound[keep]
-        # rung 3: the columns whose ceiling U(x) reaches best, resized as best falls
+        # rung 3: the columns whose ceiling U(x) reaches best, resized as best
+        # falls; one call bounds the next _REFINE_BATCHES batches at once
         if self.mode == "general":
             ceiling = (mag + 1.0) ** 2 / (size * size)
         else:
             ceiling = 4.0 * mag ** 2 / (1 << 2 * size)
         best, best_v, fine_for = cur, cur_v, None
+        n_fine = block_lo = block_hi = 0
         for lo in range(0, cand.size, _BATCH):
             head = int(cand[lo])
             if (bound[lo], head) > (best, best_v):
@@ -215,13 +268,18 @@ class _Evaluator:
                 fine_for = best
                 n = int(np.count_nonzero(ceiling >= best * (1 - _CEILING_SLACK)))
                 n = min(max(n, _REFINE_MIN), _REFINE_MAX)
-                rest_fine, xs_fine = rest_mag[:n], xs_mag[:n]
+                if n != n_fine:  # a larger set: the block's bounds are stale
+                    n_fine, block_hi = n, lo
+            if lo >= block_hi:
+                block_lo, block_hi = lo, lo + _REFINE_BATCHES * _BATCH
+                ref_block = self._bound(rest_mag[:n_fine], by_mag[:n_fine],
+                                        log[cand[lo:block_hi]], size)
             batch = cand[lo:lo + _BATCH]
-            ref = self._scores(rest_fine, batch, xs_fine, size)
+            ref = ref_block[lo - block_lo:lo - block_lo + _BATCH]
             batch = batch[(ref < best) | ((ref == best) & (batch < best_v))]
             if batch.size == 0:
                 continue
-            scores = self._full(rest, batch, size)
+            scores = self._full(rest, log[batch], size)
             low = float(scores.min())
             v = int(batch[scores == low].min())
             if (low, v) < (best, best_v):
@@ -229,7 +287,7 @@ class _Evaluator:
         return best_v, best, cur
 
     def point_eps(self, point: np.ndarray) -> float:
-        return float(self._full(self._rest(point, 0), point[:1], point.size)[0])
+        return float(self._full(self._rest(point, 0), self.log[point[:1]], point.size)[0])
 
 
 def _descend(evaluator: _Evaluator, start: np.ndarray, cfg: DescentConfig
@@ -266,6 +324,7 @@ def _expand_point(p: int, point: np.ndarray, mode: str) -> CoefficientSet:
 
 
 def _check_size(p: int, size: int, mode: str) -> None:
+    check_table_size(p)  # before the evaluator allocates its length-p tables
     if size < 1:
         raise ParameterRangeError("size must be positive")
     if mode == "shallow" and (1 << size) > 4 * p:

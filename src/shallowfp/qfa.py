@@ -11,16 +11,37 @@ The acceptance probability after j letters is ((1/d) Re S(j mod p))^2 with
 S the exponential sum of `analysis.spectrum`; `acceptance_sweep` and
 `max_error_sweep` read it from that kernel, and `step` stays the
 independent simulation the tests hold them to.
+
+One word needs only d cosines: `exp_sum`, `error_prob` and `run_word` are
+pure `math` and live here, and this module loads numpy (and `analysis`)
+only inside the functions that compute with arrays, so `simulate --j`
+starts without numpy.  `analysis` re-exports `exp_sum` and `error_prob`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .analysis import error_prob, spectrum
 from .coeffsets import CoefficientSet
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def exp_sum(K: CoefficientSet, x: int) -> complex:
+    """sum_j e(k_j x / p) with compensated (fsum) accumulation."""
+    p = int(K.p)
+    re = math.fsum(math.cos(2.0 * math.pi * (k * x % p) / p) for k in K.coefficients)
+    im = math.fsum(math.sin(2.0 * math.pi * (k * x % p) / p) for k in K.coefficients)
+    return complex(re, im)
+
+
+def error_prob(K: CoefficientSet, x: int) -> float:
+    """P_e = ((1/d) sum_j cos(2 pi k_j x / p))^2, from the real part of `exp_sum`."""
+    if not (0 <= x < K.p):
+        raise ValueError("x must lie in [0, p)")
+    return (exp_sum(K, x).real / K.d) ** 2
 
 
 @dataclass(frozen=True)
@@ -29,17 +50,19 @@ class QfaState:
     amplitudes: np.ndarray  # shape (d, 2): columns are the q_{i,0}, q_{i,1} amplitudes
 
     def norm(self) -> float:
-        return float(np.sum(self.amplitudes ** 2))
+        return float((self.amplitudes ** 2).sum())
 
 
 def initial_state(K: CoefficientSet) -> QfaState:
     """Uniform superposition 1/sqrt(d) over the q_{i,0} states."""
+    import numpy as np
     amps = np.zeros((K.d, 2))
     amps[:, 0] = 1.0 / math.sqrt(K.d)
     return QfaState(K, amps)
 
 
 def _rotation_columns(K: CoefficientSet) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     p = int(K.p)
     theta = 2.0 * np.pi * (np.asarray(K.coefficients, dtype=np.int64) % p) / p
     return np.cos(theta), np.sin(theta)
@@ -47,6 +70,7 @@ def _rotation_columns(K: CoefficientSet) -> tuple[np.ndarray, np.ndarray]:
 
 def step(state: QfaState) -> QfaState:
     """Apply the one-letter transition: block i rotates by 2 pi k_i / p."""
+    import numpy as np
     cos, sin = _rotation_columns(state.coefficients)
     a0 = state.amplitudes[:, 0]
     a1 = state.amplitudes[:, 1]
@@ -57,7 +81,7 @@ def step(state: QfaState) -> QfaState:
 def accept_probability(state: QfaState) -> float:
     """|<psi_0|psi>|^2: probability of measuring the accepting state."""
     d = state.coefficients.d
-    return float(np.sum(state.amplitudes[:, 0]) / math.sqrt(d)) ** 2
+    return float(state.amplitudes[:, 0].sum() / math.sqrt(d)) ** 2
 
 
 def run_word(K: CoefficientSet, j: int) -> float:
@@ -70,6 +94,7 @@ def run_word(K: CoefficientSet, j: int) -> float:
 
 def acceptance_sweep(K: CoefficientSet) -> np.ndarray:
     """Accept probabilities for j in [0, p), in closed form ((1/d) Re S(j))^2."""
+    from .analysis import spectrum
     return (spectrum(K).real / K.d) ** 2
 
 
@@ -77,5 +102,5 @@ def max_error_sweep(K: CoefficientSet) -> tuple[float, int]:
     """Largest acceptance probability over j in [1, p-1] and the first j
     attaining it, among the values `acceptance_sweep` returns."""
     vals = acceptance_sweep(K)
-    j = int(np.argmax(vals[1:])) + 1
+    j = int(vals[1:].argmax()) + 1
     return float(vals[j]), j

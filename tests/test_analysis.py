@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shallowfp import analysis
 from shallowfp.analysis import (
     additive_energy,
     analyze,
@@ -233,6 +234,26 @@ class TestAdditiveEnergy:
                 assert representation_counts(A) == {n: c for n, c in enumerate(ra.tolist())
                                                     if c}
                 assert additive_energy(A) == sum(c * c for c in ra.tolist())
+
+    @pytest.mark.parametrize("multiset", [False, True])
+    def test_int64_dot_matches_python_ints(self, multiset):
+        rng = random.Random(17)
+        for p in (2, 3, 31, 1013, 65537):
+            for _ in range(5):
+                d = rng.randint(1, min(p, 300))
+                coeffs = ([rng.randrange(p) for _ in range(d)] if multiset
+                          else rng.sample(range(p), d))
+                A = explicit_set(p, coeffs)
+                vec = analysis._rep_count_vector(A)
+                assert additive_energy(A) == sum(c * c for c in vec.tolist())
+
+    def test_heavy_multiset_beyond_int64(self, monkeypatch):
+        # 2^16 copies of 0: R_0 = d^2 = 2^32 and E = 2^64, which int64 would
+        # wrap to 0; the vector is built directly instead of from 2^32 pairs
+        A = explicit_set(3, [0] * (1 << 16))
+        monkeypatch.setattr(analysis, "_rep_count_vector",
+                            lambda _: np.array([1 << 32, 0, 0], dtype=np.int64))
+        assert additive_energy(A) == 1 << 64
 
     def test_limits(self):
         with pytest.raises(ValueError, match="2\\^16"):

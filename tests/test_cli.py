@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,22 @@ class TestTableSizeCap:
         assert err.count("\n") == 1 and "2^22" in err
         assert "Traceback" not in err
         assert not (tmp_path / "s.csv").exists()
+
+    # 4194319 is the least prime above 2^22; the descent's length-p tables are
+    # refused before any allocation, and compare checks every prime first
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--p", "4194319", "--size", "2", "--mode", "general"],
+        ["compare", "--p-list", "primes.txt", "--m", "2", "--out", "c.csv"],
+    ], ids=["optimize", "compare"])
+    def test_descent_table_cap_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "primes.txt").write_text("13\n4194319\n")
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, stdout) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error:") and "2^22" in err
+        assert not (tmp_path / "c.csv").exists()
 
 
 class TestSimulate:
@@ -475,7 +492,8 @@ def test_module_form_writes_what_main_writes(tmp_path, capsys):
 
 
 # gen (but not --method gap), circuit --stats and --emit-qasm do integer
-# work only; starting numpy would cost them more than the work itself
+# work only, and simulate --j sums d cosines; starting numpy would cost
+# them more than the work itself
 NUMPY_FREE = {
     "import": None,
     "gen-cyclic": ["gen", "--method", "cyclic", "--p", "1000003", "--d", "64", "--out", "o.json"],
@@ -489,6 +507,7 @@ NUMPY_FREE = {
                     "--stats"],
     "qasm-deep": ["circuit", "--coeffs", "gap.json", "--style", "deep", "--x", "7",
                   "--emit-qasm", "c.qasm"],
+    "simulate-word": ["simulate", "--coeffs", "gap.json", "--j", "12345"],
 }
 
 

@@ -6,9 +6,11 @@ import pytest
 
 from shallowfp.analysis import epsilon_of, roots_of_unity
 from shallowfp.coeffsets import expand_subset_sums, explicit_set
+from shallowfp.zmod import primitive_root
 from shallowfp.optimize import (
     DescentConfig,
     _Evaluator,
+    _log_tables,
     audit_local_optimality,
     compare_experiment,
     coordinate_descent,
@@ -63,9 +65,22 @@ def _oracle_points(p: int, mode: str, rng: np.random.Generator):
         yield np.asarray(res.best_point)  # converged: near-ties are likely
 
 
+class TestLogTables:
+    @pytest.mark.parametrize("p", [2, 3, 5, 31, 577, 1013])
+    def test_entries_are_the_roots_bit_for_bit(self, p):
+        # column j is x = g^j; row v reads T[L[v] + j], in T or as a window row
+        log, T = _log_tables(p)
+        g = primitive_root(p)
+        xs = np.array([pow(g, j, p) for j in range(p - 1)], dtype=np.int64)
+        want = roots_of_unity(p)[np.multiply.outer(np.arange(p), xs) % p]
+        for got in (T[np.add.outer(log, np.arange(p - 1))],
+                    _Evaluator(p, "general")._rows_of[log]):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestPrunedSearch:
     @pytest.mark.parametrize("mode", ["general", "shallow"])
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 101, 1013])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 101, 577, 1013])
     def test_matches_full_table_bit_for_bit(self, p, mode):
         rng = np.random.default_rng(p)
         evaluator = _Evaluator(p, mode)
