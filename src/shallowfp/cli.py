@@ -244,7 +244,7 @@ def build_parser() -> _Parser:
     g.add_argument("--m", type=_int_at_least(1))
     g.add_argument("--eps", type=float)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--max-tries", type=int, default=1000)
+    g.add_argument("--max-tries", type=_int_at_least(1), default=1000)
     g.add_argument("--out")
     g.set_defaults(func=_cmd_gen)
 

@@ -69,7 +69,25 @@ is not exact in floating point and could flip near-ties.
 The gathered rows W[(k_j x) mod p] of the current point (1 + row in
 shallow mode) are cached between moves; a move regathers only the rows of
 coordinates that changed.  The rest-sum is still the sum (or the ordered
-product) of those rows, bit for bit the same.
+product) of those rows, bit for bit the same.  In general mode the sum of
+all rows is cached too and dropped whenever a row is regathered, so the
+rest-sum sum - row_i is the same array from the same rows.
+
+Move reuse.  A descent run keeps every move it computed, keyed by the
+point's values and the coordinate, and a state that repeats takes its
+move from there; it still counts p evaluations, so only
+``rows_evaluated`` falls.  States repeat in the confirming sweep after
+the last move, and where a shallow run spins in a cycle of points whose
+eps differ in the last bits.  The memo holds one entry per move searched
+and one copy of each point visited.  This is exact because a move is a
+pure function of (p, mode, point, i): the cached rows are keyed by values
+and every rung is deterministic.  In shallow mode a move of coordinate i
+to v also settles i at the moved point: the rest-sum of i is the ordered
+product of the other rows, which the move did not change, so searching i
+again would find (v, best, best), v still the lexmin and the current eps
+the same full-row score.  In general mode the rest-sum is sum - row_i
+with row_i inside the sum, so its rounding depends on row i and no move
+is stored in advance.
 
 Memory per evaluator is the table T (3 (p - 1) complex entries, 74 KB at
 p = 1549) and the logs (p int64), plus per coordinate O(16 p + batch p)
@@ -167,10 +185,11 @@ class _Evaluator:
     reads T at ``np.add.outer`` of logs, so no move multiplies or reduces
     an index mod p.
 
-    The gathered rows of the last point seen are cached and keyed by the
-    point's values: a call regathers only the rows of coordinates that
-    changed since the previous call, so a caller may mutate ``point`` in
-    place, start a new point or change its size.
+    The gathered rows of the last point seen, and in general mode their
+    sum, are cached and keyed by the point's values: a call regathers only
+    the rows of coordinates that changed since the previous call (and then
+    sums again), so a caller may mutate ``point`` in place, start a new
+    point or change its size.
     """
 
     def __init__(self, p: int, mode: str):
@@ -181,6 +200,7 @@ class _Evaluator:
         self.rows_evaluated = 0
         self._point = np.empty(0, dtype=np.int64)  # values the cached rows belong to
         self._rows = np.empty((0, p - 1), dtype=complex)
+        self._sum = None  # general mode: rows.sum(axis=0), until a row is regathered
 
     def _point_rows(self, point: np.ndarray) -> np.ndarray:
         """Rows W[(k_j x) mod p] of ``point`` (1 + row in shallow mode)."""
@@ -192,12 +212,15 @@ class _Evaluator:
             rows = self._rows_of[self.log[point[changed]]]
             self._rows[changed] = rows if self.mode == "general" else 1.0 + rows
             self._point[changed] = point[changed]
+            self._sum = None
         return self._rows
 
     def _rest(self, point: np.ndarray, i: int) -> np.ndarray:
         rows = self._point_rows(point)
         if self.mode == "general":
-            return rows.sum(axis=0) - rows[i]
+            if self._sum is None:
+                self._sum = rows.sum(axis=0)
+            return self._sum - rows[i]
         return np.prod(np.concatenate([rows[:i], rows[i + 1:]]), axis=0)
 
     def _scores(self, rest: np.ndarray, E: np.ndarray, axis: int, size: int) -> np.ndarray:
@@ -299,16 +322,24 @@ def _descend(evaluator: _Evaluator, start: np.ndarray, cfg: DescentConfig
     history: list[tuple[int, float]] = [(0, cur)]
     evaluations = size  # point_eps sweeps one coordinate's worth of work; count once
     sweeps = 0
+    moves: dict[tuple[bytes, int], tuple[int, float, float]] = {}  # see "Move reuse"
+    state = point.tobytes()  # one bytes object per point visited, shared by its keys
     for sweep in range(1, cfg.max_sweeps + 1):
         sweeps = sweep
         improved = False
         for i in range(size):
-            best_v, best, here = evaluator.best_move(point, i)
+            move = moves.get((state, i))
+            if move is None:
+                move = moves[state, i] = evaluator.best_move(point, i)
+            best_v, best, here = move
             evaluations += p
             if best < here:
                 point[i] = best_v
+                state = point.tobytes()
                 cur = min(cur, best)
                 improved = True
+                if evaluator.mode == "shallow":
+                    moves[state, i] = (best_v, best, best)
         history.append((sweep, cur))
         if not improved:
             break

@@ -74,8 +74,11 @@ class TestGen:
     ["optimize", "--p", "31", "--size", "2", "--mode", "general", "--max-sweeps", "0"],
     ["optimize", "--p", "31", "--size", "2", "--mode", "general", "--restarts", "-1"],
     ["compare", "--p-max", "7", "--m", "2", "--restarts", "-1", "--out", "x.csv"],
+    ["gen", "--method", "gap", "--p", "1000003", "--m", "10", "--max-tries", "0"],
+    ["gen", "--method", "gap", "--p", "1000003", "--m", "10", "--max-tries", "-1"],
 ], ids=["compare-m0", "optimize-size0", "cyclic-d0", "random-d0", "gap-m0", "simulate-j-3",
-        "optimize-sweeps0", "optimize-restarts-1", "compare-restarts-1"])
+        "optimize-sweeps0", "optimize-restarts-1", "compare-restarts-1", "gap-max-tries0",
+        "gap-max-tries-1"])
 def test_bad_size_flag_exit_1(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "k.json").write_text(json.dumps({"p": 7, "method": "explicit", "params": {},

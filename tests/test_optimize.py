@@ -6,6 +6,7 @@ import pytest
 
 from shallowfp.analysis import epsilon_of, roots_of_unity
 from shallowfp.coeffsets import expand_subset_sums, explicit_set
+from shallowfp.rng import SplitMix64
 from shallowfp.zmod import primitive_root
 from shallowfp.optimize import (
     DescentConfig,
@@ -51,6 +52,39 @@ def oracle_locally_optimal(p: int, mode: str, point: np.ndarray) -> bool:
     return True
 
 
+def memo_free_descent(p: int, size: int, cfg: DescentConfig,
+                      initial: tuple[int, ...] | None = None):
+    """coordinate_descent without move reuse: every coordinate of every
+    sweep is a fresh best_move.  Returns the best run's (point, eps,
+    sweeps, history), the total evaluations and the rows scored."""
+    evaluator = _Evaluator(p, cfg.mode)
+    rng = SplitMix64(cfg.seed)
+    best, evaluations = None, 0
+    for run in range(cfg.restarts + 1):
+        if run == 0 and initial is not None:
+            point = np.asarray(initial, dtype=np.int64) % p
+        else:
+            point = np.array([rng.in_range(1, p) for _ in range(size)], dtype=np.int64)
+        cur = evaluator.point_eps(point)
+        history = [(0, cur)]
+        evaluations += size
+        for sweep in range(1, cfg.max_sweeps + 1):
+            improved = False
+            for i in range(size):
+                best_v, eps, here = evaluator.best_move(point, i)
+                evaluations += p
+                if eps < here:
+                    point[i] = best_v
+                    cur = min(cur, eps)
+                    improved = True
+            history.append((sweep, cur))
+            if not improved:
+                break
+        if best is None or cur < best[1]:
+            best = (tuple(int(v) for v in point), cur, sweep, history)
+    return best, evaluations, evaluator.rows_evaluated
+
+
 def _oracle_points(p: int, mode: str, rng: np.random.Generator):
     sizes = (1, 2, 8) if mode == "general" else (1, 2, 3)
     for size in sizes:
@@ -92,15 +126,27 @@ class TestPrunedSearch:
 
     @pytest.mark.parametrize("mode", ["general", "shallow"])
     def test_cached_rows_follow_the_point(self, mode):
-        # one evaluator for two start points, each moved in place as _descend does
-        p, size = 101, (4 if mode == "general" else 3)
+        # one evaluator for three start points, each moved in place as _descend
+        # does, the last of another size; the cached rows and the cached
+        # general row-sum give the rest-sum of a fresh gather, bit for bit
+        p = 101
+        sizes = (4, 4, 6) if mode == "general" else (3, 3, 2)
         rng = np.random.default_rng(11)
         evaluator = _Evaluator(p, mode)
         moves = 0
-        for _start in range(2):
+        for size in sizes:
             point = rng.integers(1, p, size)
             for _sweep in range(2):
                 for i in range(size):
+                    rows = evaluator._rows_of[evaluator.log[point]]
+                    if mode == "general":
+                        want = rows.sum(axis=0) - rows[i]
+                    else:
+                        ones = 1.0 + rows
+                        want = np.prod(np.concatenate([ones[:i], ones[i + 1:]]), axis=0)
+                    got = evaluator._rest(point, i)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+                        (mode, point.tolist(), i)
                     move = evaluator.best_move(point, i)
                     assert move == oracle_move(p, mode, point, i), (mode, point.tolist(), i)
                     if move[1] < move[2]:
@@ -127,9 +173,81 @@ class TestPrunedSearch:
         assert not oracle_locally_optimal(p, mode, point)
         assert audit_local_optimality(perturbed) is False
 
+    @pytest.mark.parametrize("p", [31, 151, 307, 577, 1013])
+    def test_shallow_move_settles_its_coordinate(self, p):
+        # after coordinate i moves to best_v, searching i again from the moved
+        # point gives (best_v, best, best): the rest-sum of i is unchanged
+        rng = np.random.default_rng(p)
+        evaluator = _Evaluator(p, "shallow")
+        moves = 0
+        for _start in range(4):
+            point = rng.integers(1, p, 3)
+            for _sweep in range(3):
+                for i in range(3):
+                    best_v, best, here = evaluator.best_move(point, i)
+                    if best < here:
+                        point[i] = best_v
+                        moves += 1
+                        again = _Evaluator(p, "shallow").best_move(point, i)
+                        assert again == (best_v, best, best), (p, point.tolist(), i)
+        assert moves > 0
+
+    def test_general_move_does_not_settle_bit_for_bit(self):
+        # general rest-sums are sum - row_i with row_i inside the sum, so after
+        # a move the same coordinate rescores in other last bits: a descent
+        # must not store (best_v, best, best) for it
+        p = 31
+        rng = np.random.default_rng(p)
+        evaluator = _Evaluator(p, "general")
+        differ = 0
+        for _start in range(4):
+            point = rng.integers(1, p, 8)
+            for i in range(8):
+                best_v, best, here = evaluator.best_move(point, i)
+                if best < here:
+                    point[i] = best_v
+                    differ += _Evaluator(p, "general").best_move(point, i) != (best_v, best, best)
+        assert differ > 0
+
     def test_rows_evaluated_are_a_fraction_of_candidates(self):
         res = coordinate_descent(1013, 8, DescentConfig(seed=7))
         assert 0 < res.rows_evaluated < res.evaluations // 10
+
+
+class TestMoveReuse:
+    @staticmethod
+    def _assert_same(res, ref, evaluations):
+        p, mode = res.best_set.p, res.best_set.params["mode"]
+        point, _, sweeps, history = ref  # the descent's eps is history's last entry
+        want = explicit_set(p, point) if mode == "general" else expand_subset_sums(0, point, p)
+        assert res.best_point == point
+        assert res.best_epsilon.hex() == epsilon_of(want)[0].hex()
+        assert res.sweeps_used == sweeps
+        assert res.evaluations == evaluations
+        assert [(s, e.hex()) for s, e in res.history] == [(s, e.hex()) for s, e in history]
+
+    def test_memo_changes_no_descent(self):
+        # every move of the memo-free loop, at primes where shallow runs spin
+        # (307, 317, 331) and where they converge, in both modes
+        rows, rows_ref = 0, 0
+        for mode, size in (("general", 8), ("shallow", 3)):
+            for p in (151, 307, 317, 331, 577):
+                for seed in range(1, 5):
+                    cfg = DescentConfig(seed, mode=mode, restarts=3)
+                    res = coordinate_descent(p, size, cfg)
+                    ref, evaluations, ref_rows = memo_free_descent(p, size, cfg)
+                    self._assert_same(res, ref, evaluations)
+                    rows, rows_ref = rows + res.rows_evaluated, rows_ref + ref_rows
+        assert rows < rows_ref
+
+    def test_memo_changes_no_descent_up_to_max_sweeps(self):
+        # this spin never revisits a state, so the memo saves no row here
+        cfg = DescentConfig(1, mode="shallow")
+        res = coordinate_descent(317, 3, cfg, initial=(263, 52, 92))
+        ref, evaluations, ref_rows = memo_free_descent(317, 3, cfg, initial=(263, 52, 92))
+        assert res.sweeps_used == cfg.max_sweeps
+        self._assert_same(res, ref, evaluations)
+        assert res.rows_evaluated <= ref_rows
 
 
 class TestMemory:
@@ -150,6 +268,20 @@ class TestMemory:
         assert res.best_set.d == 8
         assert res.best_epsilon == epsilon_of(explicit_set(p, res.best_point))[0]
         assert res.rows_evaluated < res.evaluations
+
+    @pytest.mark.full_scale
+    def test_general_d64_descent_at_p_65537(self):
+        # pinned on the commit before move reuse and the cached row-sum
+        res = coordinate_descent(65537, 64, DescentConfig(seed=7, max_sweeps=2))
+        assert res.best_epsilon.hex() == "0x1.9d5972a6dd2dcp-4"
+        assert res.evaluations == 8388800
+        assert res.best_point == (
+            12066, 38129, 39206, 46320, 36060, 47453, 58491, 48895, 26466, 21354, 64236,
+            36943, 45903, 40243, 5607, 34297, 44591, 22565, 40502, 14073, 48176, 13006,
+            10142, 2137, 52785, 47594, 39611, 14893, 19272, 9246, 35449, 63661, 38345,
+            54483, 36354, 62508, 50545, 41590, 22536, 40540, 3554, 38529, 40001, 19181,
+            54147, 16631, 8113, 49279, 29143, 62185, 10123, 29071, 41299, 62695, 49452,
+            52500, 23871, 50856, 7851, 62787, 64999, 14043, 20107, 26041)
 
 
 class TestGeneralMode:
