@@ -41,7 +41,7 @@ representation counts are exact integer arithmetic throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,29 +77,15 @@ class BoundCheck:
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """The `analyze` report; its fields, in order, are the keys of the JSON."""
     p: int
     d: int
     epsilon: float
     argmax_x: int
-    additive_energy: int
-    fourier_bias: float
+    energy: int  # additive energy
+    bias: float  # Fourier bias
     density: float
-    bound_checks: tuple[BoundCheck, ...] = field(default_factory=tuple)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "d": self.d,
-            "epsilon": self.epsilon,
-            "argmax_x": self.argmax_x,
-            "energy": self.additive_energy,
-            "bias": self.fourier_bias,
-            "density": self.density,
-            "bounds": [
-                {"name": b.name, "lhs": b.lhs, "rhs": b.rhs, "holds": b.holds}
-                for b in self.bound_checks
-            ],
-        }
+    bounds: tuple[BoundCheck, ...] = ()
 
 
 def roots_of_unity(p: int) -> np.ndarray:

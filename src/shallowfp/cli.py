@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import sys
@@ -111,7 +112,7 @@ def _cmd_analyze(args) -> int:
     from . import analysis
     K = _load_coeffs(args.coeffs)
     report = analysis.analyze(K)
-    _write_text(None, _json_dumps(report.to_json_dict()))
+    _write_text(None, _json_dumps(dataclasses.asdict(report)))
     if args.spectrum:
         # the bytes csv.writer wrote: numeric fields unquoted, \r\n line ends
         rows = _format_rows(f"%d,{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT}\r\n",
@@ -146,7 +147,7 @@ def _build_circuit(K: coeffsets.CoefficientSet, style: str, x: int) -> circuit.C
                               "of t0 and generators")
         return circuit.build_shallow(K, x)
     if style == "aikps":
-        if K.method != "aikps" or not isinstance(K.params.get("eps"), (int, float)):
+        if K.method != "aikps" or type(K.params.get("eps")) not in (int, float):  # not bool
             raise DomainError("aikps circuit needs a set generated by --method aikps")
         # rebuilt from (p, eps): R and s_max are not read from the file
         return circuit.build_aikps(coeffsets.gen_aikps(K.p, K.params["eps"]), x)
@@ -181,6 +182,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_compare(args) -> int:
     from . import optimize
+    from .analysis import check_table_size
     if args.p_list:
         with open(args.p_list) as fh:
             entries = [line.strip() for line in fh if line.strip()]
@@ -190,6 +192,10 @@ def _cmd_compare(args) -> int:
             raise UsageError(f"prime list {args.p_list}: {exc}") from None
         primes = [PrimeModulus(n) for n in numbers]
     else:
+        # the largest prime is checked first, so a --p-max above the table
+        # cap ends the run at once instead of after a scan of minutes
+        top = next((n for n in range(args.p_max, 1, -1) if is_prime(n)), 0)
+        check_table_size(top)
         primes = [n for n in range(2, args.p_max + 1) if is_prime(n)]
     if not primes:
         raise UsageError("empty prime list")

@@ -32,9 +32,10 @@ of its columns.
 
 Pruning: an exact ladder.  Each rung bounds a candidate by the same
 formula restricted to some columns x, taken in order of decreasing
-|rest(x)|.  The bound entries are computed with the same elementwise numpy
+|rest(x)|.  A bound's entries are a columns x candidates matrix (the full
+rows are candidates x columns), computed with the same elementwise numpy
 operations as the full row (add or multiply, abs, square in place, divide
-by d*d), and numpy evaluates each of these per element independently of
+by d*d); numpy evaluates each of these per element independently of
 array shape and layout, so every bound entry equals an entry of the full
 row bit for bit.  The maximum over a subset of the columns is then a true
 lower bound on the candidate's eps, with no rounding slack, and a bound
@@ -90,10 +91,11 @@ with row_i inside the sum, so its rounding depends on row i and no move
 is stored in advance.
 
 Memory per evaluator is the table T (3 (p - 1) complex entries, 74 KB at
-p = 1549) and the logs (p int64), plus per coordinate O(16 p + batch p)
-complex entries and the cached size x (p - 1) rows, instead of the
-p (p - 1) table.  p is capped at analysis.TABLE_MAX_P = 2^22, checked
-before anything is allocated.
+p = 1549), the logs (p int64) and the cached rows, size x (p - 1) complex
+entries allocated at construction, plus per move O(16 p + batch p)
+complex entries of scratch, instead of the p (p - 1) table.  Before
+anything is allocated, p is capped at analysis.TABLE_MAX_P = 2^22 and the
+cached rows at 2^26 entries (1 GiB): d = 1024 still fits at p = 65537.
 """
 from __future__ import annotations
 
@@ -143,6 +145,7 @@ _REFINE_MIN, _REFINE_MAX = 64, 8192  # size limits of the ceiling-sized refine s
 _CEILING_SLACK = 1e-9  # relative margin on U(x) >= best, against rounding in U
 _BATCH = 8  # candidates per step of the pruned search
 _REFINE_BATCHES = 8  # batches whose refine bounds one call scores
+_ROWS_MAX = 1 << 26  # cached-row entries an evaluator may hold: 1 GiB of complex
 
 
 def _log_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,28 +188,27 @@ class _Evaluator:
     reads T at ``np.add.outer`` of logs, so no move multiplies or reduces
     an index mod p.
 
-    The gathered rows of the last point seen, and in general mode their
-    sum, are cached and keyed by the point's values: a call regathers only
-    the rows of coordinates that changed since the previous call (and then
-    sums again), so a caller may mutate ``point`` in place, start a new
-    point or change its size.
+    An evaluator serves points of one size, fixed at construction with d
+    (size in general mode, 2^size in shallow mode).  The gathered rows of
+    the last point seen, and in general mode their sum, are cached and
+    keyed by the point's values: a call regathers only the rows of
+    coordinates that changed since the previous call (and then sums again),
+    so a caller may mutate ``point`` in place or start a new point.
     """
 
-    def __init__(self, p: int, mode: str):
-        self.p = p
+    def __init__(self, p: int, mode: str, size: int):
         self.mode = mode
+        d = size if mode == "general" else 1 << size
+        self._dd = d * d  # every eps is max |S|^2 / d^2
         self.log, self._T = _log_tables(p)
         self._rows_of = sliding_window_view(self._T, p - 1)
         self.rows_evaluated = 0
-        self._point = np.empty(0, dtype=np.int64)  # values the cached rows belong to
-        self._rows = np.empty((0, p - 1), dtype=complex)
+        self._point = np.full(size, -1, dtype=np.int64)  # values the cached rows belong to
+        self._rows = np.empty((size, p - 1), dtype=complex)
         self._sum = None  # general mode: rows.sum(axis=0), until a row is regathered
 
     def _point_rows(self, point: np.ndarray) -> np.ndarray:
         """Rows W[(k_j x) mod p] of ``point`` (1 + row in shallow mode)."""
-        if point.shape != self._point.shape:
-            self._point = np.full(point.shape, -1, dtype=np.int64)
-            self._rows = np.empty((point.size, self.p - 1), dtype=complex)
         changed = np.flatnonzero(point != self._point)
         if changed.size:
             rows = self._rows_of[self.log[point[changed]]]
@@ -223,7 +225,7 @@ class _Evaluator:
             return self._sum - rows[i]
         return np.prod(np.concatenate([rows[:i], rows[i + 1:]]), axis=0)
 
-    def _scores(self, rest: np.ndarray, E: np.ndarray, axis: int, size: int) -> np.ndarray:
+    def _scores(self, rest: np.ndarray, E: np.ndarray, axis: int) -> np.ndarray:
         """eps of each candidate from its phase entries ``E``, which runs
         over the columns along ``axis`` (``rest`` broadcasts against it).
         The operations run in place, in the operand order of ``rest + E``
@@ -231,56 +233,44 @@ class _Evaluator:
         differently when its operands are swapped."""
         if self.mode == "general":
             np.add(rest, E, out=E)
-            d = size
         else:
             np.add(1.0, E, out=E)
             np.multiply(rest, E, out=E)
-            d = 1 << size
         mags = np.abs(E)
         np.square(mags, out=mags)
-        return mags.max(axis=axis) / (d * d)
+        return mags.max(axis=axis) / self._dd
 
-    def _bound(self, rest: np.ndarray, cols: np.ndarray, logs: np.ndarray,
-               size: int) -> np.ndarray:
+    def _bound(self, rest: np.ndarray, cols: np.ndarray, logs: np.ndarray) -> np.ndarray:
         """eps of the candidates with logs ``logs`` over the columns ``cols``
-        (``rest`` holds the rest-sum there).  The entry matrix keeps its
-        longer axis contiguous -- columns x candidates for many candidates,
-        candidates x columns otherwise -- so numpy's max runs over long rows;
-        its entries are the same either way."""
-        if logs.size > cols.size:
-            return self._scores(rest[:, None], self._T.take(np.add.outer(cols, logs)), 0, size)
-        return self._scores(rest, self._T.take(np.add.outer(logs, cols)), 1, size)
+        (``rest`` holds the rest-sum there), from a columns x candidates
+        matrix of entries."""
+        return self._scores(rest[:, None], self._T.take(np.add.outer(cols, logs)), 0)
 
-    def _full(self, rest: np.ndarray, logs: np.ndarray, size: int) -> np.ndarray:
+    def _full(self, rest: np.ndarray, logs: np.ndarray) -> np.ndarray:
         self.rows_evaluated += logs.size
-        return self._scores(rest, self._rows_of[logs], 1, size)
+        return self._scores(rest, self._rows_of[logs], 1)
 
     def best_move(self, point: np.ndarray, i: int) -> tuple[int, float, float]:
-        size = point.size
         log = self.log
         rest = self._rest(point, i)
         cur_v = int(point[i])
-        cur = float(self._full(rest, log[point[i:i + 1]], size)[0])
+        cur = float(self._full(rest, log[point[i:i + 1]])[0])
         mag = np.abs(rest)
         by_mag = np.argsort(mag)[::-1]  # columns (logs of x), largest |rest| first
         rest_mag, mag = rest[by_mag], mag[by_mag]
         # rung 1: every candidate on the first columns; only a candidate whose
         # bound does not exceed cur can tie or beat the current value
-        bound = self._bound(rest_mag[:_FIRST_COLUMNS], by_mag[:_FIRST_COLUMNS], log, size)
+        bound = self._bound(rest_mag[:_FIRST_COLUMNS], by_mag[:_FIRST_COLUMNS], log)
         cand = np.flatnonzero(bound <= cur)
         cand = cand[cand != cur_v]
         # rung 2: the survivors on more columns, visited in (bound, v) order
-        bound = self._bound(rest_mag[:_BOUND_COLUMNS], by_mag[:_BOUND_COLUMNS],
-                            log[cand], size)
+        bound = self._bound(rest_mag[:_BOUND_COLUMNS], by_mag[:_BOUND_COLUMNS], log[cand])
         keep = np.flatnonzero(bound <= cur)
         keep = keep[np.argsort(bound[keep], kind="stable")]
         cand, bound = cand[keep], bound[keep]
         # rung 3: the columns whose ceiling U(x) reaches best, resized as best
         # falls; one call bounds the next _REFINE_BATCHES batches at once
-        if self.mode == "general":
-            ceiling = (mag + 1.0) ** 2 / (size * size)
-        else:
-            ceiling = 4.0 * mag ** 2 / (1 << 2 * size)
+        ceiling = ((mag + 1.0) ** 2 if self.mode == "general" else 4.0 * mag ** 2) / self._dd
         best, best_v, fine_for = cur, cur_v, None
         n_fine = block_lo = block_hi = 0
         for lo in range(0, cand.size, _BATCH):
@@ -296,13 +286,13 @@ class _Evaluator:
             if lo >= block_hi:
                 block_lo, block_hi = lo, lo + _REFINE_BATCHES * _BATCH
                 ref_block = self._bound(rest_mag[:n_fine], by_mag[:n_fine],
-                                        log[cand[lo:block_hi]], size)
+                                        log[cand[lo:block_hi]])
             batch = cand[lo:lo + _BATCH]
             ref = ref_block[lo - block_lo:lo - block_lo + _BATCH]
             batch = batch[(ref < best) | ((ref == best) & (batch < best_v))]
             if batch.size == 0:
                 continue
-            scores = self._full(rest, log[batch], size)
+            scores = self._full(rest, log[batch])
             low = float(scores.min())
             v = int(batch[scores == low].min())
             if (low, v) < (best, best_v):
@@ -310,29 +300,23 @@ class _Evaluator:
         return best_v, best, cur
 
     def point_eps(self, point: np.ndarray) -> float:
-        return float(self._full(self._rest(point, 0), self.log[point[:1]], point.size)[0])
+        return float(self._full(self._rest(point, 0), self.log[point[:1]])[0])
 
 
 def _descend(evaluator: _Evaluator, start: np.ndarray, cfg: DescentConfig
-             ) -> tuple[np.ndarray, float, int, int, list[tuple[int, float]]]:
+             ) -> tuple[np.ndarray, float, list[tuple[int, float]]]:
     point = start.copy()
-    size = point.size
-    p = evaluator.p
     cur = evaluator.point_eps(point)
     history: list[tuple[int, float]] = [(0, cur)]
-    evaluations = size  # point_eps sweeps one coordinate's worth of work; count once
-    sweeps = 0
     moves: dict[tuple[bytes, int], tuple[int, float, float]] = {}  # see "Move reuse"
     state = point.tobytes()  # one bytes object per point visited, shared by its keys
     for sweep in range(1, cfg.max_sweeps + 1):
-        sweeps = sweep
         improved = False
-        for i in range(size):
+        for i in range(point.size):
             move = moves.get((state, i))
             if move is None:
                 move = moves[state, i] = evaluator.best_move(point, i)
             best_v, best, here = move
-            evaluations += p
             if best < here:
                 point[i] = best_v
                 state = point.tobytes()
@@ -343,7 +327,7 @@ def _descend(evaluator: _Evaluator, start: np.ndarray, cfg: DescentConfig
         history.append((sweep, cur))
         if not improved:
             break
-    return point, cur, sweeps, evaluations, history
+    return point, cur, history
 
 
 def _expand_point(p: int, point: np.ndarray, mode: str) -> CoefficientSet:
@@ -360,6 +344,9 @@ def _check_size(p: int, size: int, mode: str) -> None:
         raise ParameterRangeError("size must be positive")
     if mode == "shallow" and (1 << size) > 4 * p:
         raise ParameterRangeError(f"2^{size} far exceeds p={p}; shallow search is pointless")
+    if size * (p - 1) > _ROWS_MAX:
+        raise ParameterRangeError(f"size {size} at p={p} needs {size * (p - 1)} cached-row "
+                                  f"entries, above the cap of 2^26 (1 GiB)")
 
 
 def coordinate_descent(p: int, size: int, cfg: DescentConfig,
@@ -369,36 +356,37 @@ def coordinate_descent(p: int, size: int, cfg: DescentConfig,
     point (used by exhaustive-start experiments)."""
     p = int(PrimeModulus(p))
     _check_size(p, size, cfg.mode)
-    evaluator = _Evaluator(p, cfg.mode)
+    evaluator = _Evaluator(p, cfg.mode, size)
     rng = SplitMix64(cfg.seed)
 
     def draw_start() -> np.ndarray:
         return np.array([rng.in_range(1, p) for _ in range(size)], dtype=np.int64)
 
     best = None
-    total_evals = 0
+    evaluations = 0
     for run in range(cfg.restarts + 1):
         if run == 0 and initial is not None:
             start = np.asarray(initial, dtype=np.int64) % p
         else:
             start = draw_start()
-        point, cur, sweeps, evals, history = _descend(evaluator, start, cfg)
-        total_evals += evals
+        point, cur, history = _descend(evaluator, start, cfg)
+        # size for the start's eps, then p candidates per coordinate per sweep
+        evaluations += size + (len(history) - 1) * size * p
         if best is None or cur < best[1]:
-            best = (point, cur, sweeps, history)
-    point, _, sweeps, history = best
+            best = (point, cur, history)
+    point, _, history = best
     best_set = _expand_point(p, point, cfg.mode)
     # final value re-measured through the canonical eps path
     best_eps, argmax = epsilon_of(best_set)
     return DescentResult(best_set, tuple(int(v) for v in point), best_eps, argmax,
-                         sweeps, total_evals, evaluator.rows_evaluated, history)
+                         len(history) - 1, evaluations, evaluator.rows_evaluated, history)
 
 
 def audit_local_optimality(result: DescentResult) -> bool:
     """Post-hoc check: no single-coordinate change strictly improves eps.
     The modulus and the mode are read from ``result.best_set``."""
-    evaluator = _Evaluator(int(result.best_set.p), result.best_set.params["mode"])
     point = np.asarray(result.best_point, dtype=np.int64)
+    evaluator = _Evaluator(int(result.best_set.p), result.best_set.params["mode"], point.size)
     for i in range(point.size):
         _, best, here = evaluator.best_move(point, i)
         if best < here:
@@ -426,6 +414,7 @@ def compare_experiment(primes: list[int], m: int, cfg: DescentConfig):
     primes = [int(PrimeModulus(p)) for p in primes]
     for p in primes:
         _check_size(p, m, "shallow")
+        _check_size(p, 1 << m, "general")
     return _compare_records(primes, m, cfg)
 
 

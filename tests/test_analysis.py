@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -149,7 +150,7 @@ class TestEpsilon:
             assert epsilon_of(K) == (eps, x), (int(K.p), K.coefficients[:9])
             assert fourier_bias(K) == bias, (int(K.p), K.coefficients[:9])
             report = analyze(K)
-            assert (report.epsilon, report.argmax_x, report.fourier_bias) == (eps, x, bias)
+            assert (report.epsilon, report.argmax_x, report.bias) == (eps, x, bias)
 
     def test_table_size_cap(self):
         K = explicit_set(4194319, [1, 2, 3])  # the smallest prime above 2^22
@@ -326,12 +327,12 @@ class TestAnalyzeReport:
         fp = gen_gap(1013, 3, seed=1)
         report = analyze(fp.expanded)
         assert report.d == 8
-        assert report.additive_energy == 6 ** 3
-        assert report.epsilon == pytest.approx((1013 / 8 * report.fourier_bias) ** 2, rel=1e-9)
+        assert report.energy == 6 ** 3
+        assert report.epsilon == pytest.approx((1013 / 8 * report.bias) ** 2, rel=1e-9)
         # the GAP check compares epsilon = sqrt(eps), not eps, with sqrt(p/d)
-        (gap_check,) = [c for c in report.bound_checks if "sqrt(p/d)" in c.name]
+        (gap_check,) = [c for c in report.bounds if "sqrt(p/d)" in c.name]
         assert gap_check.lhs ** 2 == pytest.approx(report.epsilon, rel=1e-12)
         assert gap_check.rhs == gap_epsilon_bound(1013, 3)
-        data = report.to_json_dict()
+        data = dataclasses.asdict(report)
         assert list(data) == ["p", "d", "epsilon", "argmax_x", "energy", "bias",
                               "density", "bounds"]

@@ -101,8 +101,16 @@ def test_bad_size_flag_exit_1(tmp_path, capsys, monkeypatch, argv):
     (["gen", "--method", "aikps", "--p", "1013", "--eps", "8"], "AIKPS size bound"),
     (["optimize", "--p", "7", "--size", "20", "--mode", "shallow"], "far exceeds"),
     (["compare", "--p-max", "7", "--m", "4", "--out", "x.csv"], "far exceeds"),
+    # the least prime above 2^22, and far above it: refused before the prime scan
+    (["compare", "--p-max", "4194319", "--m", "3", "--out", "x.csv"], "p = 4194319 exceeds"),
+    (["compare", "--p-max", "100000000", "--m", "3", "--out", "x.csv"], "exceeds the cap"),
+    # 3.02 GiB and 256 GiB of cached rows, refused before any start is drawn
+    (["optimize", "--p", "1013", "--size", "200000", "--mode", "general"], "cached-row"),
+    (["compare", "--p-list", "primes.txt", "--m", "18", "--out", "x.csv"], "cached-row"),
 ], ids=["gap-m17", "cyclic-d9", "aikps-eps-1", "analyze-range", "shallow-17-generators",
-        "p-above-2^63", "aikps-eps-8", "optimize-shallow-size20", "compare-m4"])
+        "p-above-2^63", "aikps-eps-8", "optimize-shallow-size20", "compare-m4",
+        "compare-p-max-4194319", "compare-p-max-1e8", "optimize-general-size200000",
+        "compare-m18"])
 def test_out_of_range_exit_2(tmp_path, capsys, monkeypatch, argv, needle):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "range.json").write_text(json.dumps({"p": 7, "method": "explicit",
@@ -110,7 +118,10 @@ def test_out_of_range_exit_2(tmp_path, capsys, monkeypatch, argv, needle):
     (tmp_path / "wide.json").write_text(json.dumps({"p": 1000003, "method": "gap", "params": {},
                                                     "coefficients": [0], "t0": 0,
                                                     "generators": list(range(1, 18))}))
+    (tmp_path / "primes.txt").write_text("65537\n")
+    start = time.perf_counter()
     code, stdout, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0  # refused before any long scan or allocation
     assert code == 2
     assert stdout == ""
     assert err.count("\n") == 1 and err.startswith("error:") and needle in err
@@ -300,9 +311,10 @@ class TestCircuit:
         assert err.count("\n") == 1 and "subset sums" in err
 
     @pytest.mark.parametrize("style,params", [("aikps", {"eps": "0.5"}),
-                                              ("shallow", {"t0": 0, "T": "ab"})])
+                                              ("shallow", {"t0": 0, "T": "ab"}),
+                                              ("aikps", {"eps": True})])
     def test_builder_params_from_file_are_checked(self, tmp_path, capsys, style, params):
-        # a mistyped eps, or generators hidden in "params" instead of their
+        # a mistyped eps (a bool too), or generators hidden in "params" instead of their
         # own field, end in one line instead of a TypeError
         kpath = tmp_path / "k.json"
         kpath.write_text(json.dumps({"p": 13, "method": style, "params": params,

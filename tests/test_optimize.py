@@ -57,7 +57,7 @@ def memo_free_descent(p: int, size: int, cfg: DescentConfig,
     """coordinate_descent without move reuse: every coordinate of every
     sweep is a fresh best_move.  Returns the best run's (point, eps,
     sweeps, history), the total evaluations and the rows scored."""
-    evaluator = _Evaluator(p, cfg.mode)
+    evaluator = _Evaluator(p, cfg.mode, size)
     rng = SplitMix64(cfg.seed)
     best, evaluations = None, 0
     for run in range(cfg.restarts + 1):
@@ -108,7 +108,7 @@ class TestLogTables:
         xs = np.array([pow(g, j, p) for j in range(p - 1)], dtype=np.int64)
         want = roots_of_unity(p)[np.multiply.outer(np.arange(p), xs) % p]
         for got in (T[np.add.outer(log, np.arange(p - 1))],
-                    _Evaluator(p, "general")._rows_of[log]):
+                    _Evaluator(p, "general", 1)._rows_of[log]):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -117,24 +117,28 @@ class TestPrunedSearch:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 101, 577, 1013])
     def test_matches_full_table_bit_for_bit(self, p, mode):
         rng = np.random.default_rng(p)
-        evaluator = _Evaluator(p, mode)
+        evaluators = {}  # one per size, shared by the points of that size
         for point in _oracle_points(p, mode, rng):
             point = point.astype(np.int64)
+            if point.size not in evaluators:
+                evaluators[point.size] = _Evaluator(p, mode, point.size)
+            evaluator = evaluators[point.size]
             for i in range(point.size):
                 assert evaluator.best_move(point, i) == oracle_move(p, mode, point, i), \
                     (p, mode, point.tolist(), i)
 
     @pytest.mark.parametrize("mode", ["general", "shallow"])
     def test_cached_rows_follow_the_point(self, mode):
-        # one evaluator for three start points, each moved in place as _descend
-        # does, the last of another size; the cached rows and the cached
-        # general row-sum give the rest-sum of a fresh gather, bit for bit
+        # one evaluator per size for three start points, each moved in place as
+        # _descend does; the cached rows and the cached general row-sum give
+        # the rest-sum of a fresh gather, bit for bit
         p = 101
         sizes = (4, 4, 6) if mode == "general" else (3, 3, 2)
         rng = np.random.default_rng(11)
-        evaluator = _Evaluator(p, mode)
+        evaluators = {size: _Evaluator(p, mode, size) for size in set(sizes)}
         moves = 0
         for size in sizes:
+            evaluator = evaluators[size]
             point = rng.integers(1, p, size)
             for _sweep in range(2):
                 for i in range(size):
@@ -158,7 +162,7 @@ class TestPrunedSearch:
     def test_point_eps_is_the_current_row(self, mode):
         point = np.array([3, 17, 40], dtype=np.int64)
         eps = full_table_candidate_eps(101, mode, point, 0)
-        assert _Evaluator(101, mode).point_eps(point) == eps[point[0]]
+        assert _Evaluator(101, mode, 3).point_eps(point) == eps[point[0]]
 
     @pytest.mark.parametrize("mode", ["general", "shallow"])
     def test_audit_agrees_with_oracle(self, mode):
@@ -178,7 +182,7 @@ class TestPrunedSearch:
         # after coordinate i moves to best_v, searching i again from the moved
         # point gives (best_v, best, best): the rest-sum of i is unchanged
         rng = np.random.default_rng(p)
-        evaluator = _Evaluator(p, "shallow")
+        evaluator = _Evaluator(p, "shallow", 3)
         moves = 0
         for _start in range(4):
             point = rng.integers(1, p, 3)
@@ -188,7 +192,7 @@ class TestPrunedSearch:
                     if best < here:
                         point[i] = best_v
                         moves += 1
-                        again = _Evaluator(p, "shallow").best_move(point, i)
+                        again = _Evaluator(p, "shallow", 3).best_move(point, i)
                         assert again == (best_v, best, best), (p, point.tolist(), i)
         assert moves > 0
 
@@ -198,7 +202,7 @@ class TestPrunedSearch:
         # must not store (best_v, best, best) for it
         p = 31
         rng = np.random.default_rng(p)
-        evaluator = _Evaluator(p, "general")
+        evaluator = _Evaluator(p, "general", 8)
         differ = 0
         for _start in range(4):
             point = rng.integers(1, p, 8)
@@ -206,7 +210,8 @@ class TestPrunedSearch:
                 best_v, best, here = evaluator.best_move(point, i)
                 if best < here:
                     point[i] = best_v
-                    differ += _Evaluator(p, "general").best_move(point, i) != (best_v, best, best)
+                    differ += (_Evaluator(p, "general", 8).best_move(point, i)
+                               != (best_v, best, best))
         assert differ > 0
 
     def test_rows_evaluated_are_a_fraction_of_candidates(self):
