@@ -35,42 +35,54 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .coeffsets import CoefficientSet
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str  # "h", "ry" or "cry"
-    target: int
-    angle: float = 0.0
-    controls: tuple[tuple[int, bool], ...] = ()  # (qubit, positive-polarity)
+class Gate(Record):
+    """One gate: ``kind`` is "h", "ry" or "cry"; ``controls`` holds
+    (qubit, positive-polarity) pairs."""
 
-    def __post_init__(self):
-        if self.kind not in ("h", "ry", "cry"):
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind == "cry" and not self.controls:
+    __slots__ = ("kind", "target", "angle", "controls")
+
+    def __init__(self, kind: str, target: int, angle: float = 0.0,
+                 controls: tuple[tuple[int, bool], ...] = ()):
+        if kind not in ("h", "ry", "cry"):
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if kind == "cry" and not controls:
             raise ValueError("cry needs at least one control")
-        if any(c == self.target for c, _ in self.controls):
+        if any(c == target for c, _ in controls):
             raise ValueError("control and target must differ")
-        if not math.isfinite(self.angle):
+        if not math.isfinite(angle):
             raise ValueError("angle must be finite")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "controls", controls)
 
     @property
     def qubits(self) -> tuple[int, ...]:
         return tuple(c for c, _ in self.controls) + (self.target,)
 
 
-@dataclass
-class Circuit:
-    num_qubits: int
-    gates: list[Gate] = field(default_factory=list)
-    label: str = ""
+class Circuit(Record):
+    """A gate list on ``num_qubits`` wires; unlike the other records it grows
+    by `add`, and its fields may be reassigned, so it has no hash."""
+
+    __slots__ = ("num_qubits", "gates", "label")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, num_qubits: int, gates: list[Gate] | None = None, label: str = ""):
+        self.num_qubits = num_qubits
+        self.gates = [] if gates is None else gates
+        self.label = label
 
     def add(self, gate: Gate) -> None:
         if any(q >= self.num_qubits or q < 0 for q in gate.qubits):

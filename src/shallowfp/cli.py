@@ -12,19 +12,20 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import itertools
 import json
 import sys
-import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-# analysis, qfa and optimize are imported by the commands that run them,
-# so gen, circuit and simulate --j start without numpy.
-from . import circuit, coeffsets
+# Modules that only some commands run are imported inside those commands:
+# analysis, qfa and optimize (so gen, circuit and simulate --j start without
+# numpy), circuit, and csv, time and dataclasses (the last imports inspect).
+from . import coeffsets
 from .errors import DomainError
 from .zmod import PrimeModulus, is_prime
+
+if TYPE_CHECKING:
+    from .circuit import Circuit
 
 
 class UsageError(Exception):
@@ -109,6 +110,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    import dataclasses
+
     from . import analysis
     K = _load_coeffs(args.coeffs)
     report = analysis.analyze(K)
@@ -134,7 +137,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _build_circuit(K: coeffsets.CoefficientSet, style: str, x: int) -> circuit.Circuit:
+def _build_circuit(K: coeffsets.CoefficientSet, style: str, x: int) -> Circuit:
+    from . import circuit
     if style == "deep":
         return circuit.build_deep(K, x)
     if style == "shallow":
@@ -155,6 +159,7 @@ def _build_circuit(K: coeffsets.CoefficientSet, style: str, x: int) -> circuit.C
 
 
 def _cmd_circuit(args) -> int:
+    from . import circuit
     K = _load_coeffs(args.coeffs)
     c = _build_circuit(K, args.style, args.x)
     if args.emit_qasm:
@@ -181,7 +186,10 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from . import optimize
+    import csv
+    import time
+
+    from . import circuit, optimize
     from .analysis import check_table_size
     if args.p_list:
         with open(args.p_list) as fh:

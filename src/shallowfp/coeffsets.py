@@ -20,7 +20,6 @@ seeded ones use the SplitMix64 stream documented in rng.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
     GapUnsatisfiableError,
     ParameterRangeError,
 )
+from .record import Record
 from .rng import SplitMix64
 from .zmod import PrimeModulus, is_prime, primitive_root
 
@@ -38,10 +38,16 @@ if TYPE_CHECKING:
 
 _MAX_GAP_DIM = 16
 
-# Cap on floor(hi) * s_max, the AIKPS size bound known before the prime scan
-# (|R| <= floor(hi), so d <= floor(hi) * s_max).  Every benchmark and test set
-# (eps <= 1 at p <= 10^6) lies below it.
-_MAX_AIKPS_BOUND = 1 << 22
+# Cap on the size of every generated set, checked before any draw or scan.
+# AIKPS checks its bound floor(hi) * s_max (|R| <= floor(hi), so
+# d <= floor(hi) * s_max) against it before the prime scan.  Every benchmark
+# and test set (AIKPS eps <= 1 at p <= 10^6) lies below it.
+_MAX_SET_SIZE = 1 << 22
+
+
+def _check_set_size(d: int) -> None:
+    if d > _MAX_SET_SIZE:
+        raise ParameterRangeError(f"set size d={d} exceeds the cap d <= 2^22")
 
 
 def _json_int(data: dict, key: str) -> int:
@@ -59,22 +65,24 @@ def _json_ints(data: dict, key: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
-    """An ordered multiset of rotation coefficients with its provenance."""
+class CoefficientSet(Record):
+    """An ordered multiset of rotation coefficients with its provenance;
+    ``p`` is kept as a `PrimeModulus`."""
 
-    p: PrimeModulus
-    coefficients: tuple[int, ...]
-    method: str = "explicit"
-    params: dict = field(default_factory=dict)
+    __slots__ = ("p", "coefficients", "method", "params")
 
-    def __post_init__(self):
-        if not isinstance(self.p, PrimeModulus):
-            object.__setattr__(self, "p", PrimeModulus(self.p))
-        if len(self.coefficients) == 0:
+    def __init__(self, p: int, coefficients: tuple[int, ...], method: str = "explicit",
+                 params: dict | None = None):
+        if not isinstance(p, PrimeModulus):
+            p = PrimeModulus(p)
+        if len(coefficients) == 0:
             raise ParameterRangeError("coefficient set must be non-empty")
-        if any(not (0 <= k < self.p) for k in self.coefficients):
-            raise ParameterRangeError(f"coefficients must lie in [0, p) for p={int(self.p)}")
+        if any(not (0 <= k < p) for k in coefficients):
+            raise ParameterRangeError(f"coefficients must lie in [0, p) for p={int(p)}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "params", {} if params is None else params)
 
     @property
     def d(self) -> int:
@@ -127,8 +135,7 @@ class CoefficientSet:
                    data.get("method", "explicit"), params)
 
 
-@dataclass(frozen=True)
-class GapFingerprint:
+class GapFingerprint(Record):
     """The result of the proper-GAP search.
 
     ``expanded`` is the subset-sum set A = { t_0 + sum(S) mod p | S subseteq T }
@@ -138,8 +145,11 @@ class GapFingerprint:
     B = { 2 t_0 + sum n_i t_i | n_i in {0,1,2} } is proper mod p.
     """
 
-    expanded: CoefficientSet
-    tries: int
+    __slots__ = ("expanded", "tries")
+
+    def __init__(self, expanded: CoefficientSet, tries: int):
+        object.__setattr__(self, "expanded", expanded)
+        object.__setattr__(self, "tries", tries)
 
 
 def gen_cyclic(p: int, d: int) -> CoefficientSet:
@@ -147,6 +157,7 @@ def gen_cyclic(p: int, d: int) -> CoefficientSet:
     p = PrimeModulus(p)
     if not (1 <= d <= p - 1):
         raise ParameterRangeError(f"cyclic set needs 1 <= d <= p-1, got d={d}, p={int(p)}")
+    _check_set_size(d)
     g = primitive_root(p)
     coeffs = []
     v = 1
@@ -163,8 +174,8 @@ def gen_aikps(p: int, eps: float) -> CoefficientSet:
     (log2 p)^{1+eps}) other than p, which has no inverse mod p, and s over
     1 .. floor((log2 p)^{1+2 eps}); ``params`` holds eps, R (the primes r)
     and s_max.  Sizes whose bound
-    floor((log2 p)^{1+eps}) * s_max exceeds 2^22 are refused before the
-    prime scan.
+    floor((log2 p)^{1+eps}) * s_max exceeds the 2^22 set-size cap are
+    refused before the prime scan.
     """
     p = PrimeModulus(p)
     if not 0 < eps < math.inf:
@@ -176,10 +187,10 @@ def gen_aikps(p: int, eps: float) -> CoefficientSet:
     if fits:
         hi = log2p ** (1.0 + eps)
         s_max = math.floor(log2p ** (1.0 + 2.0 * eps))
-        fits = math.floor(hi) * s_max <= _MAX_AIKPS_BOUND
+        fits = math.floor(hi) * s_max <= _MAX_SET_SIZE
     if not fits:
         raise ParameterRangeError(f"AIKPS size bound floor(hi) * s_max exceeds "
-                                  f"{_MAX_AIKPS_BOUND} for p={int(p)}, eps={eps}")
+                                  f"{_MAX_SET_SIZE} for p={int(p)}, eps={eps}")
     lo = hi / 2.0
     r_primes = tuple(r for r in range(2, math.floor(hi) + 1)
                      if lo < r < hi and r != p and is_prime(r))
@@ -270,7 +281,8 @@ def gen_gap(p: int, m: int, seed: int, max_tries: int = 1000) -> GapFingerprint:
         gens = tuple(rng.in_range(1, p) for _ in range(m))
         if is_proper_gap(t0, gens, p):
             K = expand_subset_sums(t0, gens, p)
-            return GapFingerprint(replace(K, params={**K.params, "seed": seed}), attempt)
+            return GapFingerprint(CoefficientSet(p, K.coefficients, K.method,
+                                                 {**K.params, "seed": seed}), attempt)
     raise GapSearchExhaustedError(
         f"no proper GAP found for p={int(p)}, m={m} in {max_tries} tries (seed {seed})")
 
@@ -280,6 +292,7 @@ def gen_random(p: int, d: int, seed: int) -> CoefficientSet:
     p = PrimeModulus(p)
     if d < 1:
         raise ParameterRangeError("d must be positive")
+    _check_set_size(d)
     rng = SplitMix64(seed)
     coeffs = tuple(rng.in_range(1, p) for _ in range(d))
     return CoefficientSet(p, coeffs, "random", {"seed": seed})

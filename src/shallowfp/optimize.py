@@ -335,7 +335,8 @@ def _expand_point(p: int, point: np.ndarray, mode: str) -> CoefficientSet:
         return CoefficientSet(p, tuple(int(v) for v in point),
                               "optimized", {"mode": "general"})
     expanded = expand_subset_sums(0, [int(v) for v in point], p)
-    return replace(expanded, method="optimized", params={"mode": "shallow", **expanded.params})
+    return CoefficientSet(expanded.p, expanded.coefficients, "optimized",
+                          {"mode": "shallow", **expanded.params})
 
 
 def _check_size(p: int, size: int, mode: str) -> None:

@@ -20,10 +20,10 @@ starts without numpy.  `analysis` re-exports `exp_sum` and `error_prob`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .coeffsets import CoefficientSet
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,10 +44,15 @@ def error_prob(K: CoefficientSet, x: int) -> float:
     return (exp_sum(K, x).real / K.d) ** 2
 
 
-@dataclass(frozen=True)
-class QfaState:
-    coefficients: CoefficientSet
-    amplitudes: np.ndarray  # shape (d, 2): columns are the q_{i,0}, q_{i,1} amplitudes
+class QfaState(Record):
+    """``amplitudes`` has shape (d, 2): its columns are the q_{i,0} and q_{i,1}
+    amplitudes of the d blocks."""
+
+    __slots__ = ("coefficients", "amplitudes")
+
+    def __init__(self, coefficients: CoefficientSet, amplitudes: np.ndarray):
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     def norm(self) -> float:
         return float((self.amplitudes ** 2).sum())

@@ -50,6 +50,26 @@ class TestGateInvariants:
         with pytest.raises(ValueError):
             c.add(Gate("h", 5))
 
+    def test_gate_is_a_hashable_frozen_value(self):
+        g = Gate("cry", 2, 0.5, ((0, True),))
+        assert g == Gate("cry", 2, 0.5, ((0, True),))
+        assert g != Gate("cry", 2, 0.5, ((0, False),)) and g != Gate("cry", 2, 0.25, ((0, True),))
+        assert len({g, Gate("cry", 2, 0.5, ((0, True),)), Gate("h", 0)}) == 2
+        for field in ("kind", "target", "angle", "controls"):
+            with pytest.raises(AttributeError):
+                setattr(g, field, 1)
+        assert g.qubits == (0, 2)
+
+    def test_circuit_equality_follows_its_gates(self):
+        K = gen_gap(1013, 3, seed=1).expanded
+        c = build_shallow(K, 5)
+        assert c == build_shallow(K, 5)
+        assert c != build_shallow(K, 6) and c != build_deep(K, 5)
+        c.label = "relabelled"  # a circuit is mutable, and so unhashable
+        assert c != build_shallow(K, 5)
+        with pytest.raises(TypeError):
+            hash(c)
+
 
 class TestStatevector:
     def test_empty_circuit(self):

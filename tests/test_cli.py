@@ -107,10 +107,15 @@ def test_bad_size_flag_exit_1(tmp_path, capsys, monkeypatch, argv):
     # 3.02 GiB and 256 GiB of cached rows, refused before any start is drawn
     (["optimize", "--p", "1013", "--size", "200000", "--mode", "general"], "cached-row"),
     (["compare", "--p-list", "primes.txt", "--m", "18", "--out", "x.csv"], "cached-row"),
+    # 10^8 coefficients, refused before the first draw; the cyclic modulus is
+    # the largest prime below 2^63, so p - 1 does not bound d
+    (["gen", "--method", "random", "--p", "101", "--d", "100000000"], "exceeds the cap"),
+    (["gen", "--method", "cyclic", "--p", "9223372036854775783", "--d", "100000000"],
+     "exceeds the cap"),
 ], ids=["gap-m17", "cyclic-d9", "aikps-eps-1", "analyze-range", "shallow-17-generators",
         "p-above-2^63", "aikps-eps-8", "optimize-shallow-size20", "compare-m4",
         "compare-p-max-4194319", "compare-p-max-1e8", "optimize-general-size200000",
-        "compare-m18"])
+        "compare-m18", "random-d1e8", "cyclic-d1e8-p-below-2^63"])
 def test_out_of_range_exit_2(tmp_path, capsys, monkeypatch, argv, needle):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "range.json").write_text(json.dumps({"p": 7, "method": "explicit",
@@ -526,8 +531,9 @@ NUMPY_FREE = {
 }
 
 
-@pytest.mark.parametrize("name", list(NUMPY_FREE))
-def test_command_never_imports_numpy(tmp_path, name):
+def modules_after(tmp_path, name) -> set[str]:
+    """The modules a fresh interpreter holds after importing the CLI and
+    running the ``NUMPY_FREE`` entry ``name``, which must exit 0."""
     gap = coeffsets.gen_gap(1000003, 10, 5).expanded
     (tmp_path / "gap.json").write_text(json.dumps(gap.to_json_dict()))
     aikps = coeffsets.gen_aikps(1000003, 0.5)
@@ -536,7 +542,23 @@ def test_command_never_imports_numpy(tmp_path, name):
     script = ("import sys\n"
               "import shallowfp.cli\n"
               f"rc = shallowfp.cli.main({argv!r}) if {argv!r} else 0\n"
-              "print(rc, 'numpy' in sys.modules)\n")
+              "print(rc, *sys.modules)\n")
     result = fresh_python("-c", script, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split()[-2:] == ["0", "False"]
+    rc, *modules = result.stdout.splitlines()[-1].split()
+    assert rc == "0"
+    return set(modules)
+
+
+@pytest.mark.parametrize("name", list(NUMPY_FREE))
+def test_command_never_imports_numpy(tmp_path, name):
+    assert "numpy" not in modules_after(tmp_path, name)
+
+
+@pytest.mark.parametrize("name", list(NUMPY_FREE))
+def test_start_path_loads_only_what_the_command_runs(tmp_path, name):
+    # dataclasses imports inspect; together they cost about 16 ms of every start
+    modules = modules_after(tmp_path, name)
+    assert not modules & {"dataclasses", "inspect", "csv"}
+    if name == "import" or name.startswith("gen-"):
+        assert "shallowfp.circuit" not in modules

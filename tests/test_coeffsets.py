@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import time
 
 import pytest
@@ -50,6 +52,30 @@ class TestCoefficientSet:
         assert isinstance(K.p, PrimeModulus) and K.p == 7
         p = PrimeModulus(7)
         assert CoefficientSet(p, (1, 2)).p is p
+
+    def test_value_equality(self):
+        K = CoefficientSet(7, (1, 2), "random", {"seed": 3})
+        assert K == CoefficientSet(PrimeModulus(7), (1, 2), "random", {"seed": 3})
+        assert K != CoefficientSet(7, (1, 2), "random", {"seed": 4})
+        assert K != CoefficientSet(7, (1, 2), "explicit", {"seed": 3})
+        assert K != CoefficientSet(7, (2, 1), "random", {"seed": 3})
+        assert CoefficientSet(7, (1,)) == CoefficientSet(7, (1,), "explicit", {})
+        assert K != (K.p, K.coefficients, K.method, K.params)
+
+    @pytest.mark.parametrize("field", ["p", "coefficients", "method", "params", "extra"])
+    def test_fields_are_frozen(self, field):
+        K = CoefficientSet(7, (1, 2))
+        with pytest.raises(AttributeError):
+            setattr(K, field, 5)
+        if field != "extra":
+            with pytest.raises(AttributeError):
+                delattr(K, field)
+        assert K == CoefficientSet(7, (1, 2))
+
+    def test_copy_and_pickle_keep_the_value(self):
+        K = gen_gap(1013, 3, seed=1).expanded
+        for back in (copy.copy(K), copy.deepcopy(K), pickle.loads(pickle.dumps(K))):
+            assert back == K and isinstance(back.p, PrimeModulus)
 
 
 class TestCyclic:
@@ -204,6 +230,14 @@ class TestGenGap:
         a = gen_gap(1013, 4, seed=99)
         b = gen_gap(1013, 4, seed=99)
         assert (a.expanded, a.tries) == (b.expanded, b.tries)
+
+    def test_fingerprint_is_a_frozen_value(self):
+        fp = gen_gap(1013, 4, seed=99)
+        assert fp == gen_gap(1013, 4, seed=99)
+        other = gen_gap(1013, 4, seed=98)
+        assert fp != other and fp.expanded.params != other.expanded.params
+        with pytest.raises(AttributeError):
+            fp.tries = 0
 
     def test_unsatisfiable(self):
         with pytest.raises(GapUnsatisfiableError):

@@ -6,6 +6,7 @@ import pytest
 from shallowfp.analysis import epsilon_of, error_prob
 from shallowfp.coeffsets import CoefficientSet, explicit_set, gen_cyclic, gen_random
 from shallowfp.qfa import (
+    QfaState,
     accept_probability,
     acceptance_sweep,
     initial_state,
@@ -35,6 +36,18 @@ class TestInitialState:
         assert np.allclose(s.amplitudes[:, 0], 0.5)
         assert np.allclose(s.amplitudes[:, 1], 0.0)
         assert s.norm() == pytest.approx(1.0, abs=1e-15)
+
+
+class TestQfaState:
+    def test_equality_and_frozen_fields(self):
+        K = explicit_set(7, [1, 2])
+        s = initial_state(K)
+        assert s == QfaState(K, s.amplitudes)
+        # sets that differ in params give unequal states; the arrays are not compared
+        assert s != QfaState(CoefficientSet(7, (1, 2), "random", {"seed": 1}), s.amplitudes)
+        for field in ("coefficients", "amplitudes"):
+            with pytest.raises(AttributeError):
+                setattr(s, field, None)
 
 
 class TestStep:
