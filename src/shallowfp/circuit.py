@@ -125,12 +125,13 @@ def build_deep(K: CoefficientSet, x: int) -> Circuit:
     c = Circuit(m + 1, label=label)
     for q in range(m):
         c.add(Gate("h", q))
+    pairs = [((q, False), (q, True)) for q in range(m)]  # shared by every gate's controls
     for j, k in enumerate(padded.coefficients):
         angle = _reduced_angle(k, x, p)
         if m == 0:
             c.add(Gate("ry", 0, angle))
         else:
-            controls = tuple((q, bool((j >> q) & 1)) for q in range(m))
+            controls = tuple(pair[(j >> q) & 1] for q, pair in enumerate(pairs))
             c.add(Gate("cry", m, angle, controls))
     return c
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 
 # Modules that only some commands run are imported inside those commands:
 # analysis, qfa and optimize (so gen, circuit and simulate --j start without
-# numpy), circuit, and csv, time and dataclasses (the last imports inspect).
+# numpy), circuit, and time and dataclasses (the last imports inspect).
 from . import coeffsets
 from .errors import DomainError
 from .zmod import PrimeModulus, is_prime
@@ -186,7 +186,6 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    import csv
     import time
 
     from . import circuit, optimize
@@ -229,20 +228,19 @@ def _cmd_compare(args) -> int:
             print(json.dumps(line), file=sys.stderr, flush=True)
             records.append(rec)
 
-        writer = csv.writer(out_fh)
-        writer.writerow(["p", "m", "method", "epsilon", "argmax_x", "depth",
-                         "cx_lnn", "sweeps", "evaluations", "seed"])
+        # the bytes csv.writer wrote: numeric fields unquoted, \r\n line ends
+        rows = []
         for rec in records:
             for mode, style, res in (("general", "deep", rec.general),
                                      ("shallow", "shallow", rec.shallow)):
                 built = circuit.stats(_build_circuit(res.best_set, style, res.argmax_x))
-                writer.writerow([rec.p, rec.m, mode, _fmt(res.best_epsilon), res.argmax_x,
-                                 built["depth"], built["cx_lnn"], res.sweeps_used,
-                                 res.evaluations, args.seed])
-        writer = csv.writer(ratios_fh)
-        writer.writerow(["p", "ratio"])
-        for rec in records:
-            writer.writerow([rec.p, _fmt(rec.ratio)])
+                rows.append((rec.p, rec.m, mode, res.best_epsilon, res.argmax_x,
+                             built["depth"], built["cx_lnn"], res.sweeps_used,
+                             res.evaluations, args.seed))
+        out_fh.write("p,m,method,epsilon,argmax_x,depth,cx_lnn,sweeps,evaluations,seed\r\n"
+                     + _format_rows(f"%d,%d,%s,{_FLOAT},%d,%d,%d,%d,%d,%d\r\n", rows))
+        ratios_fh.write("p,ratio\r\n" + _format_rows(f"%d,{_FLOAT}\r\n",
+                                                      ((rec.p, rec.ratio) for rec in records)))
     return 0
 
 

@@ -67,12 +67,12 @@ value first; U only decides how many columns the last rung takes.
 Conjugate symmetry (W[p - r] vs conj(W[r])) is deliberately not used: it
 is not exact in floating point and could flip near-ties.
 
-The gathered rows W[(k_j x) mod p] of the current point (1 + row in
-shallow mode) are cached between moves; a move regathers only the rows of
-coordinates that changed.  The rest-sum is still the sum (or the ordered
-product) of those rows, bit for bit the same.  In general mode the sum of
-all rows is cached too and dropped whenever a row is regathered, so the
-rest-sum sum - row_i is the same array from the same rows.
+The rest-sum reads the point's rows as views of T and copies none.  In
+shallow mode it multiplies the other coordinates' 1 + row in index order,
+as np.prod does.  In general mode it is sum - row_i; the sum of the
+point's rows is cached by the point's values and rebuilt by in-place adds
+in index order, as rows.sum(axis=0) adds them -- except at p = 2, where
+each row is one column that numpy sums pairwise, so the rows are reduced.
 
 Move reuse.  A descent run keeps every move it computed, keyed by the
 point's values and the coordinate, and a state that repeats takes its
@@ -81,7 +81,7 @@ move from there; it still counts p evaluations, so only
 the last move, and where a shallow run spins in a cycle of points whose
 eps differ in the last bits.  The memo holds one entry per move searched
 and one copy of each point visited.  This is exact because a move is a
-pure function of (p, mode, point, i): the cached rows are keyed by values
+pure function of (p, mode, point, i): the cached sum is keyed by values
 and every rung is deterministic.  In shallow mode a move of coordinate i
 to v also settles i at the moved point: the rest-sum of i is the ordered
 product of the other rows, which the move did not change, so searching i
@@ -90,12 +90,12 @@ the same full-row score.  In general mode the rest-sum is sum - row_i
 with row_i inside the sum, so its rounding depends on row i and no move
 is stored in advance.
 
-Memory per evaluator is the table T (3 (p - 1) complex entries, 74 KB at
-p = 1549), the logs (p int64) and the cached rows, size x (p - 1) complex
-entries allocated at construction, plus per move O(16 p + batch p)
-complex entries of scratch, instead of the p (p - 1) table.  Before
-anything is allocated, p is capped at analysis.TABLE_MAX_P = 2^22 and the
-cached rows at 2^26 entries (1 GiB): d = 1024 still fits at p = 65537.
+Memory per evaluator is O(p) at any size: the table T (3 (p - 1) complex
+entries, 74 KB at p = 1549), the logs (p int64), in general mode one
+cached sum of p - 1 entries, and per move O(16 p + batch p) entries of
+scratch.  Before anything is allocated, p is capped at
+analysis.TABLE_MAX_P = 2^22 and size (p - 1), the full-row entries a first
+sweep scores at least, at 2^26: d = 1024 still fits at p = 65537.
 """
 from __future__ import annotations
 
@@ -145,7 +145,7 @@ _REFINE_MIN, _REFINE_MAX = 64, 8192  # size limits of the ceiling-sized refine s
 _CEILING_SLACK = 1e-9  # relative margin on U(x) >= best, against rounding in U
 _BATCH = 8  # candidates per step of the pruned search
 _REFINE_BATCHES = 8  # batches whose refine bounds one call scores
-_ROWS_MAX = 1 << 26  # cached-row entries an evaluator may hold: 1 GiB of complex
+_SWEEP_MAX = 1 << 26  # size * (p - 1): full-row entries a first sweep scores at least
 
 
 def _log_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,11 +189,9 @@ class _Evaluator:
     an index mod p.
 
     An evaluator serves points of one size, fixed at construction with d
-    (size in general mode, 2^size in shallow mode).  The gathered rows of
-    the last point seen, and in general mode their sum, are cached and
-    keyed by the point's values: a call regathers only the rows of
-    coordinates that changed since the previous call (and then sums again),
-    so a caller may mutate ``point`` in place or start a new point.
+    (size in general mode, 2^size in shallow mode).  It holds O(p) entries:
+    a point's rows are views of T, and the general-mode sum is keyed by the
+    point's values, so a caller may mutate ``point`` in place or start anew.
     """
 
     def __init__(self, p: int, mode: str, size: int):
@@ -203,27 +201,26 @@ class _Evaluator:
         self.log, self._T = _log_tables(p)
         self._rows_of = sliding_window_view(self._T, p - 1)
         self.rows_evaluated = 0
-        self._point = np.full(size, -1, dtype=np.int64)  # values the cached rows belong to
-        self._rows = np.empty((size, p - 1), dtype=complex)
-        self._sum = None  # general mode: rows.sum(axis=0), until a row is regathered
-
-    def _point_rows(self, point: np.ndarray) -> np.ndarray:
-        """Rows W[(k_j x) mod p] of ``point`` (1 + row in shallow mode)."""
-        changed = np.flatnonzero(point != self._point)
-        if changed.size:
-            rows = self._rows_of[self.log[point[changed]]]
-            self._rows[changed] = rows if self.mode == "general" else 1.0 + rows
-            self._point[changed] = point[changed]
-            self._sum = None
-        return self._rows
+        self._sum_key = self._sum = None  # general mode: point.tobytes(), sum of its rows
 
     def _rest(self, point: np.ndarray, i: int) -> np.ndarray:
-        rows = self._point_rows(point)
-        if self.mode == "general":
-            if self._sum is None:
-                self._sum = rows.sum(axis=0)
-            return self._sum - rows[i]
-        return np.prod(np.concatenate([rows[:i], rows[i + 1:]]), axis=0)
+        """The rest-sum of coordinate i, from views of T in index order."""
+        rows_of, logs = self._rows_of, self.log[point]
+        if self.mode == "shallow":  # multiplied as np.prod multiplies the rows
+            rest = np.ones(rows_of.shape[1], dtype=complex)
+            for row in np.delete(logs, i):
+                rest *= 1.0 + rows_of[row]
+            return rest
+        key = point.tobytes()
+        if key != self._sum_key:
+            if rows_of.shape[1] == 1:  # p = 2: numpy sums one column pairwise
+                self._sum = rows_of[logs].sum(axis=0)
+            else:  # rows.sum(axis=0) adds whole rows in index order
+                self._sum = np.zeros(rows_of.shape[1], dtype=complex)
+                for row in logs:
+                    self._sum += rows_of[row]
+            self._sum_key = key
+        return self._sum - rows_of[logs[i]]
 
     def _scores(self, rest: np.ndarray, E: np.ndarray, axis: int) -> np.ndarray:
         """eps of each candidate from its phase entries ``E``, which runs
@@ -345,9 +342,9 @@ def _check_size(p: int, size: int, mode: str) -> None:
         raise ParameterRangeError("size must be positive")
     if mode == "shallow" and (1 << size) > 4 * p:
         raise ParameterRangeError(f"2^{size} far exceeds p={p}; shallow search is pointless")
-    if size * (p - 1) > _ROWS_MAX:
-        raise ParameterRangeError(f"size {size} at p={p} needs {size * (p - 1)} cached-row "
-                                  f"entries, above the cap of 2^26 (1 GiB)")
+    if size * (p - 1) > _SWEEP_MAX:
+        raise ParameterRangeError(f"size {size} at p={p} scores {size * (p - 1)} full-row "
+                                  f"entries a sweep, above the cap of 2^26")
 
 
 def coordinate_descent(p: int, size: int, cfg: DescentConfig,

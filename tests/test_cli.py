@@ -104,9 +104,11 @@ def test_bad_size_flag_exit_1(tmp_path, capsys, monkeypatch, argv):
     # the least prime above 2^22, and far above it: refused before the prime scan
     (["compare", "--p-max", "4194319", "--m", "3", "--out", "x.csv"], "p = 4194319 exceeds"),
     (["compare", "--p-max", "100000000", "--m", "3", "--out", "x.csv"], "exceeds the cap"),
-    # 3.02 GiB and 256 GiB of cached rows, refused before any start is drawn
-    (["optimize", "--p", "1013", "--size", "200000", "--mode", "general"], "cached-row"),
-    (["compare", "--p-list", "primes.txt", "--m", "18", "--out", "x.csv"], "cached-row"),
+    # 2.0e8 and 1.7e10 full-row entries a sweep, refused before any start is drawn
+    (["optimize", "--p", "1013", "--size", "200000", "--mode", "general"],
+     "full-row entries a sweep"),
+    (["compare", "--p-list", "primes.txt", "--m", "18", "--out", "x.csv"],
+     "full-row entries a sweep"),
     # 10^8 coefficients, refused before the first draw; the cyclic modulus is
     # the largest prime below 2^63, so p - 1 does not bound d
     (["gen", "--method", "random", "--p", "101", "--d", "100000000"], "exceeds the cap"),

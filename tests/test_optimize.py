@@ -1,5 +1,10 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,34 +134,38 @@ class TestPrunedSearch:
 
     @pytest.mark.parametrize("mode", ["general", "shallow"])
     def test_cached_rows_follow_the_point(self, mode):
-        # one evaluator per size for three start points, each moved in place as
-        # _descend does; the cached rows and the cached general row-sum give
-        # the rest-sum of a fresh gather, bit for bit
-        p = 101
-        sizes = (4, 4, 6) if mode == "general" else (3, 3, 2)
-        rng = np.random.default_rng(11)
-        evaluators = {size: _Evaluator(p, mode, size) for size in set(sizes)}
-        moves = 0
-        for size in sizes:
-            evaluator = evaluators[size]
-            point = rng.integers(1, p, size)
-            for _sweep in range(2):
-                for i in range(size):
-                    rows = evaluator._rows_of[evaluator.log[point]]
-                    if mode == "general":
-                        want = rows.sum(axis=0) - rows[i]
-                    else:
-                        ones = 1.0 + rows
-                        want = np.prod(np.concatenate([ones[:i], ones[i + 1:]]), axis=0)
-                    got = evaluator._rest(point, i)
-                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
-                        (mode, point.tolist(), i)
-                    move = evaluator.best_move(point, i)
-                    assert move == oracle_move(p, mode, point, i), (mode, point.tolist(), i)
-                    if move[1] < move[2]:
-                        point[i] = move[0]
-                        moves += 1
-        assert moves > 0
+        # one evaluator per size for several start points, each moved in place
+        # as _descend does; the rest-sum read from views of the table, with the
+        # cached general row-sum, is the rest-sum of a fresh gather, bit for
+        # bit.  p = 2 has one column, which numpy sums pairwise; size 1024
+        # adds many rows in order
+        sizes = (4, 4, 6, 9, 1024) if mode == "general" else (3, 3, 2)
+        for p in (2, 3, 101):
+            rng = np.random.default_rng(11)  # at p = 101 the first points are as before
+            evaluators = {size: _Evaluator(p, mode, size) for size in set(sizes)}
+            moves = 0
+            for size in sizes:
+                evaluator = evaluators[size]
+                point = rng.integers(1, p, size)
+                for _sweep in range(2):
+                    for i in range(size):
+                        rows = evaluator._rows_of[evaluator.log[point]]
+                        if mode == "general":
+                            want = rows.sum(axis=0) - rows[i]
+                        else:
+                            ones = 1.0 + rows
+                            want = np.prod(np.concatenate([ones[:i], ones[i + 1:]]), axis=0)
+                        got = evaluator._rest(point, i)
+                        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+                            (p, mode, point.tolist(), i)
+                        move = evaluator.best_move(point, i)
+                        assert move == oracle_move(p, mode, point, i), \
+                            (p, mode, point.tolist(), i)
+                        if move[1] < move[2]:
+                            point[i] = move[0]
+                            moves += 1
+            # every shallow start at p = 2 or 3 is already locally optimal
+            assert moves > 0 or (mode == "shallow" and p < 101), p
 
     @pytest.mark.parametrize("mode", ["general", "shallow"])
     def test_point_eps_is_the_current_row(self, mode):
@@ -265,6 +274,53 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_general_evaluator_holds_no_rows_of_the_point(self):
+        # a size x (p - 1) copy of the point's rows alone would take 64 MiB here
+        point = np.random.default_rng(0).integers(1, 4099, 1024)
+        tracemalloc.start()
+        try:
+            evaluator = _Evaluator(4099, "general", 1024)
+            for i in (0, 1):
+                evaluator.best_move(point, i)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.full_scale
+    def test_general_d128_descent_at_p_65537_stays_under_64_mb(self):
+        # in a fresh interpreter, so the peak RSS is this descent's own: VmHWM
+        # belongs to the new process image, while ru_maxrss keeps the peak of
+        # the forking test process.  The point and eps were recorded on the
+        # commit that still cached the point's rows
+        script = (
+            "import json\n"
+            "from shallowfp.optimize import DescentConfig, coordinate_descent\n"
+            "r = coordinate_descent(65537, 128, DescentConfig(seed=7, max_sweeps=2))\n"
+            "status = open('/proc/self/status').read()\n"
+            "hwm = int(status.split('VmHWM:')[1].split()[0])\n"
+            "print(json.dumps([hwm, r.best_epsilon.hex(), r.rows_evaluated, r.best_point]))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        hwm_kib, eps, rows, point = json.loads(out)
+        assert hwm_kib < 64 * 1024
+        assert eps == "0x1.863408c804c37p-5"
+        assert rows == 364
+        assert tuple(point) == (
+            32238, 2403, 24605, 36428, 10373, 20851, 22009, 6230, 58030, 21354, 64236, 25389,
+            45903, 44763, 39376, 34297, 54960, 52710, 20963, 14073, 39200, 13006, 63272, 37120,
+            52785, 47594, 39611, 21600, 32757, 25759, 58768, 49474, 38345, 54483, 36354, 64613,
+            50545, 41590, 22536, 40540, 3554, 34044, 40001, 19181, 54147, 16631, 42512, 49279,
+            39767, 62185, 10123, 10077, 41299, 62695, 31585, 52500, 18447, 50856, 7851, 62787,
+            8848, 8391, 20107, 26041, 49306, 18284, 29897, 3908, 9152, 34412, 38607, 25574,
+            22637, 15718, 45125, 43890, 49731, 19337, 19029, 29804, 30996, 52167, 2910, 47319,
+            6199, 9520, 28919, 61166, 39367, 33294, 7529, 56714, 8778, 45203, 5316, 30447,
+            36525, 38187, 51761, 51404, 588, 22240, 61301, 13462, 467, 46057, 8121, 64870,
+            20611, 23457, 64871, 51043, 41481, 42122, 1069, 60620, 11208, 35145, 63104, 452,
+            38301, 19741, 56563, 54310, 43165, 16404, 38175, 64783)
 
     @pytest.mark.full_scale
     def test_general_descent_at_p_65537(self):
