@@ -10,7 +10,8 @@ is the square of the epsilon of an epsilon-good set:
 
 Bounds on epsilon-good sets are stated in epsilon, and so is the Fourier
 bias (epsilon = (p/d) * bias); `analyze` compares `gap_epsilon_bound`,
-the Parseval ceiling sqrt(p/d), against sqrt(eps).
+sqrt(p/d), against sqrt(eps), a check that is always vacuous for a
+proper GAP.
 
 One kernel computes the exponential sum: `spectrum(K)` returns
 S(x) = sum_j e(k_j x / p) for every x in [0, p), the conjugated length-p
@@ -219,11 +220,14 @@ def _bias_energy_checks(A: CoefficientSet, bias: float, energy: int) -> list[Bou
 
 
 def gap_epsilon_bound(p: int, m: int) -> float:
-    """sqrt(p / 2^m): the claimed ceiling on epsilon = sqrt(eps) for a
-    proper subset-sum set (the Parseval ceiling at d = 2^m).  m = 0 is the
-    one-point set, d = 1.
+    """sqrt(p / 2^m), the bound on epsilon = sqrt(eps) that `analyze`
+    reports for a subset-sum set of d = 2^m sums.  m = 0 is the one-point
+    set, d = 1.
 
-    Reported for comparison only; often vacuous (> 1) at desk scale.
+    Reported for comparison only, and always vacuous for a proper GAP:
+    properness needs 3^m <= p, so d = 2^m < p and sqrt(p/d) > 1 >= epsilon.
+    It can fail only for a subset-sum set with d > p, which is not proper
+    (a hand-written ``gap`` file, say; `gen_gap` returns proper GAPs only).
     """
     if m < 0:
         raise ValueError("m must be nonnegative")

@@ -20,7 +20,7 @@ seeded ones use the SplitMix64 stream documented in rng.py.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     CoefficientFileError,
@@ -32,9 +32,6 @@ from .errors import (
 from .record import Record
 from .rng import SplitMix64
 from .zmod import PrimeModulus, is_prime, primitive_root
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _MAX_GAP_DIM = 16
 
@@ -87,16 +84,6 @@ class CoefficientSet(Record):
     @property
     def d(self) -> int:
         return len(self.coefficients)
-
-    def translated(self, c: int) -> "CoefficientSet":
-        return CoefficientSet(self.p, tuple((k + c) % self.p for k in self.coefficients),
-                              "explicit", {"from": self.method, "shift": c % self.p})
-
-    def dilated(self, c: int) -> "CoefficientSet":
-        if math.gcd(c, self.p) != 1:
-            raise ParameterRangeError("dilation factor must be coprime to p")
-        return CoefficientSet(self.p, tuple(k * c % self.p for k in self.coefficients),
-                              "explicit", {"from": self.method, "dilation": c % self.p})
 
     def to_json_dict(self) -> dict:
         # Field order fixed: p, method, params, coefficients, then optional
@@ -205,45 +192,52 @@ def gen_aikps(p: int, eps: float) -> CoefficientSet:
                           {"eps": eps, "R": list(r_primes), "s_max": s_max})
 
 
-def _half_sums(generators: Sequence[int], p: int) -> np.ndarray:
-    """The 5^len sums sum c_i t_i mod p over c_i in {-2, ..., 2}, as uint64."""
-    import numpy as np
-
-    sums = np.zeros(1, dtype=np.uint64)
-    for t in generators:
-        steps = np.array([c * t % p for c in (-2, -1, 0, 1, 2)], dtype=np.uint64)
-        sums = (sums[:, None] + steps[None, :]).ravel() % np.uint64(p)
-    return sums
-
-
 def is_proper_gap(t0: int, generators: Sequence[int], p: int) -> bool:
     """True iff all 3^m values 2 t_0 + sum n_i t_i (n_i in {0,1,2}) are distinct mod p.
 
     Difference criterion: two values collide iff their digit vectors differ
     by a nonzero c in {-2, ..., 2}^m with sum c_i t_i = 0 mod p, so t_0
-    cancels.  The check is the Horowitz-Sahni split at h = m // 2: the 5^h
-    half-sums of T[:h] and the negated 5^(m-h) half-sums of T[h:] are sorted,
-    and every pair of equal entries is counted (half-sums may repeat, so
-    membership alone would miss collisions).  B is proper iff the count is
-    exactly 1, the pair c = 0.  That is 2 * 5^(m/2) values instead of 3^m.
+    cancels.  The check is an incremental meet in the middle that stops at
+    the first such c.  Generator k joins side k % 2, and each side keeps
+    the sums sum c_i t_i mod p over its generators so far as a list and a
+    set, 0 included.  The sums that generator k adds to its side are those
+    with c_k != 0, so a collision whose last nonzero index is k shows up
+    right then: a + b = 0 with a new on side k % 2 and b on the other side,
+    and the other side's set holds -b = a because it is closed under
+    negation.  By the same symmetry only the c_k = 1 and c_k = 2 sums are
+    looked up; the c_k = -1 and -2 sums are their negations and are only
+    stored.  Generator m - 2 is the last of its side, so its sums go into
+    that side's set alone, without their negations.  The last generator
+    therefore looks up all four nonzero c_k (a new sum a is the negation
+    of a stored sum iff the new sum -a is stored), and it stores nothing.
+    A side holds at most 5^floor(m/2) sums instead of the 3^m values.
 
-    Overflow rule: each c t_i is reduced mod p in Python ints, then the
-    half-sums are added in uint64 and reduced mod p after every generator,
-    so no partial sum reaches 2p; the check is exact for every p < 2^63.
+    Residues are Python ints kept in [0, p), so the check is exact at every p.
     """
     m = len(generators)
     if m < 1:
         raise ParameterRangeError("need at least one generator")
     if m > _MAX_GAP_DIM:
         raise ParameterRangeError(f"GAP dimension capped at {_MAX_GAP_DIM}, got {m}")
-    import numpy as np
-
-    p = int(p)  # numpy promotes uint64 with an int subclass such as PrimeModulus to float64
-    h = m // 2
-    left = np.sort(_half_sums(generators[:h], p))
-    want = np.sort((p - _half_sums(generators[h:], p)) % np.uint64(p))
-    matches = np.searchsorted(left, want, "right") - np.searchsorted(left, want, "left")
-    return int(matches.sum()) == 1
+    sums = ([0], [0])
+    seen = ({0}, {0})
+    for k, t in enumerate(generators):
+        own, other = sums[k % 2], seen[1 - k % 2]
+        shifts = [t % p, 2 * t % p]
+        if k == m - 1:
+            shifts += [-t % p, -2 * t % p]
+        new = []
+        for u in shifts:
+            chunk = [(v + u) % p for v in own]
+            if not other.isdisjoint(chunk):
+                return False
+            new += chunk
+        if k < m - 2:
+            new += [p - v for v in new]  # no new sum is 0, which the other set holds
+            own += new
+        if k < m - 1:
+            seen[k % 2].update(new)
+    return True
 
 
 def expand_subset_sums(t0: int, generators: Sequence[int], p: int) -> CoefficientSet:

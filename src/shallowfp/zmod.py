@@ -2,9 +2,9 @@
 
 Everything here is deterministic integer arithmetic: primality testing,
 factorization and primitive roots.  Moduli are limited to p < 2^63
-(`PrimeModulus` refuses larger ones): `is_prime` is only claimed below that
-bound, and the GAP properness check adds two residues in uint64.  Python
-integers make the 128-bit intermediate products exact for free.
+(`PrimeModulus` refuses larger ones), the bound below which `is_prime` is
+claimed.  Python integers make the 128-bit intermediate products exact for
+free.
 """
 from __future__ import annotations
 

@@ -124,9 +124,11 @@ def test_criterion_3_epsilon_consistency():
             bias = fourier_bias(K)
             assert abs(eps - (p / d * bias) ** 2) <= 1e-9 * max(eps, 1e-30)
             shift = rng.randrange(p)
-            assert abs(epsilon_of(K.translated(shift))[0] - eps) <= 1e-12
+            shifted = explicit_set(p, [k + shift for k in K.coefficients])
+            assert abs(epsilon_of(shifted)[0] - eps) <= 1e-12
             dil = rng.randrange(1, p) if p > 2 else 1
-            assert abs(epsilon_of(K.dilated(dil))[0] - eps) <= 1e-12
+            dilated = explicit_set(p, [dil * k for k in K.coefficients])
+            assert abs(epsilon_of(dilated)[0] - eps) <= 1e-12
 
 
 def _triple_agreement_sets():

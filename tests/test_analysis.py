@@ -161,8 +161,10 @@ class TestEpsilon:
     def test_translation_and_dilation_invariance(self):
         K = gen_random(257, 8, 3)
         eps, _ = epsilon_of(K)
-        assert epsilon_of(K.translated(17))[0] == pytest.approx(eps, abs=1e-12)
-        assert epsilon_of(K.dilated(5))[0] == pytest.approx(eps, abs=1e-12)
+        shifted = explicit_set(K.p, [k + 17 for k in K.coefficients])
+        dilated = explicit_set(K.p, [5 * k for k in K.coefficients])
+        assert epsilon_of(shifted)[0] == pytest.approx(eps, abs=1e-12)
+        assert epsilon_of(dilated)[0] == pytest.approx(eps, abs=1e-12)
 
 
 class TestErrorProb:

@@ -513,11 +513,13 @@ def test_module_form_writes_what_main_writes(tmp_path, capsys):
     assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
 
 
-# gen (but not --method gap), circuit --stats and --emit-qasm do integer
-# work only, and simulate --j sums d cosines; starting numpy would cost
-# them more than the work itself
+# gen (the GAP search included), circuit --stats and --emit-qasm do
+# integer work only, and simulate --j sums d cosines; starting numpy would
+# cost them more than the work itself
 NUMPY_FREE = {
     "import": None,
+    "gen-gap": ["gen", "--method", "gap", "--p", "1000003", "--m", "10", "--seed", "5",
+                "--out", "o.json"],
     "gen-cyclic": ["gen", "--method", "cyclic", "--p", "1000003", "--d", "64", "--out", "o.json"],
     "gen-aikps": ["gen", "--method", "aikps", "--p", "65537", "--eps", "0.5", "--out", "o.json"],
     "gen-random": ["gen", "--method", "random", "--p", "1000003", "--d", "64", "--seed", "3",

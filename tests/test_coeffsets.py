@@ -4,6 +4,7 @@ import json
 import pickle
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,6 +41,35 @@ def brute_proper(t0, T, p, mod):
         v = 2 * t0 + sum(n * t for n, t in zip(digits, T))
         vals.append(v % p if mod else v)
     return len(set(vals)) == len(vals)
+
+
+def numpy_proper_gap(T, p):
+    """Reference: the Horowitz-Sahni sort-and-count check the GAP search
+    used before, on uint64 half-sums reduced after every generator (exact
+    for p < 2^63).  B is proper iff the only equal pair of left half-sums
+    and negated right half-sums is c = 0."""
+    def half_sums(gens):
+        sums = np.zeros(1, dtype=np.uint64)
+        for t in gens:
+            steps = np.array([c * t % p for c in (-2, -1, 0, 1, 2)], dtype=np.uint64)
+            sums = (sums[:, None] + steps[None, :]).ravel() % np.uint64(p)
+        return sums
+
+    h = len(T) // 2
+    left = np.sort(half_sums(T[:h]))
+    want = np.sort((p - half_sums(T[h:])) % np.uint64(p))
+    matches = np.searchsorted(left, want, "right") - np.searchsorted(left, want, "left")
+    return int(matches.sum()) == 1
+
+
+def plant(T, p, relation):
+    """T with its last index j in ``relation`` ({index: c}, c_j = 1) reset
+    so that sum c_i t_i = 0 mod p."""
+    j = max(relation)
+    assert relation[j] == 1
+    T = list(T)
+    T[j] = -sum(c * T[i] for i, c in relation.items() if i != j) % p
+    return T
 
 
 class TestCoefficientSet:
@@ -184,11 +214,44 @@ class TestProperGap:
         assert is_proper_gap(rng.below(p), T, p)
         across = T[:15] + [-T[0] % p]  # t_1 + t_16 = 0: a match across the split
         within = [T[0], 2 * T[0] % p] + T[2:]  # 2 t_1 - t_2 = 0: inside the left half
-        # t_1 + ... + t_16 = 0: a half-sum of 8 residues overflows uint64 unless reduced per step
+        # t_1 + ... + t_16 = 0: a collision that shows up only at the last generator
         spread = T[:15] + [-sum(T[:15]) % p]
         assert not is_proper_gap(0, across, p)
         assert not is_proper_gap(0, within, p)
         assert not is_proper_gap(0, spread, p)
+
+    def test_matches_numpy_reference_on_search_draws(self):
+        # the draws of gen_gap's stream at the benchmark's size, where about
+        # 1 in 130 is proper and the rest collide at varying depths
+        p, m = 1000003, 10
+        rng = SplitMix64(2024)
+        verdicts = []
+        for _ in range(600):
+            t0 = rng.below(p)
+            T = tuple(rng.in_range(1, p) for _ in range(m))
+            verdicts.append(is_proper_gap(t0, T, p))
+            assert verdicts[-1] == numpy_proper_gap(T, p), T
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("m", [12, 14, 16])
+    def test_matches_numpy_reference_on_planted_collisions(self, m):
+        # is_proper_gap puts generator k on side k % 2; each relation ends
+        # at a different step: the last generator, the last step of each
+        # side, and across both sides before those
+        p = 2 ** 61 - 1
+        rng = SplitMix64(m)
+        T = [rng.in_range(1, p) for _ in range(m)]
+        assert is_proper_gap(0, T, p) and numpy_proper_gap(T, p)
+        relations = {
+            "last": {0: 1, 1: -2, m - 1: 1},
+            "side 0": {0: 2, 2: -1, m - 2: 1},
+            "side 1": {1: 1, 3: 2, m - 3: 1},
+            "across": {2: -2, 5: 1, 7: -1, m - 4: 1},
+        }
+        for name, relation in relations.items():
+            planted = plant(T, p, relation)
+            assert not is_proper_gap(0, planted, p), name
+            assert not numpy_proper_gap(planted, p), name
 
     def test_dimension_cap(self):
         with pytest.raises(ParameterRangeError):
