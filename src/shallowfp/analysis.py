@@ -9,9 +9,8 @@ is the square of the epsilon of an epsilon-good set:
     epsilon(K) = (1/d) max_{x != 0} |sum_j e(k_j x / p)|,   eps(K) = epsilon(K)^2.
 
 Bounds on epsilon-good sets are stated in epsilon, and so is the Fourier
-bias (epsilon = (p/d) * bias); `analyze` compares `gap_epsilon_bound`,
-sqrt(p/d), against sqrt(eps), a check that is always vacuous for a
-proper GAP.
+bias (epsilon = (p/d) * bias).  The bound checks `analyze` reports are the
+two inequalities of the bias-energy chain, for sets without repeats.
 
 One kernel computes the exponential sum: `spectrum(K)` returns
 S(x) = sum_j e(k_j x / p) for every x in [0, p), the conjugated length-p
@@ -41,14 +40,13 @@ representation counts are exact integer arithmetic throughout.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffsets import CoefficientSet
 from .errors import ParameterRangeError, TableTooLargeError
-from .qfa import error_prob, exp_sum  # noqa: F401 -- re-exported: the numpy-free closed forms
+from .qfa import error_prob  # noqa: F401 -- re-exported: the numpy-free closed form
 
 # Element count of one chunk of a (rows x d) phase or sum matrix; keeps the
 # direct rescoring and the pairwise-sum enumeration in bounded memory.
@@ -173,13 +171,6 @@ def _rep_count_vector(A: CoefficientSet) -> np.ndarray:
     return out
 
 
-def representation_counts(A: CoefficientSet) -> dict[int, int]:
-    """Map n -> R_n(A) over Z_p, zero entries omitted; sums to d^2."""
-    vec = _rep_count_vector(A)
-    nz = np.flatnonzero(vec)
-    return dict(zip(nz.tolist(), vec[nz].tolist()))
-
-
 def additive_energy(A: CoefficientSet) -> int:
     """E(A) = sum_n R_n(A)^2; quadruple count with a + b = a' + b'."""
     vec = _rep_count_vector(A)
@@ -198,17 +189,11 @@ def fourier_bias(A: CoefficientSet) -> float:
     return _peak(A, spectrum(A))[2]
 
 
-def check_bias_energy_chain(A: CoefficientSet) -> list[BoundCheck]:
+def _bias_energy_checks(A: CoefficientSet, bias: float, energy: int) -> tuple[BoundCheck, ...]:
     """Both inequalities of the bias-energy sandwich for a genuine set A:
 
         ||A||_U^4  <=  E(A,A)/p^3 - (|A|/p)^4  <=  ||A||_U^2 * |A|/p
     """
-    if len(set(A.coefficients)) != A.d:
-        raise ValueError("bias-energy chain applies to sets; multiset has repeats")
-    return _bias_energy_checks(A, fourier_bias(A), additive_energy(A))
-
-
-def _bias_energy_checks(A: CoefficientSet, bias: float, energy: int) -> list[BoundCheck]:
     p = int(A.p)
     prob = A.d / p
     mid = energy / p ** 3 - prob ** 4
@@ -216,26 +201,12 @@ def _bias_energy_checks(A: CoefficientSet, bias: float, energy: int) -> list[Bou
                        bias ** 4 <= mid + _CHAIN_SLACK)
     upper = BoundCheck("E/p^3 - density^4 <= bias^2 * density", mid, bias ** 2 * prob,
                        mid <= bias ** 2 * prob + _CHAIN_SLACK)
-    return [lower, upper]
-
-
-def gap_epsilon_bound(p: int, m: int) -> float:
-    """sqrt(p / 2^m), the bound on epsilon = sqrt(eps) that `analyze`
-    reports for a subset-sum set of d = 2^m sums.  m = 0 is the one-point
-    set, d = 1.
-
-    Reported for comparison only, and always vacuous for a proper GAP:
-    properness needs 3^m <= p, so d = 2^m < p and sqrt(p/d) > 1 >= epsilon.
-    It can fail only for a subset-sum set with d > p, which is not proper
-    (a hand-written ``gap`` file, say; `gen_gap` returns proper GAPs only).
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return math.sqrt(p / 2 ** m)
+    return lower, upper
 
 
 def analyze(K: CoefficientSet) -> AnalysisReport:
-    """Full report: eps, argmax, energy, bias, density, bound checks.
+    """Full report: eps, argmax, energy, bias, density, and for a set
+    without repeats the two checks of the bias-energy chain.
 
     The kernel is built once for eps, argmax and bias, and the energy is
     computed once.
@@ -243,16 +214,8 @@ def analyze(K: CoefficientSet) -> AnalysisReport:
     p = int(K.p)
     eps, argmax, bias = _peak(K, spectrum(K))
     energy = additive_energy(K)
-    checks: list[BoundCheck] = []
-    if len(set(K.coefficients)) == K.d:
-        checks.extend(_bias_energy_checks(K, bias, energy))
-    if K.method == "gap" and "T" in K.params:
-        bound = gap_epsilon_bound(p, len(K.params["T"]))
-        # informational only; the bound is not asserted anywhere
-        epsilon = math.sqrt(eps)
-        checks.append(BoundCheck("epsilon-good: max|S|/d <= sqrt(p/d) [reported only]",
-                                 epsilon, bound, epsilon <= bound))
-    return AnalysisReport(p, K.d, eps, argmax, energy, bias, K.d / p, tuple(checks))
+    checks = _bias_energy_checks(K, bias, energy) if len(set(K.coefficients)) == K.d else ()
+    return AnalysisReport(p, K.d, eps, argmax, energy, bias, K.d / p, checks)
 
 
 def spectrum_rows(K: CoefficientSet):

@@ -89,10 +89,6 @@ class Circuit(Record):
             raise ValueError("gate touches a qubit outside the register")
         self.gates.append(gate)
 
-    @property
-    def style(self) -> str:
-        return self.label.split("[", 1)[0]
-
 
 # Declared linear-nearest-neighbor CX budget per rotation construct.
 CX_PER_CONTROLLED_RY_LNN = 3
@@ -191,7 +187,7 @@ def depth(c: Circuit) -> int:
 def cx_count_lnn(c: Circuit) -> int:
     """Declared LNN CX cost; dispatches on the builder that made the circuit."""
     n_cry = sum(1 for g in c.gates if g.kind == "cry")
-    style = c.style
+    style = c.label.split("[", 1)[0]
     if style == "shallow":
         return n_cry * CX_PER_CONTROLLED_RY_LNN + CX_OVERHEAD_FINAL
     if style == "deep":
@@ -241,17 +237,6 @@ def statevector(c: Circuit) -> np.ndarray:
         mat = h_matrix if gate.kind == "h" else _ry_matrix(gate.angle)
         _apply_2x2(state, mat, gate.target, gate.controls, c.num_qubits)
     return state
-
-
-def fingerprint_blocks(c: Circuit) -> tuple[np.ndarray, np.ndarray]:
-    """(cos-block, sin-block) of the target qubit for deep/shallow circuits.
-
-    Entry j of the cos block is the amplitude on |target=0, controls=j>,
-    i.e. (1/sqrt(d)) cos(2 pi k_{j+1} x / p) when the builder is correct.
-    """
-    sv = statevector(c)
-    half = sv.size // 2
-    return sv[:half], sv[half:]
 
 
 def stats(c: Circuit) -> dict:

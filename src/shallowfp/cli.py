@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
@@ -209,7 +210,7 @@ def _cmd_compare(args) -> int:
 
     cfg = optimize.DescentConfig(seed=args.seed, restarts=args.restarts)
     experiment = optimize.compare_experiment(primes, args.m, cfg)  # checks primes and sizes
-    ratios_path = args.out.rsplit(".", 1)[0] + "_ratios.csv"
+    ratios_path = os.path.splitext(args.out)[0] + "_ratios.csv"
     # both outputs are opened before the first search, so a path that cannot
     # be written ends the run at once rather than after the experiment
     with open(args.out, "w", newline="") as out_fh, \

@@ -380,18 +380,6 @@ def coordinate_descent(p: int, size: int, cfg: DescentConfig,
                          len(history) - 1, evaluations, evaluator.rows_evaluated, history)
 
 
-def audit_local_optimality(result: DescentResult) -> bool:
-    """Post-hoc check: no single-coordinate change strictly improves eps.
-    The modulus and the mode are read from ``result.best_set``."""
-    point = np.asarray(result.best_point, dtype=np.int64)
-    evaluator = _Evaluator(int(result.best_set.p), result.best_set.params["mode"], point.size)
-    for i in range(point.size):
-        _, best, here = evaluator.best_move(point, i)
-        if best < here:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ComparisonRecord:
     p: int

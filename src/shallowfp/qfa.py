@@ -8,14 +8,14 @@ unitary is never materialized since the measured probability only depends
 on that single row.
 
 The acceptance probability after j letters is ((1/d) Re S(j mod p))^2 with
-S the exponential sum of `analysis.spectrum`; `acceptance_sweep` and
-`max_error_sweep` read it from that kernel, and `step` stays the
-independent simulation the tests hold them to.
+S the exponential sum of `analysis.spectrum`; `acceptance_sweep` reads
+it from that kernel, and `step` stays the independent simulation the
+tests hold it to.
 
 One word needs only d cosines: `exp_sum`, `error_prob` and `run_word` are
 pure `math` and live here, and this module loads numpy (and `analysis`)
 only inside the functions that compute with arrays, so `simulate --j`
-starts without numpy.  `analysis` re-exports `exp_sum` and `error_prob`.
+starts without numpy.  `analysis` re-exports `error_prob`.
 """
 from __future__ import annotations
 
@@ -102,10 +102,3 @@ def acceptance_sweep(K: CoefficientSet) -> np.ndarray:
     from .analysis import spectrum
     return (spectrum(K).real / K.d) ** 2
 
-
-def max_error_sweep(K: CoefficientSet) -> tuple[float, int]:
-    """Largest acceptance probability over j in [1, p-1] and the first j
-    attaining it, among the values `acceptance_sweep` returns."""
-    vals = acceptance_sweep(K)
-    j = int(vals[1:].argmax()) + 1
-    return float(vals[j]), j

@@ -6,15 +6,17 @@ Criterion 7 checks that shallow GAP fingerprints (m = 3 generators) come
 close to unconstrained d = 2^m sets: over all primes 11..1013, at least
 80 % of the ratios epsilon_shallow / epsilon_general lie in [0.9, 1.5].
 Here epsilon = sqrt(eps) is the epsilon of an epsilon-good set, the unit
-of `gap_epsilon_bound` and of the Fourier bias, so the test bands
-sqrt(ComparisonRecord.ratio); the record's ratio is eps_shallow /
-eps_general, the square.  With seed 7 and 3 restarts, 154 of the 166
-primes are in band (133 needed).  The epsilon ratio falls as p grows
-(median 1.48 for p <= 200, 1.36 for 700..1013), and all 12 primes out of
-band lie below 200: on primes up to 200 alone only 30 of 42 would be in
-band (34 needed).  The shallow search reaches its global optimum
-(criterion 6, brute force at p = 31), so these ratios are properties of
-the sets, not of the search.
+of the Fourier bias, so the test bands sqrt(ComparisonRecord.ratio); the
+record's ratio is eps_shallow / eps_general, the square.  With seed 7 and
+3 restarts, 154 of the 166 primes are in band (133 needed).  The epsilon
+ratio falls as p grows (median 1.48 for p <= 200, 1.36 for 700..1013),
+and all 12 primes out of band lie below 200: on primes up to 200 alone
+only 30 of 42 would be in band (34 needed).  The shallow search does not
+always reach its global optimum: with these settings it misses the exact
+optimum on 68 of the 166 primes, and with exact optima 155 primes would
+be in band instead of 154.  So these ratios mix properties of the sets
+with misses of the search.  Criterion 6 checks only that the best of all
+p^2 starts at p = 31 is optimal.
 """
 import contextlib
 import math
@@ -24,15 +26,15 @@ import sys
 import numpy as np
 import pytest
 
+from descent_oracle import oracle_locally_optimal
 from qasm_sim import simulate_qasm
+from shallowfp import analysis
 from shallowfp.analysis import (
     additive_energy,
-    check_bias_energy_chain,
+    analyze,
     epsilon_of,
     error_prob,
     fourier_bias,
-    gap_epsilon_bound,
-    representation_counts,
 )
 from shallowfp.circuit import (
     build_aikps,
@@ -41,7 +43,6 @@ from shallowfp.circuit import (
     cx_count_lnn,
     depth,
     emit_qasm,
-    fingerprint_blocks,
     pad_pow2,
     statevector,
 )
@@ -57,11 +58,10 @@ from shallowfp.coeffsets import (
 from shallowfp.errors import GapUnsatisfiableError
 from shallowfp.optimize import (
     DescentConfig,
-    audit_local_optimality,
     compare_experiment,
     coordinate_descent,
 )
-from shallowfp.qfa import accept_probability, initial_state, max_error_sweep, step
+from shallowfp.qfa import accept_probability, acceptance_sweep, initial_state, step
 from shallowfp.zmod import is_prime
 
 
@@ -88,10 +88,10 @@ def test_criterion_1_gap_energy_identity():
             for i, p in enumerate(primes_in(3 ** m, 2000)[-13:]):
                 A = gen_gap(p, m, seed=1000 * m + i).expanded
                 assert is_proper_gap(A.params["t0"], A.params["T"], p)
-                counts = representation_counts(A)
+                counts = analysis._rep_count_vector(A)
                 assert additive_energy(A) == 6 ** m
-                assert sum(v * v for v in counts.values()) == 6 ** m
-                assert max(counts.values()) == 2 ** m
+                assert int(counts @ counts) == 6 ** m
+                assert counts.max() == 2 ** m
                 assert 6 ** m <= 2 ** (3 * m)
                 cases += 1
         assert cases >= 50
@@ -105,7 +105,8 @@ def test_criterion_2_bias_energy_chain():
             p = rng.choice((11, 101, 257))
             size = rng.randint(2, min(16, p - 1))
             A = explicit_set(p, rng.sample(range(p), size))
-            assert all(c.holds for c in check_bias_energy_chain(A))
+            bounds = analyze(A).bounds
+            assert len(bounds) == 2 and all(c.holds for c in bounds)
             done += 1
 
 
@@ -117,7 +118,7 @@ def test_criterion_3_epsilon_consistency():
             d = rng.randint(2, 16)
             K = gen_random(p, d, seed=trial)
             eps, _ = epsilon_of(K)
-            worst, _ = max_error_sweep(K)
+            worst = acceptance_sweep(K)[1:].max()
             assert worst <= eps + 1e-12
             for x in (1, p // 2, p - 1):
                 assert error_prob(K, x) <= eps + 1e-12
@@ -171,7 +172,7 @@ def test_criterion_4_triple_agreement():
                     state = step(state)
                 closed = error_prob(padded, x)
                 assert abs(accept_probability(state) - closed) <= 1e-9
-                cos_block, _ = fingerprint_blocks(build_deep(K, x))
+                cos_block = statevector(build_deep(K, x))[:d]
                 circ_prob = float(cos_block.sum() / math.sqrt(d)) ** 2
                 assert abs(circ_prob - closed) <= 1e-9
 
@@ -205,7 +206,7 @@ def test_criterion_6_coordinate_descent_exhaustive():
                 res = coordinate_descent(p, m, cfg, initial=(t1, t2))
                 eps_values = [e for _, e in res.history]
                 assert all(a >= b for a, b in zip(eps_values, eps_values[1:]))
-                assert audit_local_optimality(res)
+                assert oracle_locally_optimal(p, "shallow", np.asarray(res.best_point))
                 assert res.best_epsilon >= oracle - 1e-12
                 best_found = min(best_found, res.best_epsilon)
         assert abs(best_found - oracle) <= 1e-12
@@ -228,8 +229,6 @@ def test_criterion_8_theorem_parameterization_unsatisfiable():
         assert 3 ** m > p
         with pytest.raises(GapUnsatisfiableError):
             gen_gap(p, m, seed=0)
-        # the sqrt(p/d) ceiling is reported only; vacuous values are allowed
-        assert gap_epsilon_bound(1013, 3) > 1.0
 
 
 def test_criterion_9_qasm_round_trip():

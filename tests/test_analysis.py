@@ -12,19 +12,16 @@ from shallowfp import analysis
 from shallowfp.analysis import (
     additive_energy,
     analyze,
-    check_bias_energy_chain,
     epsilon_of,
     error_prob,
-    exp_sum,
     fourier_bias,
-    gap_epsilon_bound,
-    representation_counts,
     roots_of_unity,
     spectrum,
     spectrum_rows,
 )
 from shallowfp.coeffsets import explicit_set, gen_aikps, gen_gap, gen_random
 from shallowfp.errors import TableTooLargeError
+from shallowfp.qfa import exp_sum
 from shallowfp.zmod import is_prime, primitive_root
 
 
@@ -200,23 +197,25 @@ class TestSpectrum:
 
 
 class TestRepresentationCounts:
+    """The R_n(A) vector that `additive_energy` sums."""
+
     def test_examples(self):
-        assert representation_counts(explicit_set(5, [0])) == {0: 1}
-        assert representation_counts(explicit_set(5, [0, 1])) == {0: 1, 1: 2, 2: 1}
+        assert analysis._rep_count_vector(explicit_set(5, [0])).tolist() == [1, 0, 0, 0, 0]
+        assert analysis._rep_count_vector(explicit_set(5, [0, 1])).tolist() == [1, 2, 1, 0, 0]
 
     def test_sums_to_d_squared(self):
         A = gen_random(101, 7, 2)
-        assert sum(representation_counts(A).values()) == 49
+        assert analysis._rep_count_vector(A).sum() == 49
 
     def test_matches_bruteforce(self):
         A = gen_random(31, 9, 5)
-        assert representation_counts(A) == dict(brute_rep_counts(A))
+        vec = analysis._rep_count_vector(A)
+        assert {n: c for n, c in enumerate(vec.tolist()) if c} == dict(brute_rep_counts(A))
 
     def test_proper_gap_values_are_powers_of_two(self):
-        fp = gen_gap(101, 2, seed=3)
-        counts = representation_counts(fp.expanded)
-        assert set(counts.values()) <= {1, 2, 4}
-        assert max(counts.values()) == 4
+        vec = analysis._rep_count_vector(gen_gap(101, 2, seed=3).expanded)
+        assert set(vec[vec > 0].tolist()) <= {1, 2, 4}
+        assert vec.max() == 4
 
 
 class TestAdditiveEnergy:
@@ -226,7 +225,7 @@ class TestAdditiveEnergy:
 
     def test_equals_sum_of_squared_rep_counts(self):
         A = gen_random(101, 8, 11)
-        assert additive_energy(A) == sum(v * v for v in representation_counts(A).values())
+        assert additive_energy(A) == sum(v * v for v in brute_rep_counts(A).values())
 
     def test_matches_convolution(self):
         rng = random.Random(5)
@@ -234,8 +233,7 @@ class TestAdditiveEnergy:
             for _ in range(10):
                 A = explicit_set(p, [rng.randrange(p) for _ in range(rng.randint(1, 40))])
                 ra = convolve_rep_counts(A)
-                assert representation_counts(A) == {n: c for n, c in enumerate(ra.tolist())
-                                                    if c}
+                assert analysis._rep_count_vector(A).tolist() == ra.tolist()
                 assert additive_energy(A) == sum(c * c for c in ra.tolist())
 
     @pytest.mark.parametrize("multiset", [False, True])
@@ -297,31 +295,23 @@ class TestFourier:
 
 
 class TestBiasEnergyChain:
+    """The two chain checks of `analyze`, for sets without repeats."""
+
     def test_simple_sets(self):
-        checks = check_bias_energy_chain(explicit_set(5, [0, 1]))
-        assert all(c.holds for c in checks)
-        checks = check_bias_energy_chain(explicit_set(7, [0]))
-        assert all(c.holds for c in checks)
+        checks = analyze(explicit_set(5, [0, 1])).bounds
+        assert len(checks) == 2 and all(c.holds for c in checks)
+        checks = analyze(explicit_set(7, [0])).bounds
+        assert len(checks) == 2 and all(c.holds for c in checks)
         assert checks[0].rhs == pytest.approx(1 / 343 - 1 / 2401, abs=1e-15)
 
     def test_rejects_multisets(self):
-        with pytest.raises(ValueError):
-            check_bias_energy_chain(explicit_set(7, [1, 1]))
+        assert analyze(explicit_set(7, [1, 1])).bounds == ()
 
     def test_random_subsets(self):
-        import random
-
         rng = random.Random(0)
         for _ in range(100):
             A = explicit_set(101, rng.sample(range(101), 8))
-            assert all(c.holds for c in check_bias_energy_chain(A))
-
-
-class TestGapEpsilonBound:
-    def test_examples(self):
-        assert gap_epsilon_bound(1013, 3) == pytest.approx(math.sqrt(1013 / 8))
-        assert gap_epsilon_bound(8, 3) == pytest.approx(1.0)
-        assert gap_epsilon_bound(2, 10) == pytest.approx(math.sqrt(2 / 1024))
+            assert all(c.holds for c in analyze(A).bounds)
 
 
 class TestAnalyzeReport:
@@ -331,10 +321,10 @@ class TestAnalyzeReport:
         assert report.d == 8
         assert report.energy == 6 ** 3
         assert report.epsilon == pytest.approx((1013 / 8 * report.bias) ** 2, rel=1e-9)
-        # the GAP check compares epsilon = sqrt(eps), not eps, with sqrt(p/d)
-        (gap_check,) = [c for c in report.bounds if "sqrt(p/d)" in c.name]
-        assert gap_check.lhs ** 2 == pytest.approx(report.epsilon, rel=1e-12)
-        assert gap_check.rhs == gap_epsilon_bound(1013, 3)
+        # a proper GAP is a set, so its report holds exactly the two chain checks
+        assert [(c.name, c.holds) for c in report.bounds] == [
+            ("bias^4 <= E/p^3 - density^4", True),
+            ("E/p^3 - density^4 <= bias^2 * density", True)]
         data = dataclasses.asdict(report)
         assert list(data) == ["p", "d", "epsilon", "argmax_x", "energy", "bias",
                               "density", "bounds"]

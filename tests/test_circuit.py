@@ -15,7 +15,6 @@ from shallowfp.circuit import (
     cx_count_lnn,
     depth,
     emit_qasm,
-    fingerprint_blocks,
     pad_pow2,
     statevector,
     stats,
@@ -102,7 +101,7 @@ class TestDeepBuilder:
     @pytest.mark.parametrize("x", [0, 1, 6, 12])
     def test_fingerprint_amplitudes(self, x):
         K = gen_cyclic(13, 8)
-        cos_block, sin_block = fingerprint_blocks(build_deep(K, x))
+        cos_block, sin_block = np.split(statevector(build_deep(K, x)), 2)
         ref_cos, ref_sin = fingerprint_reference(K.coefficients, 13, x)
         assert np.allclose(cos_block, ref_cos, atol=1e-9)
         assert np.allclose(sin_block, ref_sin, atol=1e-9)
@@ -128,7 +127,7 @@ class TestDeepBuilder:
     def test_matches_closed_form_probability(self):
         K = gen_cyclic(13, 8)
         for x in range(13):
-            cos_block, _ = fingerprint_blocks(build_deep(K, x))
+            cos_block, _ = np.split(statevector(build_deep(K, x)), 2)
             prob = float(cos_block.sum() / math.sqrt(8)) ** 2
             assert prob == pytest.approx(error_prob(K, x), abs=1e-10)
 
@@ -150,7 +149,7 @@ class TestShallowBuilder:
     @pytest.mark.parametrize("x", [0, 1, 17, 30])
     def test_fingerprint_matches_expansion(self, x):
         K = expand_subset_sums(5, (1, 3, 9), 31)
-        cos_block, sin_block = fingerprint_blocks(build_shallow(K, x))
+        cos_block, sin_block = np.split(statevector(build_shallow(K, x)), 2)
         ref_cos, ref_sin = fingerprint_reference(K.coefficients, 31, x)
         assert np.allclose(cos_block, ref_cos, atol=1e-9)
         assert np.allclose(sin_block, ref_sin, atol=1e-9)
@@ -158,10 +157,8 @@ class TestShallowBuilder:
     def test_deep_and_shallow_agree_on_same_set(self):
         K = gen_gap(101, 3, seed=2).expanded
         x = 11
-        deep_cos, deep_sin = fingerprint_blocks(build_deep(K, x))
-        sh_cos, sh_sin = fingerprint_blocks(build_shallow(K, x))
-        assert np.allclose(deep_cos, sh_cos, atol=1e-9)
-        assert np.allclose(deep_sin, sh_sin, atol=1e-9)
+        assert np.allclose(statevector(build_deep(K, x)), statevector(build_shallow(K, x)),
+                           atol=1e-9)
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_depth_m_plus_2(self, m):

@@ -196,14 +196,17 @@ class TestAnalyze:
         assert report["d"] == 3
 
     def test_gap_without_generators(self, tmp_path, capsys):
-        # a one-point set is a 0-dimensional GAP: d = 1, ceiling sqrt(p)
+        # a one-point set is a 0-dimensional GAP: d = 1, and a set, so it
+        # gets the two bias-energy checks and nothing GAP-specific
         kpath = tmp_path / "k.json"
         kpath.write_text(json.dumps({"p": 7, "method": "gap", "params": {},
                                      "coefficients": [3], "t0": 3, "generators": []}))
         code, stdout, err = run(capsys, "analyze", "--coeffs", str(kpath))
         assert (code, err) == (0, "")
-        (gap_check,) = [b for b in json.loads(stdout)["bounds"] if "sqrt(p/d)" in b["name"]]
-        assert gap_check["rhs"] == 7 ** 0.5
+        report = json.loads(stdout)
+        assert report["d"] == 1
+        assert [b["name"] for b in report["bounds"]] == [
+            "bias^4 <= E/p^3 - density^4", "E/p^3 - density^4 <= bias^2 * density"]
 
     def test_spectrum_csv(self, tmp_path, capsys):
         kpath = tmp_path / "k.json"
@@ -374,6 +377,15 @@ class TestCompare:
         assert len(ratios) == 7
         # at p = 2 < 2^m both errors are roundoff; each is clamped at 1e-15
         assert ratios[1] == "2,1"
+
+    def test_ratios_path_keeps_a_dotted_directory(self, tmp_path, capsys):
+        # only the extension of the file name goes: run.d/cmp -> run.d/cmp_ratios.csv
+        (tmp_path / "run.d").mkdir()
+        code, _, _ = run(capsys, "compare", "--p-max", "5", "--m", "2", "--seed", "1",
+                         "--out", str(tmp_path / "run.d" / "cmp"))
+        assert code == 0
+        assert (tmp_path / "run.d" / "cmp_ratios.csv").read_text().startswith("p,ratio")
+        assert not (tmp_path / "run_ratios.csv").exists()
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -212,12 +212,15 @@ class TestProperGap:
         rng = SplitMix64(16)
         T = [rng.in_range(1, p) for _ in range(16)]
         assert is_proper_gap(rng.below(p), T, p)
-        across = T[:15] + [-T[0] % p]  # t_1 + t_16 = 0: a match across the split
-        within = [T[0], 2 * T[0] % p] + T[2:]  # 2 t_1 - t_2 = 0: inside the left half
+        # generator t_{k+1} (index k) is on side k % 2
+        across = T[:15] + [-T[0] % p]  # t_1 + t_16 = 0: sides 0 and 1
+        adjacent = [T[0], 2 * T[0] % p] + T[2:]  # 2 t_1 - t_2 = 0: sides 0 and 1
+        same_side = T[:2] + [2 * T[0] % p] + T[3:]  # 2 t_1 - t_3 = 0: both on side 0
         # t_1 + ... + t_16 = 0: a collision that shows up only at the last generator
         spread = T[:15] + [-sum(T[:15]) % p]
         assert not is_proper_gap(0, across, p)
-        assert not is_proper_gap(0, within, p)
+        assert not is_proper_gap(0, adjacent, p)
+        assert not is_proper_gap(0, same_side, p)
         assert not is_proper_gap(0, spread, p)
 
     def test_matches_numpy_reference_on_search_draws(self):
