@@ -40,13 +40,12 @@ representation counts are exact integer arithmetic throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coeffsets import CoefficientSet
 from .errors import ParameterRangeError, TableTooLargeError
 from .qfa import error_prob  # noqa: F401 -- re-exported: the numpy-free closed form
+from .record import Record
 
 # Element count of one chunk of a (rows x d) phase or sum matrix; keeps the
 # direct rescoring and the pairwise-sum enumeration in bounded memory.
@@ -66,25 +65,19 @@ _RESCORE_WINDOW = 1e-9
 _CHAIN_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    lhs: float
-    rhs: float
-    holds: bool
+class BoundCheck(Record):
+    __slots__ = ("name", "lhs", "rhs", "holds")
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """The `analyze` report; its fields, in order, are the keys of the JSON."""
-    p: int
-    d: int
-    epsilon: float
-    argmax_x: int
-    energy: int  # additive energy
-    bias: float  # Fourier bias
-    density: float
-    bounds: tuple[BoundCheck, ...] = ()
+class AnalysisReport(Record):
+    """The `analyze` report; its fields, in order, are the keys of the JSON.
+    ``energy`` is the additive energy, ``bias`` the Fourier bias, and
+    ``bounds`` a tuple of `BoundCheck`."""
+
+    __slots__ = ("p", "d", "epsilon", "argmax_x", "energy", "bias", "density", "bounds")
+
+    def to_json_dict(self) -> dict:
+        return {**self._asdict(), "bounds": [check._asdict() for check in self.bounds]}
 
 
 def roots_of_unity(p: int) -> np.ndarray:

@@ -60,10 +60,7 @@ class Gate(Record):
             raise ValueError("control and target must differ")
         if not math.isfinite(angle):
             raise ValueError("angle must be finite")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "angle", angle)
-        object.__setattr__(self, "controls", controls)
+        super().__init__(kind, target, angle, controls)
 
     @property
     def qubits(self) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 
 # Modules that only some commands run are imported inside those commands:
 # analysis, qfa and optimize (so gen, circuit and simulate --j start without
-# numpy), circuit, and time and dataclasses (the last imports inspect).
+# numpy), circuit, and time.
 from . import coeffsets
 from .errors import DomainError
 from .zmod import PrimeModulus, is_prime
@@ -111,12 +111,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    import dataclasses
-
     from . import analysis
     K = _load_coeffs(args.coeffs)
     report = analysis.analyze(K)
-    _write_text(None, _json_dumps(dataclasses.asdict(report)))
+    _write_text(None, _json_dumps(report.to_json_dict()))
     if args.spectrum:
         # the bytes csv.writer wrote: numeric fields unquoted, \r\n line ends
         rows = _format_rows(f"%d,{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT}\r\n",
@@ -220,8 +218,8 @@ def _cmd_compare(args) -> int:
         for rec in experiment:
             # one JSON object per prime, flushed as soon as the prime is done
             now = time.perf_counter()
-            line = {"p": rec.p, "eps_general": rec.eps_general,
-                    "eps_shallow": rec.eps_shallow, "ratio": rec.ratio,
+            line = {"p": rec.p, "eps_general": rec.general.best_epsilon,
+                    "eps_shallow": rec.shallow.best_epsilon, "ratio": rec.ratio,
                     "seconds": now - last,
                     "rows_evaluated": rec.general.rows_evaluated + rec.shallow.rows_evaluated,
                     "candidates": rec.general.evaluations + rec.shallow.evaluations}
@@ -235,7 +233,7 @@ def _cmd_compare(args) -> int:
             for mode, style, res in (("general", "deep", rec.general),
                                      ("shallow", "shallow", rec.shallow)):
                 built = circuit.stats(_build_circuit(res.best_set, style, res.argmax_x))
-                rows.append((rec.p, rec.m, mode, res.best_epsilon, res.argmax_x,
+                rows.append((rec.p, args.m, mode, res.best_epsilon, res.argmax_x,
                              built["depth"], built["cx_lnn"], res.sweeps_used,
                              res.evaluations, args.seed))
         out_fh.write("p,m,method,epsilon,argmax_x,depth,cx_lnn,sweeps,evaluations,seed\r\n"

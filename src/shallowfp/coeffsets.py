@@ -76,10 +76,7 @@ class CoefficientSet(Record):
             raise ParameterRangeError("coefficient set must be non-empty")
         if any(not (0 <= k < p) for k in coefficients):
             raise ParameterRangeError(f"coefficients must lie in [0, p) for p={int(p)}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "params", {} if params is None else params)
+        super().__init__(p, coefficients, method, {} if params is None else params)
 
     @property
     def d(self) -> int:
@@ -133,10 +130,6 @@ class GapFingerprint(Record):
     """
 
     __slots__ = ("expanded", "tries")
-
-    def __init__(self, expanded: CoefficientSet, tries: int):
-        object.__setattr__(self, "expanded", expanded)
-        object.__setattr__(self, "tries", tries)
 
 
 def gen_cyclic(p: int, d: int) -> CoefficientSet:
@@ -259,7 +252,11 @@ def gen_gap(p: int, m: int, seed: int, max_tries: int = 1000) -> GapFingerprint:
     """Seeded rejection search for a proper GAP of dimension m in Z_p.
 
     t_0 is drawn uniformly from [0, p), each generator from [1, p); the
-    first draw whose progression B is proper (mod p) is kept.
+    first draw whose progression B is proper (mod p) is kept.  Each of the
+    (5^m - 1)/2 differences c up to sign vanishes mod p with probability
+    about 1/p, so a draw is proper with probability about
+    exp(-(5^m - 1)/(2p)); where that exponent exceeds 50, the search is
+    refused before the first draw.
     """
     p = PrimeModulus(p)
     if not (1 <= m <= _MAX_GAP_DIM):
@@ -269,6 +266,11 @@ def gen_gap(p: int, m: int, seed: int, max_tries: int = 1000) -> GapFingerprint:
             f"hypothesis unsatisfiable in Z_p: 3^{m} = {3 ** m} > p = {int(p)}")
     if max_tries < 1:
         raise ParameterRangeError(f"max_tries must be positive, got {max_tries}")
+    if 5 ** m - 1 > 100 * p:
+        raise ParameterRangeError(
+            f"proper GAP out of reach for p={int(p)}, m={m}: a draw is proper with "
+            f"probability about exp(-(5^m - 1)/(2p)) = exp(-{(5 ** m - 1) / (2 * p):.0f}), "
+            f"and the search is refused when (5^m - 1)/(2p) > 50")
     rng = SplitMix64(seed)
     for attempt in range(1, max_tries + 1):
         t0 = rng.below(p)

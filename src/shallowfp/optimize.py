@@ -99,44 +99,44 @@ sweep scores at least, at 2^26: d = 1024 still fits at p = 65537.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import check_table_size, epsilon_of, roots_of_unity
-from .coeffsets import CoefficientSet, expand_subset_sums
+from .coeffsets import _MAX_GAP_DIM, CoefficientSet, expand_subset_sums
 from .errors import ParameterRangeError
+from .record import Record
 from .rng import SplitMix64
 from .zmod import PrimeModulus, primitive_root
 
 
-@dataclass(frozen=True)
-class DescentConfig:
-    seed: int
-    max_sweeps: int = 100
-    mode: str = "general"  # "general" or "shallow"
-    restarts: int = 0
+class DescentConfig(Record):
+    __slots__ = ("seed", "max_sweeps", "mode", "restarts")
 
-    def __post_init__(self):
-        if self.max_sweeps < 1:
+    def __init__(self, seed: int, max_sweeps: int = 100, mode: str = "general",
+                 restarts: int = 0):
+        if max_sweeps < 1:
             raise ParameterRangeError("max_sweeps must be >= 1")
-        if self.mode not in ("general", "shallow"):
-            raise ParameterRangeError(f"unknown mode {self.mode!r}")
-        if self.restarts < 0:
+        if mode not in ("general", "shallow"):
+            raise ParameterRangeError(f"unknown mode {mode!r}")
+        if restarts < 0:
             raise ParameterRangeError("restarts must be nonnegative")
+        super().__init__(seed, max_sweeps, mode, restarts)
 
 
-@dataclass
-class DescentResult:
-    best_set: CoefficientSet
-    best_point: tuple[int, ...]  # coefficients (general) or generators (shallow)
-    best_epsilon: float
-    argmax_x: int  # smallest x != 0 attaining best_epsilon, as epsilon_of reports it
-    sweeps_used: int
-    evaluations: int  # candidates considered: p per coordinate searched
-    rows_evaluated: int  # full phase rows scored; the rest were pruned by bounds
-    history: list[tuple[int, float]] = field(default_factory=list)
+class DescentResult(Record):
+    """``best_point`` holds the coefficients (general) or generators (shallow),
+    ``argmax_x`` the smallest x != 0 attaining ``best_epsilon`` as epsilon_of
+    reports it, ``evaluations`` the candidates considered (p per coordinate
+    searched), and ``rows_evaluated`` the full phase rows scored; bounds
+    pruned the rest."""
+
+    __slots__ = ("best_set", "best_point", "best_epsilon", "argmax_x", "evaluations",
+                 "rows_evaluated", "history")
+
+    @property
+    def sweeps_used(self) -> int:
+        return len(self.history) - 1
 
 
 _FIRST_COLUMNS = 4  # columns of the bound every candidate gets
@@ -342,6 +342,9 @@ def _check_size(p: int, size: int, mode: str) -> None:
         raise ParameterRangeError("size must be positive")
     if mode == "shallow" and (1 << size) > 4 * p:
         raise ParameterRangeError(f"2^{size} far exceeds p={p}; shallow search is pointless")
+    if mode == "shallow" and size > _MAX_GAP_DIM:
+        raise ParameterRangeError(f"shallow search capped at {_MAX_GAP_DIM} generators, "
+                                  f"got {size}")
     if size * (p - 1) > _SWEEP_MAX:
         raise ParameterRangeError(f"size {size} at p={p} scores {size * (p - 1)} full-row "
                                   f"entries a sweep, above the cap of 2^26")
@@ -377,18 +380,11 @@ def coordinate_descent(p: int, size: int, cfg: DescentConfig,
     # final value re-measured through the canonical eps path
     best_eps, argmax = epsilon_of(best_set)
     return DescentResult(best_set, tuple(int(v) for v in point), best_eps, argmax,
-                         len(history) - 1, evaluations, evaluator.rows_evaluated, history)
+                         evaluations, evaluator.rows_evaluated, history)
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
-    p: int
-    m: int
-    eps_general: float
-    eps_shallow: float
-    ratio: float
-    general: DescentResult
-    shallow: DescentResult
+class ComparisonRecord(Record):
+    __slots__ = ("p", "ratio", "general", "shallow")
 
 
 def compare_experiment(primes: list[int], m: int, cfg: DescentConfig):
@@ -399,15 +395,16 @@ def compare_experiment(primes: list[int], m: int, cfg: DescentConfig):
     1e-15, so two roundoff-level errors (p < 2^m) give 1."""
     primes = [int(PrimeModulus(p)) for p in primes]
     for p in primes:
-        _check_size(p, m, "shallow")
         _check_size(p, 1 << m, "general")
+        _check_size(p, m, "shallow")
     return _compare_records(primes, m, cfg)
 
 
 def _compare_records(primes: list[int], m: int, cfg: DescentConfig):
+    general = DescentConfig(cfg.seed, cfg.max_sweeps, "general", cfg.restarts)
+    shallow = DescentConfig(cfg.seed, cfg.max_sweeps, "shallow", cfg.restarts)
     for p in primes:
-        gen_res = coordinate_descent(p, 1 << m, replace(cfg, mode="general"))
-        sh_res = coordinate_descent(p, m, replace(cfg, mode="shallow"))
-        eps_g, eps_s = gen_res.best_epsilon, sh_res.best_epsilon
-        ratio = max(eps_s, 1e-15) / max(eps_g, 1e-15)
-        yield ComparisonRecord(p, m, eps_g, eps_s, ratio, gen_res, sh_res)
+        gen_res = coordinate_descent(p, 1 << m, general)
+        sh_res = coordinate_descent(p, m, shallow)
+        ratio = max(sh_res.best_epsilon, 1e-15) / max(gen_res.best_epsilon, 1e-15)
+        yield ComparisonRecord(p, ratio, gen_res, sh_res)

@@ -50,10 +50,6 @@ class QfaState(Record):
 
     __slots__ = ("coefficients", "amplitudes")
 
-    def __init__(self, coefficients: CoefficientSet, amplitudes: np.ndarray):
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "amplitudes", amplitudes)
-
     def norm(self) -> float:
         return float((self.amplitudes ** 2).sum())
 

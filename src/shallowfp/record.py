@@ -1,12 +1,12 @@
-"""`Record`, the base of the small value classes that `gen`, `circuit` and
-`simulate --j` build.
+"""`Record`, the base of every value class of the package.
 
-A record's fields are its ``__slots__``, which ``__init__`` sets through
-``object.__setattr__``.  Records of one class compare and hash by their
-fields in slot order, and refuse later assignment.  A frozen dataclass
-gives the same, but the `dataclasses` module imports `inspect`, and the
-two add about 16 ms to the start of a fresh interpreter (Python 3.11,
-2-vCPU VM).
+A record's fields are its ``__slots__``.  The generic ``__init__`` takes
+one positional argument per slot, in slot order; a class that checks its
+arguments or gives them defaults does so in its own ``__init__`` and then
+calls ``super().__init__``.  Records of one class compare and hash by their
+fields in slot order, and refuse later assignment, as frozen data classes
+do; the standard module for those imports `inspect`, and the two add
+about 16 ms to the start of a fresh interpreter (Python 3.11, 2-vCPU VM).
 """
 from __future__ import annotations
 
@@ -14,8 +14,18 @@ from __future__ import annotations
 class Record:
     __slots__ = ()
 
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, "
+                            f"got {len(fields)}")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

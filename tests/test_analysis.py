@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -325,6 +324,7 @@ class TestAnalyzeReport:
         assert [(c.name, c.holds) for c in report.bounds] == [
             ("bias^4 <= E/p^3 - density^4", True),
             ("E/p^3 - density^4 <= bias^2 * density", True)]
-        data = dataclasses.asdict(report)
+        data = report.to_json_dict()
         assert list(data) == ["p", "d", "epsilon", "argmax_x", "energy", "bias",
                               "density", "bounds"]
+        assert [list(check) for check in data["bounds"]] == [["name", "lhs", "rhs", "holds"]] * 2

@@ -356,6 +356,20 @@ class TestOptimize:
         assert len(data["best"]["generators"]) == 2
         assert len(data["best"]["coefficients"]) == 4
 
+    def test_shallow_above_the_generator_cap_exit_2(self, capsys, monkeypatch):
+        # 2^17 <= 4p and 17 (p - 1) <= 2^26, but the expansion takes at most
+        # 16 generators: refused before the evaluator is built
+        from shallowfp import optimize
+
+        def no_evaluator(*args):
+            raise AssertionError("the descent started")
+
+        monkeypatch.setattr(optimize, "_Evaluator", no_evaluator)
+        code, stdout, err = run(capsys, "optimize", "--mode", "shallow", "--size", "17",
+                                "--p", "1000003", "--max-sweeps", "3")
+        assert (code, stdout) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error:") and "capped at 16" in err
+
 
 class TestCompare:
     def test_small_run(self, tmp_path, capsys):
@@ -478,6 +492,26 @@ class TestProperGapChecks:
         assert searches[0].tries == 10
         assert len(checks) == 10 and checks[-1] and not any(checks[:-1])
 
+    def test_hopeless_search_makes_no_draw(self, capsys, monkeypatch):
+        # (5^16 - 1)/(2p) = 1526: a draw is proper with probability about e^-1526
+        def no_check(*args):
+            raise AssertionError("a draw was checked")
+
+        monkeypatch.setattr(coeffsets, "is_proper_gap", no_check)
+        code, stdout, err = run(capsys, "gen", "--method", "gap", "--p", "50000017",
+                                "--m", "16")
+        assert (code, stdout) == (2, "")
+        assert err.count("\n") == 1 and "(5^m - 1)/(2p) > 50" in err
+
+    def test_cutoff_lies_at_50(self, capsys, monkeypatch):
+        # (5^10 - 1)/(2p) is 50.003 at p = 97651 and 49.99 at the next prime
+        checks = count_calls(monkeypatch, "is_proper_gap")
+        code, _, err = run(capsys, "gen", "--method", "gap", "--p", "97651", "--m", "10")
+        assert code == 2 and "> 50" in err and checks == []
+        code, _, err = run(capsys, "gen", "--method", "gap", "--p", "97673", "--m", "10",
+                           "--max-tries", "1")
+        assert code == 2 and "in 1 tries" in err and checks == [False]
+
     def test_shallow_circuit_and_compare_run_no_check(self, tmp_path, capsys, monkeypatch):
         kpath = tmp_path / "k.json"
         run(capsys, "gen", "--method", "gap", "--p", "1013", "--m", "5",
@@ -547,14 +581,22 @@ NUMPY_FREE = {
 }
 
 
-def modules_after(tmp_path, name) -> set[str]:
+# commands that compute with numpy; numpy itself does not import dataclasses
+NUMPY_COMMANDS = {
+    "analyze": ["analyze", "--coeffs", "gap.json", "--spectrum", "s.csv"],
+    "simulate-sweep": ["simulate", "--coeffs", "gap.json", "--sweep", "--out", "s.csv"],
+    "optimize": ["optimize", "--p", "31", "--size", "2", "--mode", "shallow", "--out", "o.json"],
+    "compare": ["compare", "--p-max", "13", "--m", "2", "--out", "c.csv"],
+}
+
+
+def modules_after(tmp_path, argv) -> set[str]:
     """The modules a fresh interpreter holds after importing the CLI and
-    running the ``NUMPY_FREE`` entry ``name``, which must exit 0."""
+    running ``argv`` (None: nothing), which must exit 0."""
     gap = coeffsets.gen_gap(1000003, 10, 5).expanded
     (tmp_path / "gap.json").write_text(json.dumps(gap.to_json_dict()))
     aikps = coeffsets.gen_aikps(1000003, 0.5)
     (tmp_path / "aikps.json").write_text(json.dumps(aikps.to_json_dict()))
-    argv = NUMPY_FREE[name]
     script = ("import sys\n"
               "import shallowfp.cli\n"
               f"rc = shallowfp.cli.main({argv!r}) if {argv!r} else 0\n"
@@ -568,13 +610,19 @@ def modules_after(tmp_path, name) -> set[str]:
 
 @pytest.mark.parametrize("name", list(NUMPY_FREE))
 def test_command_never_imports_numpy(tmp_path, name):
-    assert "numpy" not in modules_after(tmp_path, name)
+    assert "numpy" not in modules_after(tmp_path, NUMPY_FREE[name])
 
 
 @pytest.mark.parametrize("name", list(NUMPY_FREE))
 def test_start_path_loads_only_what_the_command_runs(tmp_path, name):
     # dataclasses imports inspect; together they cost about 16 ms of every start
-    modules = modules_after(tmp_path, name)
+    modules = modules_after(tmp_path, NUMPY_FREE[name])
     assert not modules & {"dataclasses", "inspect", "csv"}
     if name == "import" or name.startswith("gen-"):
         assert "shallowfp.circuit" not in modules
+
+
+@pytest.mark.parametrize("name", list(NUMPY_COMMANDS))
+def test_numpy_commands_never_import_dataclasses(tmp_path, name):
+    modules = modules_after(tmp_path, NUMPY_COMMANDS[name])
+    assert "numpy" in modules and "dataclasses" not in modules

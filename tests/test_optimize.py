@@ -393,8 +393,7 @@ class TestCompareExperiment:
         records = list(compare_experiment([11, 13], 2, cfg))
         assert [r.p for r in records] == [11, 13]
         for r in records:
-            assert r.m == 2
             assert r.ratio == pytest.approx(
-                max(r.eps_shallow, 1e-15) / max(r.eps_general, 1e-15))
+                max(r.shallow.best_epsilon, 1e-15) / max(r.general.best_epsilon, 1e-15))
             assert r.general.best_set.d == 4
             assert len(r.shallow.best_point) == 2
