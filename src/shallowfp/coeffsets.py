@@ -78,6 +78,9 @@ class CoefficientSet(Record):
             raise ParameterRangeError(f"coefficients must lie in [0, p) for p={int(p)}")
         super().__init__(p, coefficients, method, {} if params is None else params)
 
+    def __hash__(self):  # params is a dict; equal sets agree on the other fields
+        return hash((self.p, self.coefficients, self.method))
+
     @property
     def d(self) -> int:
         return len(self.coefficients)

@@ -31,13 +31,17 @@ operand order, and the maximum over a row does not depend on the order
 of its columns.
 
 Pruning: an exact ladder.  Each rung bounds a candidate by the same
-formula restricted to some columns x, taken in order of decreasing
-|rest(x)|.  A bound's entries are a columns x candidates matrix (the full
-rows are candidates x columns), computed with the same elementwise numpy
-operations as the full row (add or multiply, abs, square in place, divide
-by d*d); numpy evaluates each of these per element independently of
-array shape and layout, so every bound entry equals an entry of the full
-row bit for bit.  The maximum over a subset of the columns is then a true
+formula restricted to some columns x, taken from the first half of the
+log order, j < (p-1)/2, in order of decreasing |rest(x)|.  Since
+g^((p-1)/2) = -1, column j + (p-1)/2 is p - x_j, and |S(p - x)| = |S(x)|
+for every sum of phases: the second half would repeat the first half's
+constraints, so each bound column stands for one conjugate pair
+{x, p - x} (p = 2 keeps its one column).  A bound's entries are a
+columns x candidates matrix (the full rows are candidates x columns),
+computed with the same elementwise numpy operations as the full row (add
+or multiply, abs, square in place, divide by d*d); numpy evaluates each
+of these per element independently of array shape and layout, so every
+bound entry equals an entry of the full row bit for bit.  The maximum over a subset of the columns is then a true
 lower bound on the candidate's eps, with no rounding slack, and a bound
 over more columns is never lower.
 
@@ -54,18 +58,23 @@ over more columns is never lower.
    is every column whose ceiling U(x) -- the largest value any candidate
    can reach there, 4 |rest|^2 / d^2 in shallow mode and
    (|rest| + 1)^2 / d^2 in general mode -- is at least the best eps (less
-   a 1e-9 relative margin), at least 64 and at most 8192 columns.  It grows
-   each time the best eps falls.  Where eps is close to 1 (shallow sets at
-   large p) few columns can reach it, and those decide almost every
-   candidate.  One call bounds the next 8 batches on the refine set; they
-   are bounded again only when the set grows or the block runs out, so a
-   move pays a numpy call per block, not per batch, and wastes at most a
-   block when the search stops early.
+   a 1e-9 relative margin), at least 64 and at most 8192 columns, that is
+   conjugate pairs, and never more than the (p-1)/2 of the first half.  It
+   grows each time the best eps falls.  Where eps is close to 1 (shallow
+   sets at large p) few columns can reach it, and those decide almost
+   every candidate.  One call bounds the next 8 batches on the refine
+   set; they are bounded again only when the set grows or the block runs
+   out, so a move pays a numpy call per block, not per batch, and wastes
+   at most a block when the search stops early.
 
 The result is exactly the argmin of the full candidate vector, smallest
 value first; U only decides how many columns the last rung takes.
-Conjugate symmetry (W[p - r] vs conj(W[r])) is deliberately not used: it
-is not exact in floating point and could flip near-ties.
+Conjugate symmetry (W[p - r] vs conj(W[r])) is still not used in scoring:
+it is not exact in floating point and could flip near-ties, so the full
+rows and the current value's eps run over all p - 1 columns.  Choosing
+the bound columns by it is exact all the same: a bound over any subset
+of a full row's exact entries is a true lower bound, so the symmetry only
+decides which columns are worth reading, never a score.
 
 The rest-sum reads the point's rows as views of T and copies none.  In
 shallow mode it multiplies the other coordinates' 1 + row in index order,
@@ -252,7 +261,10 @@ class _Evaluator:
         rest = self._rest(point, i)
         cur_v = int(point[i])
         cur = float(self._full(rest, log[point[i:i + 1]])[0])
-        mag = np.abs(rest)
+        # column j + (p-1)/2 is p - x_j, whose |rest| is that of x_j up to
+        # rounding: the bounds take their columns from the first half, one of
+        # each conjugate pair
+        mag = np.abs(rest[:max(1, rest.size // 2)])
         by_mag = np.argsort(mag)[::-1]  # columns (logs of x), largest |rest| first
         rest_mag, mag = rest[by_mag], mag[by_mag]
         # rung 1: every candidate on the first columns; only a candidate whose

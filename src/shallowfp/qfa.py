@@ -49,6 +49,14 @@ class QfaState(Record):
     amplitudes of the d blocks."""
 
     __slots__ = ("coefficients", "amplitudes")
+    __hash__ = None  # an array field has no hash
+
+    def __eq__(self, other):
+        import numpy as np
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coefficients == other.coefficients
+                and np.array_equal(self.amplitudes, other.amplitudes))
 
     def norm(self) -> float:
         return float((self.amplitudes ** 2).sum())

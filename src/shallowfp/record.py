@@ -4,8 +4,9 @@ A record's fields are its ``__slots__``.  The generic ``__init__`` takes
 one positional argument per slot, in slot order; a class that checks its
 arguments or gives them defaults does so in its own ``__init__`` and then
 calls ``super().__init__``.  Records of one class compare and hash by their
-fields in slot order, and refuse later assignment, as frozen data classes
-do; the standard module for those imports `inspect`, and the two add
+fields in slot order (a class with an array or dict field overrides
+``__eq__`` or ``__hash__``), and refuse later assignment, as frozen data
+classes do; the standard module for those imports `inspect`, and the two add
 about 16 ms to the start of a fresh interpreter (Python 3.11, 2-vCPU VM).
 """
 from __future__ import annotations

@@ -81,6 +81,14 @@ class TestLogTables:
                     _Evaluator(p, "general", 1)._rows_of[log]):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("p", [3, 5, 31, 577, 1013, 65537])
+    def test_log_order_pairs_x_with_p_minus_x(self, p):
+        # g^((p-1)/2) = -1, so column j + (p-1)/2 is p - x_j: the first half
+        # of the columns holds one x of each pair {x, p - x}
+        log, _ = _log_tables(p)
+        x = np.arange(1, p)
+        assert np.array_equal(log[p - x], (log[x] + (p - 1) // 2) % (p - 1))
+
 
 class TestPrunedSearch:
     @pytest.mark.parametrize("mode", ["general", "shallow"])
@@ -255,7 +263,8 @@ class TestMemory:
         # in a fresh interpreter, so the peak RSS is this descent's own: VmHWM
         # belongs to the new process image, while ru_maxrss keeps the peak of
         # the forking test process.  The point and eps were recorded on the
-        # commit that still cached the point's rows
+        # commit that still cached the point's rows; the row count is that of
+        # bounds on one column of each conjugate pair
         script = (
             "import json\n"
             "from shallowfp.optimize import DescentConfig, coordinate_descent\n"
@@ -270,7 +279,7 @@ class TestMemory:
         hwm_kib, eps, rows, point = json.loads(out)
         assert hwm_kib < 64 * 1024
         assert eps == "0x1.863408c804c37p-5"
-        assert rows == 364
+        assert rows == 397
         assert tuple(point) == (
             32238, 2403, 24605, 36428, 10373, 20851, 22009, 6230, 58030, 21354, 64236, 25389,
             45903, 44763, 39376, 34297, 54960, 52710, 20963, 14073, 39200, 13006, 63272, 37120,

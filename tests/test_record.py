@@ -49,11 +49,7 @@ def test_record_round_trip_count_and_freeze(cls):
     value = EXAMPLES[cls]
     back = pickle.loads(pickle.dumps(value))
     assert back is not value
-    if cls is qfa.QfaState:  # == on an array field has no single truth value
-        assert back.coefficients == value.coefficients
-        assert np.array_equal(back.amplitudes, value.amplitudes)
-    else:
-        assert back == value
+    assert back == value
     fields = value._fields()
     with pytest.raises(TypeError):
         cls(*fields, None)
@@ -67,3 +63,22 @@ def test_record_round_trip_count_and_freeze(cls):
     else:
         with pytest.raises(AttributeError):
             setattr(value, name, fields[0])
+
+
+def test_qfa_state_compares_amplitudes_by_value():
+    K = coeffsets.gen_cyclic(13, 4)
+    amps = np.arange(8.0).reshape(4, 2)
+    state = qfa.QfaState(K, amps)
+    assert state == qfa.QfaState(K, amps.copy())
+    assert state != qfa.QfaState(K, amps + 1.0)
+    assert state != qfa.QfaState(coeffsets.gen_cyclic(17, 4), amps.copy())
+    with pytest.raises(TypeError):
+        hash(state)
+
+
+def test_equal_coefficient_sets_hash_equally():
+    # params is a dict, so the hash leaves it out
+    assert hash(coeffsets.gen_cyclic(13, 4)) == hash(coeffsets.gen_cyclic(13, 4))
+    first, again = coeffsets.gen_gap(1013, 3, seed=1), coeffsets.gen_gap(1013, 3, seed=1)
+    assert first == again and hash(first) == hash(again)
+    assert len({first.expanded, again.expanded, coeffsets.gen_cyclic(13, 4)}) == 2
