@@ -20,18 +20,19 @@ and each entry is within about 1e-16 * log2(p) * d of the exact sum.  eps,
 its argmax, the Fourier bias, the spectrum rows and the acceptance sweep
 of `qfa` all derive from it.
 
-eps and the bias are reported from direct sums, not from FFT values: every
-x != 0 whose FFT |S(x)| lies within 1e-9 * d of the FFT maximum is
-rescored as |sum_j W[k_j x mod p]|, with phases looked up in a table W of
-the p-th roots of unity, so every angle stays in [0, 2 pi) regardless of
-the size of k * x.  The window is far wider than the FFT error, so it
-holds every x whose direct value could be the largest, and the results
-equal those of a direct sweep over all x.  The reported argmax is the
-smallest x whose directly computed (|S(x)|/d)^2 is largest.  In exact
-arithmetic |S(x)| = |S(p - x)|, but the two direct sums may differ in the
-last bit, so the argmax can be the p - x of a conjugate pair.  When many x
-tie (d = 1, the full residue set) every x is rescored, at the cost of a
-full direct sweep.
+eps and the bias are reported from direct sums, not from FFT values.
+Since |S(p - x)| = |S(x)|, x and p - x are one answer, so only one member
+of each conjugate pair is read: every x in [1, max(1, (p - 1)/2)] whose
+FFT |S(x)| lies within 1e-9 * d of that half's FFT maximum is rescored as
+|sum_j W[k_j x mod p]|, with phases looked up in a table W of the p-th
+roots of unity, so every angle stays in [0, 2 pi) regardless of the size
+of k * x.  The window is far wider than the FFT error, so it holds every
+x whose direct value could be the largest, and the results equal those of
+a direct sweep over the same half.  The reported argmax is the smallest
+x <= (p - 1)/2 whose directly computed (|S(x)|/d)^2 is largest.  The two
+direct sums of a conjugate pair may differ in the last bit, so eps can
+differ from the maximum over all x != 0 by that much.  When many x tie
+(d = 1, the full residue set) every x of the half is rescored.
 
 Length-p tables (the kernel and the representation-count vector) are
 refused for p > TABLE_MAX_P = 2^22 with `TableTooLargeError`; see
@@ -44,7 +45,6 @@ import numpy as np
 
 from .coeffsets import CoefficientSet
 from .errors import ParameterRangeError, TableTooLargeError
-from .qfa import error_prob  # noqa: F401 -- re-exported: the numpy-free closed form
 from .record import Record
 
 # Element count of one chunk of a (rows x d) phase or sum matrix; keeps the
@@ -71,8 +71,10 @@ class BoundCheck(Record):
 
 class AnalysisReport(Record):
     """The `analyze` report; its fields, in order, are the keys of the JSON.
-    ``energy`` is the additive energy, ``bias`` the Fourier bias, and
-    ``bounds`` a tuple of `BoundCheck`."""
+    ``energy`` is the additive energy, ``bias`` the Fourier bias
+    max_{xi != 0} |hat(1_K)(xi)| = |S(xi)| / p, with
+    hat(1_K)(xi) = (1/p) sum_k e(-xi k / p), and ``bounds`` a tuple of
+    `BoundCheck`."""
 
     __slots__ = ("p", "d", "epsilon", "argmax_x", "energy", "bias", "density", "bounds")
 
@@ -123,10 +125,11 @@ def _abs_sums(K: CoefficientSet, xs: np.ndarray) -> np.ndarray:
 
 
 def _peak(K: CoefficientSet, S: np.ndarray) -> tuple[float, int, float]:
-    """(eps, smallest maximizing x, bias) from direct sums at the x != 0
-    whose kernel value |S(x)| is within the rescoring window of the largest."""
+    """(eps, smallest maximizing x, bias) from direct sums at the x in
+    [1, max(1, (p-1)/2)], one of each conjugate pair, whose kernel value
+    |S(x)| is within the rescoring window of the largest there."""
     p = int(K.p)
-    mag = np.abs(S[1:])
+    mag = np.abs(S[1:max(1, (p - 1) // 2) + 1])
     xs = np.flatnonzero(mag >= mag.max() - _RESCORE_WINDOW * K.d) + 1
     sums = _abs_sums(K, xs)
     vals = (sums / K.d) ** 2
@@ -135,12 +138,13 @@ def _peak(K: CoefficientSet, S: np.ndarray) -> tuple[float, int, float]:
 
 
 def epsilon_of(K: CoefficientSet) -> tuple[float, int]:
-    """Worst-case error eps(K) and the smallest maximizing x in [1, p-1].
+    """Worst-case error eps(K) and its argmax x in [1, max(1, (p-1)/2)].
 
     x = 0 is excluded: there the sum is trivially d for every K, while the
     quantity's role is bounding the acceptance probability on words whose
     length is not divisible by p.  The tie rule is the module's: the
-    smallest x whose directly computed (|S(x)|/d)^2 is largest.
+    smallest x <= (p-1)/2 whose directly computed (|S(x)|/d)^2 is largest
+    (p - x attains the same eps).
     """
     eps, x, _ = _peak(K, spectrum(K))
     return eps, x
@@ -174,12 +178,6 @@ def additive_energy(A: CoefficientSet) -> int:
     if int(vec.max()) * A.d ** 2 < 1 << 63:
         return int(vec @ vec)
     return sum(c * c for c in vec.tolist())
-
-
-def fourier_bias(A: CoefficientSet) -> float:
-    """max over xi in [1, p-1] of |hat(1_A)(xi)| = |S(xi)| / p, with
-    hat(1_A)(xi) = (1/p) sum_a e(-xi a / p); from direct sums at the kernel's peak."""
-    return _peak(A, spectrum(A))[2]
 
 
 def _bias_energy_checks(A: CoefficientSet, bias: float, energy: int) -> tuple[BoundCheck, ...]:

@@ -7,11 +7,14 @@ GAP hypothesis, empty AIKPS interval, ...).
 
 Every command is deterministic given its flags; seeds are always explicit
 flags, and floats are printed with 17 significant digits so re-runs are
-byte-identical.
+byte-identical.  A command reads its inputs, then opens every output, then
+computes: a path that cannot be written ends the run before any work, and
+an output may overwrite the file the command read.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -55,12 +58,27 @@ def _format_rows(row: str, rows) -> str:
     return "".join(chunks)
 
 
-def _write_text(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str | None, newline: str | None = None):
+    """The file ``path`` opened for writing, or stdout for None or "-".
+
+    The file is opened without truncation and cut to what was written when
+    the block ends, so a run that fails before it writes leaves an existing
+    file as it was; a file that the open created is removed."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        yield sys.stdout
+        return
+    created = not os.path.lexists(path)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        with open(fd, "w", newline=newline) as fh:
+            yield fh
+            if os.path.isfile(path):  # not /dev/null or a pipe
+                fh.truncate()
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _int_at_least(low: int):
@@ -86,53 +104,51 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+_GEN_SIZE_FLAG = {"cyclic": "d", "aikps": "eps", "gap": "m", "random": "d"}
+
+
 def _cmd_gen(args) -> int:
     p = PrimeModulus(args.p)
-    if args.method == "cyclic":
-        if args.d is None:
-            raise UsageError("--method cyclic requires --d")
-        K = coeffsets.gen_cyclic(p, args.d)
-    elif args.method == "aikps":
-        if args.eps is None:
-            raise UsageError("--method aikps requires --eps")
-        K = coeffsets.gen_aikps(p, args.eps)
-    elif args.method == "gap":
-        if args.m is None:
-            raise UsageError("--method gap requires --m")
-        K = coeffsets.gen_gap(p, args.m, args.seed, args.max_tries).expanded
-    elif args.method == "random":
-        if args.d is None:
-            raise UsageError("--method random requires --d")
-        K = coeffsets.gen_random(p, args.d, args.seed)
-    else:  # pragma: no cover - argparse choices guard this
-        raise UsageError(f"unknown method {args.method}")
-    _write_text(args.out, _json_dumps(K.to_json_dict()))
+    flag = _GEN_SIZE_FLAG[args.method]
+    if getattr(args, flag) is None:
+        raise UsageError(f"--method {args.method} requires --{flag}")
+    with _output(args.out) as out:
+        if args.method == "cyclic":
+            K = coeffsets.gen_cyclic(p, args.d)
+        elif args.method == "aikps":
+            K = coeffsets.gen_aikps(p, args.eps)
+        elif args.method == "gap":
+            K = coeffsets.gen_gap(p, args.m, args.seed, args.max_tries).expanded
+        else:
+            K = coeffsets.gen_random(p, args.d, args.seed)
+        out.write(_json_dumps(K.to_json_dict()))
     return 0
 
 
 def _cmd_analyze(args) -> int:
     from . import analysis
     K = _load_coeffs(args.coeffs)
-    report = analysis.analyze(K)
-    _write_text(None, _json_dumps(report.to_json_dict()))
-    if args.spectrum:
-        # the bytes csv.writer wrote: numeric fields unquoted, \r\n line ends
-        rows = _format_rows(f"%d,{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT}\r\n",
-                            analysis.spectrum_rows(K))
-        with open(args.spectrum, "w", newline="") as fh:
-            fh.write("x,re,im,magnitude2,error_prob\r\n" + rows)
+    # without --spectrum the handle is stdout, and nothing is written to it
+    with _output(args.spectrum, newline="") as spectrum:
+        report = analysis.analyze(K)
+        sys.stdout.write(_json_dumps(report.to_json_dict()))
+        if args.spectrum:
+            # the bytes csv.writer wrote: numeric fields unquoted, \r\n line ends
+            rows = _format_rows(f"%d,{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT}\r\n",
+                                analysis.spectrum_rows(K))
+            spectrum.write("x,re,im,magnitude2,error_prob\r\n" + rows)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     from . import qfa
     K = _load_coeffs(args.coeffs)
-    if args.j is not None:
-        _write_text(args.out, _fmt(qfa.run_word(K, args.j)) + "\n")
-        return 0
-    probs = qfa.acceptance_sweep(K).tolist()
-    rows = _format_rows(f"%d,{_FLOAT}\n", enumerate(probs))
-    _write_text(args.out, "j,accept_prob\n" + rows)
+    with _output(args.out) as out:
+        if args.j is not None:
+            out.write(_fmt(qfa.run_word(K, args.j)) + "\n")
+        else:
+            probs = qfa.acceptance_sweep(K).tolist()
+            out.write("j,accept_prob\n" + _format_rows(f"%d,{_FLOAT}\n", enumerate(probs)))
     return 0
 
 
@@ -160,11 +176,9 @@ def _build_circuit(K: coeffsets.CoefficientSet, style: str, x: int) -> Circuit:
 def _cmd_circuit(args) -> int:
     from . import circuit
     K = _load_coeffs(args.coeffs)
-    c = _build_circuit(K, args.style, args.x)
-    if args.emit_qasm:
-        _write_text(args.emit_qasm, circuit.emit_qasm(c))
-    else:
-        _write_text(None, _json_dumps(circuit.stats(c)))
+    with _output(args.emit_qasm) as out:  # None with --stats: stdout
+        c = _build_circuit(K, args.style, args.x)
+        out.write(_json_dumps(circuit.stats(c)) if args.stats else circuit.emit_qasm(c))
     return 0
 
 
@@ -172,15 +186,15 @@ def _cmd_optimize(args) -> int:
     from . import optimize
     cfg = optimize.DescentConfig(seed=args.seed, max_sweeps=args.max_sweeps,
                                  mode=args.mode, restarts=args.restarts)
-    result = optimize.coordinate_descent(args.p, args.size, cfg)
-    out = {
-        "best": result.best_set.to_json_dict(),
-        "best_epsilon": result.best_epsilon,
-        "sweeps_used": result.sweeps_used,
-        "evaluations": result.evaluations,
-        "history": [[s, e] for s, e in result.history],
-    }
-    _write_text(args.out, _json_dumps(out))
+    with _output(args.out) as out:
+        result = optimize.coordinate_descent(args.p, args.size, cfg)
+        out.write(_json_dumps({
+            "best": result.best_set.to_json_dict(),
+            "best_epsilon": result.best_epsilon,
+            "sweeps_used": result.sweeps_used,
+            "evaluations": result.evaluations,
+            "history": [[s, e] for s, e in result.history],
+        }))
     return 0
 
 
@@ -209,10 +223,8 @@ def _cmd_compare(args) -> int:
     cfg = optimize.DescentConfig(seed=args.seed, restarts=args.restarts)
     experiment = optimize.compare_experiment(primes, args.m, cfg)  # checks primes and sizes
     ratios_path = os.path.splitext(args.out)[0] + "_ratios.csv"
-    # both outputs are opened before the first search, so a path that cannot
-    # be written ends the run at once rather than after the experiment
-    with open(args.out, "w", newline="") as out_fh, \
-            open(ratios_path, "w", newline="") as ratios_fh:
+    with _output(args.out, newline="") as out_fh, \
+            _output(ratios_path, newline="") as ratios_fh:
         records = []
         last = time.perf_counter()
         for rec in experiment:

@@ -135,10 +135,11 @@ class DescentConfig(Record):
 
 class DescentResult(Record):
     """``best_point`` holds the coefficients (general) or generators (shallow),
-    ``argmax_x`` the smallest x != 0 attaining ``best_epsilon`` as epsilon_of
-    reports it, ``evaluations`` the candidates considered (p per coordinate
-    searched), and ``rows_evaluated`` the full phase rows scored; bounds
-    pruned the rest."""
+    ``argmax_x`` the smallest x in [1, max(1, (p-1)/2)] attaining
+    ``best_epsilon`` as epsilon_of reports it, ``evaluations`` the candidates
+    considered (p per coordinate searched), ``rows_evaluated`` the full phase
+    rows scored (bounds pruned the rest), and ``history`` the best run's
+    (sweep, eps) pairs, a tuple so that the record hashes."""
 
     __slots__ = ("best_set", "best_point", "best_epsilon", "argmax_x", "evaluations",
                  "rows_evaluated", "history")
@@ -392,7 +393,7 @@ def coordinate_descent(p: int, size: int, cfg: DescentConfig,
     # final value re-measured through the canonical eps path
     best_eps, argmax = epsilon_of(best_set)
     return DescentResult(best_set, tuple(int(v) for v in point), best_eps, argmax,
-                         evaluations, evaluator.rows_evaluated, history)
+                         evaluations, evaluator.rows_evaluated, tuple(history))
 
 
 class ComparisonRecord(Record):

@@ -15,7 +15,7 @@ tests hold it to.
 One word needs only d cosines: `exp_sum`, `error_prob` and `run_word` are
 pure `math` and live here, and this module loads numpy (and `analysis`)
 only inside the functions that compute with arrays, so `simulate --j`
-starts without numpy.  `analysis` re-exports `error_prob`.
+starts without numpy.  `analysis` does not import this module.
 """
 from __future__ import annotations
 

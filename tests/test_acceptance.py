@@ -33,8 +33,6 @@ from shallowfp.analysis import (
     additive_energy,
     analyze,
     epsilon_of,
-    error_prob,
-    fourier_bias,
 )
 from shallowfp.circuit import (
     build_aikps,
@@ -61,7 +59,13 @@ from shallowfp.optimize import (
     compare_experiment,
     coordinate_descent,
 )
-from shallowfp.qfa import accept_probability, acceptance_sweep, initial_state, step
+from shallowfp.qfa import (
+    accept_probability,
+    acceptance_sweep,
+    error_prob,
+    initial_state,
+    step,
+)
 from shallowfp.zmod import is_prime
 
 
@@ -122,7 +126,7 @@ def test_criterion_3_epsilon_consistency():
             assert worst <= eps + 1e-12
             for x in (1, p // 2, p - 1):
                 assert error_prob(K, x) <= eps + 1e-12
-            bias = fourier_bias(K)
+            bias = analyze(K).bias
             assert abs(eps - (p / d * bias) ** 2) <= 1e-9 * max(eps, 1e-30)
             shift = rng.randrange(p)
             shifted = explicit_set(p, [k + shift for k in K.coefficients])

@@ -12,15 +12,13 @@ from shallowfp.analysis import (
     additive_energy,
     analyze,
     epsilon_of,
-    error_prob,
-    fourier_bias,
     roots_of_unity,
     spectrum,
     spectrum_rows,
 )
 from shallowfp.coeffsets import explicit_set, gen_aikps, gen_gap, gen_random
 from shallowfp.errors import TableTooLargeError
-from shallowfp.qfa import exp_sum
+from shallowfp.qfa import error_prob, exp_sum
 from shallowfp.zmod import is_prime, primitive_root
 
 
@@ -44,19 +42,27 @@ def brute_rep_counts(A):
     return Counter((a + b) % p for a in A.coefficients for b in A.coefficients)
 
 
-def direct_sweep(K):
-    """(eps, smallest maximizing x, bias) from a direct sweep over every x in
-    [1, p-1], phases looked up in the roots table: the computation the FFT
-    kernel replaced, kept as the oracle its rescoring must reproduce exactly."""
+def direct_sums(K, top):
+    """|S(x)| for every x in [1, top], summed directly with phases looked up
+    in the roots table: the computation the FFT kernel replaced."""
     p = int(K.p)
     ks = np.asarray(K.coefficients, dtype=np.int64)
     W = roots_of_unity(p)
-    xs = np.arange(1, p, dtype=np.int64)
-    sums = np.empty(p - 1)
+    xs = np.arange(1, top + 1, dtype=np.int64)
+    sums = np.empty(top)
     step = max(1, (1 << 22) // K.d)
-    for lo in range(0, p - 1, step):
+    for lo in range(0, top, step):
         idx = (xs[lo:lo + step, None] * ks[None, :]) % p
         sums[lo:lo + step] = np.abs(W[idx].sum(axis=1))
+    return sums
+
+
+def direct_sweep(K):
+    """(eps, smallest maximizing x, bias) from a direct sweep over every x in
+    [1, max(1, (p-1)/2)], one of each conjugate pair: the oracle the FFT
+    kernel's rescoring must reproduce exactly."""
+    p = int(K.p)
+    sums = direct_sums(K, max(1, (p - 1) // 2))
     vals = (sums / K.d) ** 2
     arg = int(np.argmax(vals))
     return float(vals[arg]), arg + 1, float(sums.max()) / p
@@ -139,18 +145,34 @@ class TestEpsilon:
             assert at_arg == pytest.approx(b_eps, abs=1e-10)
 
     def test_equals_direct_sweep(self):
-        # every x whose direct value could win is rescored, so the FFT kernel
-        # changes no bit of eps, its argmax or the bias
+        # every x of the half whose direct value could win is rescored, so the
+        # FFT kernel changes no bit of eps, its argmax or the bias
         for K in oracle_family():
+            p = int(K.p)
             eps, x, bias = direct_sweep(K)
-            assert epsilon_of(K) == (eps, x), (int(K.p), K.coefficients[:9])
-            assert fourier_bias(K) == bias, (int(K.p), K.coefficients[:9])
+            assert x <= max(1, (p - 1) // 2)
+            assert epsilon_of(K) == (eps, x), (p, K.coefficients[:9])
             report = analyze(K)
             assert (report.epsilon, report.argmax_x, report.bias) == (eps, x, bias)
+            # the other half repeats it: |S(p - x)| = |S(x)| up to rounding;
+            # where every residue occurs equally often eps is 0 and both read
+            # roundoff (about 1e-33), hence the absolute term
+            every_x = float(((direct_sums(K, p - 1) / K.d) ** 2).max())
+            assert eps == pytest.approx(every_x, rel=1e-15, abs=1e-30), (p, K.coefficients[:9])
+
+    def test_argmax_is_the_member_of_the_pair_below_p_over_2(self):
+        # the direct sums at 3857 and 20011 - 3857 = 16154 differ in the last
+        # bit, and a sweep over every x != 0 picks 16154
+        K = gen_random(20011, 64, 1)
+        eps, x = epsilon_of(K)
+        assert x == 3857
+        # exp_sum reduces k x mod p and sums with fsum
+        assert eps == pytest.approx(abs(exp_sum(K, 3857)) ** 2 / 64 ** 2, abs=1e-15)
+        assert eps == pytest.approx(abs(exp_sum(K, 16154)) ** 2 / 64 ** 2, abs=1e-15)
 
     def test_table_size_cap(self):
         K = explicit_set(4194319, [1, 2, 3])  # the smallest prime above 2^22
-        for fn in (spectrum, epsilon_of, fourier_bias, additive_energy, analyze):
+        for fn in (spectrum, epsilon_of, additive_energy, analyze):
             with pytest.raises(TableTooLargeError):
                 fn(K)
 
@@ -276,14 +298,14 @@ class TestFourier:
         assert spectrum(explicit_set(7, [0]))[3] == pytest.approx(1, abs=1e-12)
 
     def test_bias_examples(self):
-        assert fourier_bias(explicit_set(5, [0, 1, 2, 3, 4])) == pytest.approx(0.0, abs=1e-12)
-        assert fourier_bias(explicit_set(7, [0])) == pytest.approx(1 / 7, abs=1e-12)
-        assert fourier_bias(explicit_set(3, [1, 2])) == pytest.approx(1 / 3, abs=1e-12)
+        assert analyze(explicit_set(5, [0, 1, 2, 3, 4])).bias == pytest.approx(0.0, abs=1e-12)
+        assert analyze(explicit_set(7, [0])).bias == pytest.approx(1 / 7, abs=1e-12)
+        assert analyze(explicit_set(3, [1, 2])).bias == pytest.approx(1 / 3, abs=1e-12)
 
     def test_epsilon_bias_identity(self):
         K = gen_random(101, 6, 13)
         eps, _ = epsilon_of(K)
-        bias = fourier_bias(K)
+        bias = analyze(K).bias
         assert eps == pytest.approx((101 / 6 * bias) ** 2, rel=1e-9)
 
     def test_plancherel(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qasm_sim import simulate_qasm
-from shallowfp.analysis import error_prob
 from shallowfp.circuit import (
     Circuit,
     Gate,
@@ -26,6 +25,7 @@ from shallowfp.coeffsets import (
     gen_cyclic,
     gen_gap,
 )
+from shallowfp.qfa import error_prob
 
 
 def fingerprint_reference(coeffs, p, x):

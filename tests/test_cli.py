@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -182,6 +183,76 @@ def test_unwritable_output_exit_1(tmp_path, capsys):
     assert code == 1
     assert stdout == ""
     assert err.count("\n") == 1 and err.startswith("usage error:")
+
+
+# each command with an output in a missing directory, and the function that
+# does its work, replaced by one that fails the test if it is called
+UNWRITABLE = {
+    "gen": (["gen", "--method", "gap", "--p", "1013", "--m", "3", "--out", "no/k.json"],
+            "coeffsets", "gen_gap"),
+    "analyze": (["analyze", "--coeffs", "k.json", "--spectrum", "no/s.csv"],
+                "analysis", "analyze"),
+    "simulate": (["simulate", "--coeffs", "k.json", "--sweep", "--out", "no/s.csv"],
+                 "qfa", "acceptance_sweep"),
+    "circuit": (["circuit", "--coeffs", "k.json", "--style", "deep", "--x", "1",
+                 "--emit-qasm", "no/c.qasm"], "circuit", "build_deep"),
+    "optimize": (["optimize", "--p", "1013", "--size", "3", "--mode", "shallow",
+                  "--out", "no/o.json"], "optimize", "coordinate_descent"),
+    "compare": (["compare", "--p-max", "13", "--m", "2", "--out", "no/c.csv"],
+                "optimize", "coordinate_descent"),
+}
+
+
+@pytest.mark.parametrize("command", list(UNWRITABLE))
+def test_unwritable_output_ends_the_run_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        command):
+    argv, module, name = UNWRITABLE[command]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.json").write_text(json.dumps(coeffsets.gen_cyclic(13, 4).to_json_dict()))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{module}.{name} ran before the output was opened")
+
+    monkeypatch.setattr(importlib.import_module(f"shallowfp.{module}"), name, no_work)
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("usage error:")
+
+
+def test_output_may_overwrite_the_input(tmp_path, capsys):
+    # the coefficient file is read before the output is opened
+    kpath = tmp_path / "k.json"
+    kpath.write_text(json.dumps(coeffsets.gen_cyclic(13, 4).to_json_dict()))
+    code, _, _ = run(capsys, "simulate", "--coeffs", str(kpath), "--sweep", "--out", str(kpath))
+    assert code == 0
+    assert kpath.read_text().splitlines()[:2] == ["j,accept_prob", "0,1"]
+
+
+def test_dash_output_is_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run(capsys, "gen", "--method", "cyclic", "--p", "13", "--d", "4",
+                          "--out", "-")
+    assert code == 0
+    (tmp_path / "k.json").write_text(stdout)
+    code, stdout, _ = run(capsys, "circuit", "--coeffs", "k.json", "--style", "deep",
+                          "--x", "1", "--emit-qasm", "-")
+    assert code == 0 and stdout.startswith("OPENQASM 2.0;")
+    assert not (tmp_path / "-").exists()
+
+
+def test_refused_run_leaves_the_output_path_as_it_was(tmp_path, capsys):
+    kpath = tmp_path / "k.json"
+    argv = ["gen", "--method", "gap", "--p", "1013", "--m", "17", "--out", str(kpath)]
+    assert run(capsys, *argv)[0] == 2
+    assert not kpath.exists()
+    kpath.write_text("an older file")
+    assert run(capsys, *argv)[0] == 2
+    assert kpath.read_text() == "an older file"
+    # a shorter output replaces a longer file whole
+    kpath.write_text("x" * 10000)
+    assert run(capsys, "gen", "--method", "cyclic", "--p", "13", "--d", "4",
+               "--out", str(kpath))[0] == 0
+    assert json.loads(kpath.read_text()) == coeffsets.gen_cyclic(13, 4).to_json_dict()
 
 
 class TestAnalyze:
@@ -543,7 +614,9 @@ def test_traced_run_patches_every_alias(tmp_path, capsys, monkeypatch):
     finally:
         patch.remove()
     capsys.readouterr()
-    assert patch.missing == []
+    # the two names the package dropped: analyze(K).bias replaced
+    # fourier_bias, and error_prob is patched where it lives, in qfa
+    assert patch.missing == ["analysis.fourier_bias", "analysis.error_prob"]
     totals = spans.layer_totals(tracer)
     tries = coeffsets.gen_gap(1013, 5, 2).tries
     assert totals["coeffsets.gen_gap.tries"] == tries

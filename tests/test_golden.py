@@ -4,14 +4,21 @@ Each hash was recorded from the code before a change that must not alter
 outputs; a change that alters one of them has to say why.
 """
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from shallowfp.cli import main
 
+# re-recorded when argmax_x became the member of its conjugate pair below
+# p/2: at p = 307 both argmax_x values and the last bits of both epsilons
+# (and so of the ratio) changed; points, sweeps and evaluations did not
 COMPARE_SHA256 = {
-    "cmp.csv": "da0d8c4ed7f6fb8d3f69b2eca921cfd0c79dbfe43957354bbb02ac224ac0c6ce",
-    "cmp_ratios.csv": "558a9e05ed1c319f87b77c086aed9cc0b0d5aae23c6a9527b97c7458da1678f0",
+    "cmp.csv": "d0ab94c4f67dc1ffb8fbbc889b065cf48a9126997d1b12c3d2b59757d6ba0e1a",
+    "cmp_ratios.csv": "99b75a18412ccb3f19ec2821183475adf084b57a1ab6e9224589701948188d28",
 }
 
 
@@ -45,6 +52,47 @@ def test_analyze_json_is_byte_identical(name, tmp_path, capsys):
     assert main(["analyze", "--coeffs", kpath]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[name]
+
+
+# numpy's dispatched AVX2 and AVX-512 kernels; with them disabled every
+# ufunc falls back to the baseline build
+CPU_FEATURES_OFF = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def _dispatch_reason() -> str | None:
+    """Why disabling CPU_FEATURES_OFF would change nothing here, or None."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        return "numpy 1 has no X86_V3/X86_V4 dispatch targets"
+    if not set(CPU_FEATURES_OFF) <= set(umath.__cpu_dispatch__):
+        return f"numpy does not dispatch on all of {CPU_FEATURES_OFF}"
+    if not any(umath.__cpu_features__.get(name) for name in CPU_FEATURES_OFF):
+        return f"the CPU has none of {CPU_FEATURES_OFF}"
+    return None
+
+
+# `compare` is left out: its descent compares candidates whose scores differ
+# in the last bits, and those bits follow the kernels numpy dispatches to, so
+# its moves (not the peak) can differ without the fast kernels
+@pytest.mark.skipif(_dispatch_reason() is not None, reason=str(_dispatch_reason()))
+@pytest.mark.parametrize("name", sorted(ANALYZE_SHA256))
+def test_analyze_json_does_not_depend_on_cpu_dispatch(name, tmp_path, capsys):
+    kpath = str(tmp_path / "k.json")
+    assert main(["gen", *ANALYZE_GEN[name], "--out", kpath]) == 0
+    capsys.readouterr()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(CPU_FEATURES_OFF),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys\n"
+              "from numpy._core._multiarray_umath import __cpu_features__\n"
+              f"assert not any(__cpu_features__[f] for f in {CPU_FEATURES_OFF!r})\n"
+              "from shallowfp.cli import main\n"
+              f"sys.exit(main(['analyze', '--coeffs', {kpath!r}]))\n")
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr.decode()
+    assert hashlib.sha256(result.stdout).hexdigest() == ANALYZE_SHA256[name]
 
 
 QASM_SHA256 = {

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from shallowfp.analysis import epsilon_of, error_prob
+from shallowfp.analysis import epsilon_of
 from shallowfp.coeffsets import CoefficientSet, explicit_set, gen_cyclic, gen_random
 from shallowfp.qfa import (
     QfaState,
     accept_probability,
     acceptance_sweep,
+    error_prob,
     initial_state,
     run_word,
     step,

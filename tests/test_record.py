@@ -50,6 +50,8 @@ def test_record_round_trip_count_and_freeze(cls):
     back = pickle.loads(pickle.dumps(value))
     assert back is not value
     assert back == value
+    if cls.__hash__ is not None:  # equal values hash equally
+        assert hash(back) == hash(value)
     fields = value._fields()
     with pytest.raises(TypeError):
         cls(*fields, None)
