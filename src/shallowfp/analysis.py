@@ -17,8 +17,8 @@ S(x) = sum_j e(k_j x / p) for every x in [0, p), the conjugated length-p
 DFT of the multiplicity vector bincount(K) (numpy's FFT, which handles a
 prime length with Bluestein's chirp-z transform).  It costs O(p log p),
 and each entry is within about 1e-16 * log2(p) * d of the exact sum.  eps,
-its argmax, the Fourier bias, the spectrum rows and the acceptance sweep
-of `qfa` all derive from it.
+its argmax, the Fourier bias, the additive energy, the spectrum rows and
+the acceptance sweep of `qfa` all derive from it.
 
 eps and the bias are reported from direct sums, not from FFT values.
 Since |S(p - x)| = |S(x)|, x and p - x are one answer, so only one member
@@ -36,25 +36,29 @@ differ from the maximum over all x != 0 by that much.  When many x tie
 
 Length-p tables (the kernel and the representation-count vector) are
 refused for p > TABLE_MAX_P = 2^22 with `TableTooLargeError`; see
-TABLE_MAX_P for the memory this bounds.  Additive energy and
-representation counts are exact integer arithmetic throughout.
+TABLE_MAX_P for the memory this bounds.  The representation counts R_n
+are one inverse DFT of the squared kernel, rounded to integers after a
+check that every entry lies within 1/4 of one and that they sum to d^2;
+the largest distance measured within the caps (2^22 copies of one
+residue) is 0.035.  So the additive energy sum_n R_n^2 is an exact integer.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .coeffsets import CoefficientSet
-from .errors import ParameterRangeError, TableTooLargeError
+from .errors import TableTooLargeError
 from .record import Record
 
-# Element count of one chunk of a (rows x d) phase or sum matrix; keeps the
-# direct rescoring and the pairwise-sum enumeration in bounded memory.
+# Element count of one chunk of the (rows x d) phase matrix of the direct
+# rescoring; keeps it in bounded memory.
 _CHUNK_ELEMS = 1 << 22
 
 # Largest modulus for which a length-p table is built.  The kernel's peak
-# is about 170 bytes per unit of p, most of it scratch of numpy's
-# Bluestein FFT (measured as max-RSS growth, numpy 2.4): about 0.7 GB
-# for `analyze` at the cap.
+# is about 160 bytes per unit of p, most of it scratch of numpy's
+# Bluestein FFT, and the energy's inverse transform, run while the kernel
+# is held, adds about 16 (measured as max-RSS growth, numpy 2.4): a peak
+# of about 0.73 GB for `analyze` of a small set at the cap.
 TABLE_MAX_P = 1 << 22
 
 # FFT magnitudes within this multiple of d below the FFT maximum are
@@ -150,31 +154,26 @@ def epsilon_of(K: CoefficientSet) -> tuple[float, int]:
     return eps, x
 
 
-def _rep_count_vector(A: CoefficientSet) -> np.ndarray:
-    """R_n(A) = #{(a, b) in A x A : a + b = n mod p}, as a length-p vector.
-
-    Enumerates all d^2 pairs in chunks: O(d^2) time, O(p + chunk) memory.
-    """
-    p = int(A.p)
-    if A.d > 1 << 16:
-        raise ParameterRangeError("set too large for quadratic enumeration (cap 2^16)")
-    check_table_size(p)
-    a = np.asarray(A.coefficients, dtype=np.int64)
-    out = np.zeros(p, dtype=np.int64)
-    step = max(1, _CHUNK_ELEMS // a.size)
-    for lo in range(0, a.size, step):
-        sums = (a[lo:lo + step, None] + a[None, :]) % p
-        out += np.bincount(sums.ravel(), minlength=p)
-    return out
+def _rep_count_vector(A: CoefficientSet, S: np.ndarray | None = None) -> np.ndarray:
+    """R_n(A) = #{(a, b) in A x A : a + b = n mod p}, as a length-p vector:
+    the inverse DFT of conj(S)^2, S = `spectrum(A)`, checked and rounded."""
+    F = np.conjugate(spectrum(A) if S is None else S)
+    F *= F
+    conv = np.fft.ifft(F).real
+    R = np.rint(conv)
+    if np.abs(conv - R).max() >= 0.25 or int(R.sum()) != A.d ** 2:
+        raise ArithmeticError("representation counts failed their rounding check")
+    return R.astype(np.int64)
 
 
-def additive_energy(A: CoefficientSet) -> int:
-    """E(A) = sum_n R_n(A)^2; quadruple count with a + b = a' + b'."""
-    vec = _rep_count_vector(A)
+def additive_energy(A: CoefficientSet, S: np.ndarray | None = None) -> int:
+    """E(A) = sum_n R_n(A)^2; quadruple count with a + b = a' + b'.
+    ``S`` is `spectrum(A)`, built here if not given."""
+    vec = _rep_count_vector(A, S)
     # sum_n R_n^2 <= max R * sum_n R_n = max R * d^2, and below 2^63 the
-    # int64 dot product is exact.  A set has max R <= d <= 2^16 (the cap of
-    # _rep_count_vector), so the bound is at most 2^48; only a multiset with
-    # heavy repeats (max R up to d^2) can exceed it and is summed in Python ints.
+    # int64 dot product is exact.  A set has max R <= d, so only a set with
+    # d >= 2^21, or a multiset with heavy repeats (max R up to d^2), can pass
+    # the bound; its sum is taken in Python ints.
     if int(vec.max()) * A.d ** 2 < 1 << 63:
         return int(vec @ vec)
     return sum(c * c for c in vec.tolist())
@@ -195,23 +194,25 @@ def _bias_energy_checks(A: CoefficientSet, bias: float, energy: int) -> tuple[Bo
     return lower, upper
 
 
-def analyze(K: CoefficientSet) -> AnalysisReport:
+def analyze(K: CoefficientSet, S: np.ndarray | None = None) -> AnalysisReport:
     """Full report: eps, argmax, energy, bias, density, and for a set
     without repeats the two checks of the bias-energy chain.
 
-    The kernel is built once for eps, argmax and bias, and the energy is
-    computed once.
+    eps, argmax, bias and the energy derive from one kernel ``S`` =
+    `spectrum(K)`, built here if not given.
     """
     p = int(K.p)
-    eps, argmax, bias = _peak(K, spectrum(K))
-    energy = additive_energy(K)
+    S = spectrum(K) if S is None else S
+    eps, argmax, bias = _peak(K, S)
+    energy = additive_energy(K, S)
     checks = _bias_energy_checks(K, bias, energy) if len(set(K.coefficients)) == K.d else ()
     return AnalysisReport(p, K.d, eps, argmax, energy, bias, K.d / p, checks)
 
 
-def spectrum_rows(K: CoefficientSet):
-    """Yield (x, re, im, magnitude2, error_prob) for every x in [0, p), from the kernel."""
-    S = spectrum(K)
+def spectrum_rows(K: CoefficientSet, S: np.ndarray | None = None):
+    """Yield (x, re, im, magnitude2, error_prob) for every x in [0, p), from
+    the kernel ``S`` = `spectrum(K)` (built here if not given)."""
+    S = spectrum(K) if S is None else S
     re, im = S.real, S.imag
     mag2 = re * re + im * im
     pe = (re / K.d) ** 2

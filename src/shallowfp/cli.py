@@ -130,12 +130,13 @@ def _cmd_analyze(args) -> int:
     K = _load_coeffs(args.coeffs)
     # without --spectrum the handle is stdout, and nothing is written to it
     with _output(args.spectrum, newline="") as spectrum:
-        report = analysis.analyze(K)
+        S = analysis.spectrum(K)  # the one forward transform of the run
+        report = analysis.analyze(K, S)
         sys.stdout.write(_json_dumps(report.to_json_dict()))
         if args.spectrum:
             # the bytes csv.writer wrote: numeric fields unquoted, \r\n line ends
             rows = _format_rows(f"%d,{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT}\r\n",
-                                analysis.spectrum_rows(K))
+                                analysis.spectrum_rows(K, S))
             spectrum.write("x,re,im,magnitude2,error_prob\r\n" + rows)
     return 0
 
@@ -203,6 +204,8 @@ def _cmd_compare(args) -> int:
 
     from . import circuit, optimize
     from .analysis import check_table_size
+    if args.out == "-":  # the ratios file is named after --out
+        raise UsageError("compare --out must name a file, not stdout")
     if args.p_list:
         with open(args.p_list) as fh:
             entries = [line.strip() for line in fh if line.strip()]

@@ -233,6 +233,13 @@ class TestRepresentationCounts:
         vec = analysis._rep_count_vector(A)
         assert {n: c for n, c in enumerate(vec.tolist()) if c} == dict(brute_rep_counts(A))
 
+    def test_heavy_residue_is_exact(self):
+        # 2^20 copies of r: R_{2r} = 2^40, far beyond the float error of the kernel
+        r = 12345
+        vec = analysis._rep_count_vector(explicit_set(65537, [r] * (1 << 20)))
+        assert vec[2 * r] == 1 << 40
+        assert np.count_nonzero(vec) == 1
+
     def test_proper_gap_values_are_powers_of_two(self):
         vec = analysis._rep_count_vector(gen_gap(101, 2, seed=3).expanded)
         assert set(vec[vec > 0].tolist()) <= {1, 2, 4}
@@ -271,15 +278,15 @@ class TestAdditiveEnergy:
 
     def test_heavy_multiset_beyond_int64(self, monkeypatch):
         # 2^16 copies of 0: R_0 = d^2 = 2^32 and E = 2^64, which int64 would
-        # wrap to 0; the vector is built directly instead of from 2^32 pairs
+        # wrap to 0; the vector is given directly, so only the sum is tested
         A = explicit_set(3, [0] * (1 << 16))
         monkeypatch.setattr(analysis, "_rep_count_vector",
-                            lambda _: np.array([1 << 32, 0, 0], dtype=np.int64))
+                            lambda _A, _S: np.array([1 << 32, 0, 0], dtype=np.int64))
         assert additive_energy(A) == 1 << 64
 
     def test_limits(self):
-        with pytest.raises(ValueError, match="2\\^16"):
-            additive_energy(explicit_set(65537, range(65537)))
+        # Z_p with d = 65537 > 2^16: every R_n = p, so E = p^3
+        assert additive_energy(explicit_set(65537, range(65537))) == 65537 ** 3
 
     @pytest.mark.parametrize("p,m,seed", [(101, 2, 1), (257, 3, 2), (1013, 4, 3)])
     def test_proper_gap_energy(self, p, m, seed):

@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shallowfp import coeffsets
@@ -291,17 +292,36 @@ class TestAnalyze:
         assert lines[0] == "x,re,im,magnitude2,error_prob"
         assert len(lines) == 8  # header + one row per x in [0, 7)
 
-
-class TestTableSizeCap:
-    def test_energy_size_cap_exit_2(self, tmp_path, capsys):
-        # d = 94208 > 2^16: the pairwise-sum enumeration is refused
+    def test_energy_of_aikps_set_beyond_2_16(self, tmp_path, capsys):
+        # d = 94208 > 2^16, and by Parseval the energy is (1/p) sum_x |S(x)|^4
         kpath = tmp_path / "k.json"
         run(capsys, "gen", "--method", "aikps", "--p", "65537", "--eps", "1",
             "--out", str(kpath))
         code, stdout, err = run(capsys, "analyze", "--coeffs", str(kpath))
-        assert (code, stdout) == (2, "")
-        assert err.count("\n") == 1 and err.startswith("error:") and "2^16" in err
+        assert (code, err) == (0, "")
+        report = json.loads(stdout)
+        coeffs = json.loads(kpath.read_text())["coefficients"]
+        mag2 = np.abs(np.fft.fft(np.bincount(coeffs, minlength=65537))) ** 2
+        assert report["d"] == len(coeffs) == 94208
+        assert report["energy"] == pytest.approx(float(mag2 @ mag2) / 65537, rel=1e-9)
 
+    def test_one_forward_transform(self, tmp_path, capsys, monkeypatch):
+        # eps, bias, energy and the spectrum rows all read one kernel
+        kpath = tmp_path / "k.json"
+        run(capsys, "gen", "--method", "random", "--p", "1013", "--d", "16", "--seed", "2",
+            "--out", str(kpath))
+        calls = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: calls.append(1) or fft(*a, **kw))
+        counts = []
+        for extra in ([], ["--spectrum", str(tmp_path / "s.csv")]):
+            calls.clear()
+            assert run(capsys, "analyze", "--coeffs", str(kpath), *extra)[0] == 0
+            counts.append(len(calls))
+        assert counts == [1, 1]
+
+
+class TestTableSizeCap:
     # p = 10^18 + 3 is prime; a length-p table would need exabytes
     @pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--spectrum", "s.csv"],
                                       ["simulate", "--sweep"]])
@@ -522,6 +542,16 @@ class TestCompare:
         assert (code, stdout) == (1, "")
         # one line and no progress object: no search ran
         assert err.count("\n") == 1 and err.startswith("usage error:")
+
+    def test_out_stdout_is_refused(self, tmp_path, capsys, monkeypatch):
+        # the ratios file is named after --out, so "-" would write "-_ratios.csv"
+        from shallowfp import optimize
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(optimize, "compare_experiment", None)  # no descent may start
+        code, stdout, err = run(capsys, "compare", "--p-max", "13", "--m", "2", "--out", "-")
+        assert (code, stdout) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("usage error:") and "--out" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_threads_flag_is_gone(self, tmp_path, capsys):
         code, _, err = run(capsys, "compare", "--p-max", "7", "--m", "2",
