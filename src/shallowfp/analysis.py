@@ -20,19 +20,21 @@ and each entry is within about 1e-16 * log2(p) * d of the exact sum.  eps,
 its argmax, the Fourier bias, the additive energy, the spectrum rows and
 the acceptance sweep of `qfa` all derive from it.
 
-eps and the bias are reported from direct sums, not from FFT values.
+eps and the bias are read from one direct sum, not from FFT values.
 Since |S(p - x)| = |S(x)|, x and p - x are one answer, so only one member
-of each conjugate pair is read: every x in [1, max(1, (p - 1)/2)] whose
-FFT |S(x)| lies within 1e-9 * d of that half's FFT maximum is rescored as
-|sum_j W[k_j x mod p]|, with phases looked up in a table W of the p-th
-roots of unity, so every angle stays in [0, 2 pi) regardless of the size
-of k * x.  The window is far wider than the FFT error, so it holds every
-x whose direct value could be the largest, and the results equal those of
-a direct sweep over the same half.  The reported argmax is the smallest
-x <= (p - 1)/2 whose directly computed (|S(x)|/d)^2 is largest.  The two
-direct sums of a conjugate pair may differ in the last bit, so eps can
-differ from the maximum over all x != 0 by that much.  When many x tie
-(d = 1, the full residue set) every x of the half is rescored.
+of each conjugate pair is read.  The argmax x is the smallest x in
+[1, max(1, (p - 1)/2)] whose FFT |S(x)| lies within 1e-12 * d of that
+half's FFT maximum: a tie tolerance far above the FFT error (at most
+4.2e-15 * d measured within the caps) and far below the smallest gap
+measured between distinct peak values of the tested sets (6.6e-7 * d).
+So exact ties, such as d = 1 or the full residue set, resolve to the
+smallest x whatever the rounding.  At that x, |S(x)| is summed directly
+as |sum_j W[k_j x mod p]|, with phases looked up in a table W of the
+p-th roots of unity, so every angle stays in [0, 2 pi) regardless of the
+size of k * x; eps = (|S(x)|/d)^2 and bias = |S(x)|/p.  A peak costs
+O(p log p + d).  The direct sums of a conjugate pair, or of two tied x,
+may differ in the last bit, so eps can differ from the maximum over all
+x != 0 by that much.
 
 Length-p tables (the kernel and the representation-count vector) are
 refused for p > TABLE_MAX_P = 2^22 with `TableTooLargeError`; see
@@ -50,10 +52,6 @@ from .coeffsets import CoefficientSet
 from .errors import TableTooLargeError
 from .record import Record
 
-# Element count of one chunk of the (rows x d) phase matrix of the direct
-# rescoring; keeps it in bounded memory.
-_CHUNK_ELEMS = 1 << 22
-
 # Largest modulus for which a length-p table is built.  The kernel's peak
 # is about 160 bytes per unit of p, most of it scratch of numpy's
 # Bluestein FFT, and the energy's inverse transform, run while the kernel
@@ -61,9 +59,9 @@ _CHUNK_ELEMS = 1 << 22
 # of about 0.73 GB for `analyze` of a small set at the cap.
 TABLE_MAX_P = 1 << 22
 
-# FFT magnitudes within this multiple of d below the FFT maximum are
-# rescored directly; the FFT error is about 1e-16 * log2(p) * d.
-_RESCORE_WINDOW = 1e-9
+# FFT magnitudes within this multiple of d below the FFT maximum tie with
+# it; the FFT error is about 1e-16 * log2(p) * d.
+_TIE_TOLERANCE = 1e-12
 
 # Absolute slack of the bias-energy inequalities, far above their roundoff.
 _CHAIN_SLACK = 1e-9
@@ -114,31 +112,17 @@ def spectrum(K: CoefficientSet) -> np.ndarray:
     return S
 
 
-def _abs_sums(K: CoefficientSet, xs: np.ndarray) -> np.ndarray:
-    """|sum_j e(k_j x / p)| for each x in xs, summed directly in the roots table."""
-    p = int(K.p)
-    ks = np.asarray(K.coefficients, dtype=np.int64)
-    W = roots_of_unity(p)
-    out = np.empty(xs.size)
-    step = max(1, _CHUNK_ELEMS // max(1, K.d))
-    for lo in range(0, xs.size, step):
-        chunk = xs[lo:lo + step]
-        idx = (chunk[:, None] * ks[None, :]) % p
-        out[lo:lo + step] = np.abs(W[idx].sum(axis=1))
-    return out
-
-
 def _peak(K: CoefficientSet, S: np.ndarray) -> tuple[float, int, float]:
-    """(eps, smallest maximizing x, bias) from direct sums at the x in
-    [1, max(1, (p-1)/2)], one of each conjugate pair, whose kernel value
-    |S(x)| is within the rescoring window of the largest there."""
+    """(eps, x, bias) at the smallest x in [1, max(1, (p-1)/2)], one of each
+    conjugate pair, whose kernel value |S(x)| ties with the largest there,
+    from one direct sum of d terms in the roots table."""
     p = int(K.p)
     mag = np.abs(S[1:max(1, (p - 1) // 2) + 1])
-    xs = np.flatnonzero(mag >= mag.max() - _RESCORE_WINDOW * K.d) + 1
-    sums = _abs_sums(K, xs)
-    vals = (sums / K.d) ** 2
-    i = int(np.argmax(vals))  # first occurrence = smallest x
-    return float(vals[i]), int(xs[i]), float(sums.max()) / p
+    x = int(np.argmax(mag >= mag.max() - _TIE_TOLERANCE * K.d)) + 1
+    ks = np.asarray(K.coefficients, dtype=np.int64)
+    total = float(np.abs(roots_of_unity(p)[ks * x % p].sum()))
+    ratio = total / K.d
+    return ratio * ratio, x, total / p  # one rounded product, as numpy squares
 
 
 def epsilon_of(K: CoefficientSet) -> tuple[float, int]:
@@ -147,8 +131,9 @@ def epsilon_of(K: CoefficientSet) -> tuple[float, int]:
     x = 0 is excluded: there the sum is trivially d for every K, while the
     quantity's role is bounding the acceptance probability on words whose
     length is not divisible by p.  The tie rule is the module's: the
-    smallest x <= (p-1)/2 whose directly computed (|S(x)|/d)^2 is largest
-    (p - x attains the same eps).
+    smallest x <= (p-1)/2 whose FFT |S(x)| lies within 1e-12 * d of the
+    largest there (p - x attains the same eps); eps is (|S(x)|/d)^2 from a
+    direct sum at that x.
     """
     eps, x, _ = _peak(K, spectrum(K))
     return eps, x

@@ -134,15 +134,22 @@ class DescentConfig(Record):
 
 
 class DescentResult(Record):
-    """``best_point`` holds the coefficients (general) or generators (shallow),
-    ``argmax_x`` the smallest x in [1, max(1, (p-1)/2)] attaining
-    ``best_epsilon`` as epsilon_of reports it, ``evaluations`` the candidates
-    considered (p per coordinate searched), ``rows_evaluated`` the full phase
-    rows scored (bounds pruned the rest), and ``history`` the best run's
-    (sweep, eps) pairs, a tuple so that the record hashes."""
+    """``argmax_x`` is the argmax `epsilon_of` reports for ``best_set``: the
+    smallest x in [1, max(1, (p-1)/2)] whose |S(x)| ties with the largest
+    there.  ``evaluations`` counts the candidates considered (p per
+    coordinate searched), ``rows_evaluated`` the full phase rows scored
+    (bounds pruned the rest), and ``history`` the best run's (sweep, eps)
+    pairs, a tuple so that the record hashes."""
 
-    __slots__ = ("best_set", "best_point", "best_epsilon", "argmax_x", "evaluations",
-                 "rows_evaluated", "history")
+    __slots__ = ("best_set", "best_epsilon", "argmax_x", "evaluations", "rows_evaluated",
+                 "history")
+
+    @property
+    def best_point(self) -> tuple[int, ...]:
+        """The coefficients (general) or generators (shallow) of ``best_set``."""
+        if self.best_set.params["mode"] == "shallow":
+            return self.best_set.params["T"]
+        return self.best_set.coefficients
 
     @property
     def sweeps_used(self) -> int:
@@ -392,20 +399,25 @@ def coordinate_descent(p: int, size: int, cfg: DescentConfig,
     best_set = _expand_point(p, point, cfg.mode)
     # final value re-measured through the canonical eps path
     best_eps, argmax = epsilon_of(best_set)
-    return DescentResult(best_set, tuple(int(v) for v in point), best_eps, argmax,
-                         evaluations, evaluator.rows_evaluated, tuple(history))
+    return DescentResult(best_set, best_eps, argmax, evaluations, evaluator.rows_evaluated,
+                         tuple(history))
 
 
 class ComparisonRecord(Record):
-    __slots__ = ("p", "ratio", "general", "shallow")
+    __slots__ = ("p", "general", "shallow")
+
+    @property
+    def ratio(self) -> float:
+        """eps_shallow / eps_general, both clamped at 1e-15, so two
+        roundoff-level errors (p < 2^m) give 1."""
+        return max(self.shallow.best_epsilon, 1e-15) / max(self.general.best_epsilon, 1e-15)
 
 
 def compare_experiment(primes: list[int], m: int, cfg: DescentConfig):
     """For each prime: optimize d = 2^m free coefficients and m generators.
     Every prime and size is checked when this is called; the returned
     iterator runs the searches and yields each prime's record as soon as
-    the prime is done.  The shallow/general ratio clamps both errors at
-    1e-15, so two roundoff-level errors (p < 2^m) give 1."""
+    the prime is done."""
     primes = [int(PrimeModulus(p)) for p in primes]
     for p in primes:
         _check_size(p, 1 << m, "general")
@@ -419,5 +431,4 @@ def _compare_records(primes: list[int], m: int, cfg: DescentConfig):
     for p in primes:
         gen_res = coordinate_descent(p, 1 << m, general)
         sh_res = coordinate_descent(p, m, shallow)
-        ratio = max(sh_res.best_epsilon, 1e-15) / max(gen_res.best_epsilon, 1e-15)
-        yield ComparisonRecord(p, ratio, gen_res, sh_res)
+        yield ComparisonRecord(p, gen_res, sh_res)

@@ -8,7 +8,9 @@ This is SplitMix64 (Steele, Lea, Flood 2014) with the standard constants
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     return z ^ (z >> 31)
 
-all arithmetic modulo 2^64.  Bounded draws reduce the raw output with a
+all arithmetic modulo 2^64.  The state starts at the seed reduced mod
+2^64, so any integer is a seed, and seeds congruent mod 2^64 (-1 and
+2^64 - 1) give the same stream.  Bounded draws reduce the raw output with a
 plain modulo; the bias is irrelevant at desk scale and the reduction is
 trivially portable across languages, which keeps seeded experiments
 reproducible everywhere.

@@ -57,17 +57,6 @@ def direct_sums(K, top):
     return sums
 
 
-def direct_sweep(K):
-    """(eps, smallest maximizing x, bias) from a direct sweep over every x in
-    [1, max(1, (p-1)/2)], one of each conjugate pair: the oracle the FFT
-    kernel's rescoring must reproduce exactly."""
-    p = int(K.p)
-    sums = direct_sums(K, max(1, (p - 1) // 2))
-    vals = (sums / K.d) ** 2
-    arg = int(np.argmax(vals))
-    return float(vals[arg]), arg + 1, float(sums.max()) / p
-
-
 def subgroup(p, d, coset=1):
     """The order-d subgroup of Z_p^* (d | p - 1), dilated by ``coset``."""
     h = pow(primitive_root(p), (p - 1) // d, p)
@@ -145,20 +134,65 @@ class TestEpsilon:
             assert at_arg == pytest.approx(b_eps, abs=1e-10)
 
     def test_equals_direct_sweep(self):
-        # every x of the half whose direct value could win is rescored, so the
-        # FFT kernel changes no bit of eps, its argmax or the bias
+        # the rule: x is the smallest x <= (p-1)/2 whose |S(x)| ties with the
+        # largest there, and eps and the bias are the direct sum at that x.
+        # Ties are read from the direct sums within 1e-12 d; distinct values
+        # of this family differ by at least 6.6e-7 d
         for K in oracle_family():
-            p = int(K.p)
-            eps, x, bias = direct_sweep(K)
-            assert x <= max(1, (p - 1) // 2)
-            assert epsilon_of(K) == (eps, x), (p, K.coefficients[:9])
+            p, d = int(K.p), K.d
+            sums = direct_sums(K, max(1, (p - 1) // 2))
+            vals = (sums / d) ** 2
+            tied = np.flatnonzero(sums >= sums.max() - 1e-12 * d) + 1
+            eps, x = epsilon_of(K)
+            label = (p, K.coefficients[:9])
+            assert x == tied[0], label
+            assert eps == vals[x - 1], label
             report = analyze(K)
-            assert (report.epsilon, report.argmax_x, report.bias) == (eps, x, bias)
+            assert (report.epsilon, report.argmax_x, report.bias) == (eps, x, sums[x - 1] / p)
+            if np.unique(sums[tied - 1]).size == 1:
+                # no rounding separates the tied sums: the direct sweep's
+                # first maximum is the same x
+                arg = int(np.argmax(vals))
+                assert (eps, x) == (vals[arg], arg + 1), label
+            else:
+                assert vals[tied - 1].min() <= eps <= vals[tied - 1].max(), label
             # the other half repeats it: |S(p - x)| = |S(x)| up to rounding;
             # where every residue occurs equally often eps is 0 and both read
             # roundoff (about 1e-33), hence the absolute term
-            every_x = float(((direct_sums(K, p - 1) / K.d) ** 2).max())
-            assert eps == pytest.approx(every_x, rel=1e-15, abs=1e-30), (p, K.coefficients[:9])
+            every_x = float(((direct_sums(K, p - 1) / d) ** 2).max())
+            assert eps == pytest.approx(every_x, rel=1e-15, abs=1e-30), label
+
+    def test_exact_ties_resolve_to_the_smallest_x(self):
+        # every x ties for {7}; rounding once picked x = 11 (eps 1 + 4e-16)
+        eps, x = epsilon_of(explicit_set(101, [7]))
+        assert x == 1 and eps == pytest.approx(1.0, abs=1e-15)
+        # the full residue set: every |S(x)| is 0 up to roundoff
+        assert epsilon_of(explicit_set(257, range(257)))[1] == 1
+
+    def test_one_peak_reads_d_phases(self, monkeypatch):
+        # a flat spectrum costs one sum of d terms, not one per tied x
+        class Counted(np.ndarray):
+            reads = 0
+
+            def __getitem__(self, index):
+                out = super().__getitem__(index)
+                Counted.reads += np.size(out)
+                return out
+
+        table = analysis.roots_of_unity
+        monkeypatch.setattr(analysis, "roots_of_unity", lambda p: table(p).view(Counted))
+        assert epsilon_of(explicit_set(4099, range(4099)))[1] == 1
+        assert Counted.reads == 4099
+
+    @pytest.mark.full_scale
+    def test_flat_spectrum_at_the_cap(self):
+        # 2^22 copies of one residue: |S(x)| = d for every x, so every x ties
+        d, p = 1 << 22, 4194301
+        report = analyze(explicit_set(p, [12345] * d))
+        assert report.argmax_x == 1
+        assert report.epsilon == pytest.approx(1.0, rel=1e-12)
+        assert report.bias == pytest.approx(d / p, rel=1e-12)
+        assert report.energy == 1 << 88
 
     def test_argmax_is_the_member_of_the_pair_below_p_over_2(self):
         # the direct sums at 3857 and 20011 - 3857 = 16154 differ in the last

@@ -54,6 +54,16 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "--method", "cyclic", "--p", "7")
         assert code == 1
 
+    def test_seeds_congruent_mod_2_64_draw_the_same_set(self, capsys):
+        # the generator starts from seed mod 2^64; params keep the seed as given
+        for seed in (-1, 2 ** 64 - 1, 2 ** 65 - 1):
+            code, stdout, _ = run(capsys, "gen", "--method", "random", "--p", "1013",
+                                  "--d", "4", "--seed", str(seed))
+            data = json.loads(stdout)
+            assert code == 0
+            assert data["params"] == {"seed": seed}
+            assert data["coefficients"] == [233, 986, 390, 339]
+
     @pytest.mark.parametrize("p", ["5", "7"])
     def test_aikps_interval_containing_p(self, capsys, p):
         code, stdout, err = run(capsys, "gen", "--method", "aikps", "--p", p, "--eps", "1")

@@ -33,7 +33,7 @@ def _examples() -> dict:
         analysis.AnalysisReport: report,
         optimize.DescentConfig: cfg,
         optimize.DescentResult: general,
-        optimize.ComparisonRecord: optimize.ComparisonRecord(13, 1.0, general, shallow),
+        optimize.ComparisonRecord: optimize.ComparisonRecord(13, general, shallow),
     }
 
 
@@ -65,6 +65,18 @@ def test_record_round_trip_count_and_freeze(cls):
     else:
         with pytest.raises(AttributeError):
             setattr(value, name, fields[0])
+
+
+def test_derived_fields_are_read_from_the_stored_ones():
+    comparison = EXAMPLES[optimize.ComparisonRecord]
+    general, shallow = comparison.general, comparison.shallow
+    assert general.best_point == general.best_set.coefficients
+    assert len(general.best_point) == 4
+    assert shallow.best_point == shallow.best_set.params["T"]
+    assert len(shallow.best_point) == 2
+    assert comparison.ratio == shallow.best_epsilon / general.best_epsilon
+    assert "best_point" not in optimize.DescentResult.__slots__
+    assert "ratio" not in optimize.ComparisonRecord.__slots__
 
 
 def test_qfa_state_compares_amplitudes_by_value():
