@@ -226,8 +226,9 @@ def _cmd_compare(args) -> int:
     cfg = optimize.DescentConfig(seed=args.seed, restarts=args.restarts)
     experiment = optimize.compare_experiment(primes, args.m, cfg)  # checks primes and sizes
     ratios_path = os.path.splitext(args.out)[0] + "_ratios.csv"
+    # closing: a run that stops early still ends the experiment's search process
     with _output(args.out, newline="") as out_fh, \
-            _output(ratios_path, newline="") as ratios_fh:
+            _output(ratios_path, newline="") as ratios_fh, contextlib.closing(experiment):
         records = []
         last = time.perf_counter()
         for rec in experiment:

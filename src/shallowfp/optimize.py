@@ -43,7 +43,11 @@ or multiply, abs, square in place, divide by d*d); numpy evaluates each
 of these per element independently of array shape and layout, so every
 bound entry equals an entry of the full row bit for bit.  The maximum over a subset of the columns is then a true
 lower bound on the candidate's eps, with no rounding slack, and a bound
-over more columns is never lower.
+over more columns is never lower.  No rung reads past the 8192th column
+of that order, so where the first half is longer, an argpartition picks
+those columns before they are sorted (columns tied in |rest| may come in
+another order than a full sort's; that could change which rows are
+scored, never a move).
 
 1. Every candidate is bounded on the 4 largest columns; only those whose
    bound does not exceed the current value's eps survive.
@@ -105,8 +109,27 @@ cached sum of p - 1 entries, and per move O(16 p + batch p) entries of
 scratch.  Before anything is allocated, p is capped at
 analysis.TABLE_MAX_P = 2^22 and size (p - 1), the full-row entries a first
 sweep scores at least, at 2^26: d = 1024 still fits at p = 65537.
+
+Lanes.  `compare_experiment` runs its two searches per prime side by side:
+when its iterator starts, it forks one child that runs the shallow
+descents of every prime in list order and sends each pickled result down
+a pipe, while the caller runs the general descents and pairs each with
+its prime's shallow result as that arrives.  Both lanes call the same
+`coordinate_descent`, so every record equals the in-process one, and a
+prime costs the larger of its two searches, not their sum.  The child
+sends an exception it raises (or, if that does not pickle, its type name
+and message) and the caller raises it; the child leaves only by
+os._exit, and the caller kills and reaps it however the iteration ends.
+Where os.fork does not exist the shallow descents run in-process.  On
+Python >= 3.12, forking a process that holds OpenBLAS threads raises a
+DeprecationWarning; the child makes no BLAS call (it uses only ufuncs,
+take, argsort, argpartition and pocketfft).
 """
 from __future__ import annotations
+
+import contextlib
+import os
+import pickle
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -273,7 +296,11 @@ class _Evaluator:
         # rounding: the bounds take their columns from the first half, one of
         # each conjugate pair
         mag = np.abs(rest[:max(1, rest.size // 2)])
-        by_mag = np.argsort(mag)[::-1]  # columns (logs of x), largest |rest| first
+        if mag.size > _REFINE_MAX:  # no rung reads past the first _REFINE_MAX columns
+            by_mag = np.argpartition(mag, mag.size - _REFINE_MAX)[mag.size - _REFINE_MAX:]
+            by_mag = by_mag[np.argsort(mag[by_mag])[::-1]]
+        else:
+            by_mag = np.argsort(mag)[::-1]  # columns (logs of x), largest |rest| first
         rest_mag, mag = rest[by_mag], mag[by_mag]
         # rung 1: every candidate on the first columns; only a candidate whose
         # bound does not exceed cur can tie or beat the current value
@@ -416,8 +443,9 @@ class ComparisonRecord(Record):
 def compare_experiment(primes: list[int], m: int, cfg: DescentConfig):
     """For each prime: optimize d = 2^m free coefficients and m generators.
     Every prime and size is checked when this is called; the returned
-    iterator runs the searches and yields each prime's record as soon as
-    the prime is done."""
+    iterator runs the searches, the shallow ones in a forked lane (see
+    "Lanes"), and yields each prime's record as soon as the prime is done.
+    Closing it early ends the lane."""
     primes = [int(PrimeModulus(p)) for p in primes]
     for p in primes:
         _check_size(p, 1 << m, "general")
@@ -428,7 +456,69 @@ def compare_experiment(primes: list[int], m: int, cfg: DescentConfig):
 def _compare_records(primes: list[int], m: int, cfg: DescentConfig):
     general = DescentConfig(cfg.seed, cfg.max_sweeps, "general", cfg.restarts)
     shallow = DescentConfig(cfg.seed, cfg.max_sweeps, "shallow", cfg.restarts)
-    for p in primes:
-        gen_res = coordinate_descent(p, 1 << m, general)
-        sh_res = coordinate_descent(p, m, shallow)
-        yield ComparisonRecord(p, gen_res, sh_res)
+    with _in_child(coordinate_descent(p, m, shallow) for p in primes) as shallow_results:
+        for p in primes:
+            gen_res = coordinate_descent(p, 1 << m, general)
+            yield ComparisonRecord(p, gen_res, next(shallow_results))
+
+
+@contextlib.contextmanager
+def _in_child(items):
+    """An iterator over ``items``, which a forked child computes beside the
+    caller (see "Lanes"); ``items`` itself where os.fork does not exist."""
+    if not hasattr(os, "fork"):
+        yield items
+        return
+    import gc  # here, not at the top: no other command loads them
+    import signal
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: send each item, or the exception that stopped it
+        status = 1
+        try:
+            gc.freeze()  # leave the parent's garbage alone: a file freed here would flush
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                try:
+                    for item in items:
+                        pickle.dump((True, item), pipe)
+                        pipe.flush()
+                except BaseException as exc:
+                    try:
+                        pickle.loads(pickle.dumps(exc))
+                    except Exception:
+                        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                    pickle.dump((False, exc), pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    pipe = open(read_fd, "rb")
+    reaped = False
+
+    def received():
+        nonlocal reaped
+        while True:
+            try:
+                ok, item = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the child is gone
+                status = os.waitpid(pid, 0)[1]
+                reaped = True
+                code = os.waitstatus_to_exitcode(status)
+                try:
+                    how = f"was killed by {signal.Signals(-code).name}"
+                except ValueError:  # an exit status, or a signal without a name
+                    how = f"ended with exit code {code}"
+                raise ChildProcessError(f"the forked search process {how} before it "
+                                        f"sent every result") from None
+            if not ok:
+                raise item
+            yield item
+
+    try:
+        yield received()
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

@@ -11,6 +11,7 @@ import pytest
 
 from shallowfp import coeffsets
 from shallowfp.cli import main
+from shallowfp.errors import DomainError
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -575,6 +576,89 @@ class TestCompare:
         code, _, _ = run(capsys, "compare", "--p-list", str(plist), "--m", "2",
                          "--seed", "1", "--out", str(tmp_path / "x.csv"))
         assert code == 1
+
+
+def patch_descent(monkeypatch, mode, hook):
+    """Call ``hook(p)`` before every descent of ``mode``; patched before the
+    run starts, so compare's forked shallow lane runs it too."""
+    from shallowfp import optimize
+    real = optimize.coordinate_descent
+
+    def patched(p, size, cfg, initial=None):
+        if cfg.mode == mode:
+            hook(p)
+        return real(p, size, cfg, initial)
+
+    monkeypatch.setattr(optimize, "coordinate_descent", patched)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# a run that stops early, with its shallow lane busy or not, leaves no process
+class TestCompareLanes:
+    def test_shallow_lane_domain_error_exit_2(self, tmp_path, capsys, monkeypatch):
+        def fail(p):
+            raise DomainError(f"no shallow search at p={p}")
+
+        patch_descent(monkeypatch, "shallow", fail)
+        code, stdout, err = run(capsys, "compare", "--p-max", "13", "--m", "2",
+                                "--out", str(tmp_path / "x.csv"))
+        assert (code, stdout, err) == (2, "", "error: no shallow search at p=2\n")
+        assert_no_child_left()
+
+    def test_failed_csv_write_exit_1(self, tmp_path, capsys, monkeypatch):
+        from shallowfp import cli
+
+        def full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "_format_rows", full)
+        code, _, err = run(capsys, "compare", "--p-max", "13", "--m", "2",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1 and err.splitlines()[-1].startswith("usage error: [Errno 28]")
+        assert_no_child_left()
+
+    def test_general_lane_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        def full(p):
+            if p == 3:
+                raise OSError(28, "No space left on device")
+
+        patch_descent(monkeypatch, "general", full)
+        patch_descent(monkeypatch, "shallow", lambda p: time.sleep(0 if p == 2 else 60))
+        started = time.perf_counter()
+        code, _, err = run(capsys, "compare", "--p-max", "13", "--m", "2",
+                           "--out", str(tmp_path / "x.csv"))
+        assert time.perf_counter() - started < 10  # the busy lane was killed
+        assert code == 1 and len(err.splitlines()) == 2  # p = 2's progress, then the error
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("stop", ["end", "error"])
+    def test_stderr_reaches_eof_when_the_run_exits(self, tmp_path, stop):
+        # perfbench reads a job's stderr to EOF before it reaps the job: a
+        # process left holding the pipe would read as a hang
+        script = ("import sys, time\n"
+                  "from shallowfp import cli, optimize\n"
+                  "from shallowfp.errors import DomainError\n"
+                  "real = optimize.coordinate_descent\n"
+                  "def patched(p, size, cfg, initial=None):\n"
+                  "    if cfg.mode == 'shallow' and p > 2:\n"
+                  "        time.sleep(600)\n"
+                  "    if cfg.mode == 'general' and p > 2:\n"
+                  "        raise DomainError('stopped')\n"
+                  "    return real(p, size, cfg, initial)\n"
+                  f"if {stop == 'error'}:\n"
+                  "    optimize.coordinate_descent = patched\n"
+                  "argv = ['compare', '--p-max', '13', '--m', '2', '--out', 'c.csv']\n"
+                  "sys.exit(cli.main(argv))\n")
+        result = fresh_python("-c", script, cwd=tmp_path)  # times out at 60 s
+        lines = result.stderr.splitlines()
+        if stop == "end":
+            assert result.returncode == 0 and len(lines) == 6
+        else:
+            assert result.returncode == 2 and lines[-1] == "error: stopped"
 
 
 def count_calls(monkeypatch, name):

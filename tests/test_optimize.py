@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -9,8 +11,10 @@ import numpy as np
 import pytest
 
 from descent_oracle import full_table_candidate_eps, oracle_locally_optimal, oracle_move
+from shallowfp import optimize
 from shallowfp.analysis import epsilon_of, roots_of_unity
 from shallowfp.coeffsets import expand_subset_sums, explicit_set
+from shallowfp.errors import ParameterRangeError
 from shallowfp.rng import SplitMix64
 from shallowfp.zmod import primitive_root
 from shallowfp.optimize import (
@@ -406,3 +410,115 @@ class TestCompareExperiment:
                 max(r.shallow.best_epsilon, 1e-15) / max(r.general.best_epsilon, 1e-15))
             assert r.general.best_set.d == 4
             assert len(r.shallow.best_point) == 2
+
+
+# p = 307 with seed 1: the best shallow run spins to max_sweeps
+LANE_PRIMES = [2, 3, 13, 101, 151, 307, 311, 457, 601]
+
+
+def lane_patch(monkeypatch, shallow=None, general=None):
+    """Replace optimize.coordinate_descent by one that calls ``shallow`` or
+    ``general`` (p, cfg) first where given; patched before the first record,
+    so the shallow lane's forked process runs it too."""
+    real = optimize.coordinate_descent
+
+    def patched(p, size, cfg, initial=None):
+        hook = shallow if cfg.mode == "shallow" else general
+        if hook is not None:
+            hook(p, cfg)
+        return real(p, size, cfg, initial)
+
+    monkeypatch.setattr(optimize, "coordinate_descent", patched)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestLanes:
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_records_equal_direct_descents(self, seed):
+        records = list(compare_experiment(LANE_PRIMES, 3, DescentConfig(seed=seed, restarts=3)))
+        assert [r.p for r in records] == LANE_PRIMES
+        for rec in records:
+            for mode, size, res in (("general", 8, rec.general), ("shallow", 3, rec.shallow)):
+                direct = coordinate_descent(rec.p, size,
+                                            DescentConfig(seed=seed, mode=mode, restarts=3))
+                assert res.best_set == direct.best_set
+                assert res.best_set.params == direct.best_set.params
+                assert res.best_epsilon.hex() == direct.best_epsilon.hex()
+                assert res.argmax_x == direct.argmax_x
+                assert res.evaluations == direct.evaluations
+                assert res.rows_evaluated == direct.rows_evaluated
+                assert res.history == direct.history
+        assert seed != 1 or records[LANE_PRIMES.index(307)].shallow.sweeps_used == 100
+        assert_no_child_left()
+
+    def test_without_fork_the_records_are_the_same(self, monkeypatch):
+        cfg = DescentConfig(seed=1, restarts=3)
+        forked = list(compare_experiment(LANE_PRIMES, 3, cfg))
+        monkeypatch.delattr(os, "fork")
+        assert list(compare_experiment(LANE_PRIMES, 3, cfg)) == forked
+
+    def test_shallow_lane_exception_reaches_the_caller(self, monkeypatch):
+        def fail(p, cfg):
+            if p == 13:
+                raise ParameterRangeError(f"no shallow search at p={p}")
+
+        lane_patch(monkeypatch, shallow=fail)
+        records = compare_experiment([3, 13, 101], 2, DescentConfig(seed=1))
+        assert next(records).p == 3
+        with pytest.raises(ParameterRangeError, match=r"^no shallow search at p=13$"):
+            next(records)
+        assert_no_child_left()
+
+    def test_unpicklable_exception_arrives_as_type_and_message(self, monkeypatch):
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def fail(p, cfg):
+            raise LocalError("lane broke")
+
+        lane_patch(monkeypatch, shallow=fail)
+        with pytest.raises(RuntimeError, match=r"^LocalError: lane broke$"):
+            list(compare_experiment([3, 13], 2, DescentConfig(seed=1)))
+        assert_no_child_left()
+
+    def test_killed_lane_names_the_signal(self, monkeypatch):
+        parent = os.getpid()
+
+        def die(p, cfg):
+            if os.getpid() != parent:  # only ever in the forked process
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        lane_patch(monkeypatch, shallow=die)
+        with pytest.raises(ChildProcessError, match="SIGKILL"):
+            list(compare_experiment([3, 13], 2, DescentConfig(seed=1)))
+        assert_no_child_left()
+
+    def test_close_after_the_first_record_reaps_the_lane(self, monkeypatch):
+        lane_patch(monkeypatch, shallow=lambda p, cfg: time.sleep(0 if p == 3 else 60))
+        records = compare_experiment([3, 13, 101], 2, DescentConfig(seed=1))
+        assert next(records).p == 3
+        started = time.perf_counter()
+        records.close()
+        assert time.perf_counter() - started < 10  # killed, not waited for
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, ParameterRangeError])
+    def test_general_lane_exception_reaps_the_lane(self, monkeypatch, error):
+        def fail(p, cfg):
+            if p == 13:
+                raise error("stopped")
+
+        # the lane is still searching when the caller stops
+        lane_patch(monkeypatch, general=fail,
+                   shallow=lambda p, cfg: time.sleep(0 if p == 3 else 60))
+        records = compare_experiment([3, 13, 101], 2, DescentConfig(seed=1))
+        assert next(records).p == 3
+        started = time.perf_counter()
+        with pytest.raises(error):
+            next(records)
+        assert time.perf_counter() - started < 10
+        assert_no_child_left()
