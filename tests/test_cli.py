@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import os
@@ -17,12 +18,17 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def fresh_python(*args, cwd):
-    """Run ``python *args`` in a new interpreter that imports the package from SRC."""
+def child_env() -> dict:
+    """The environment of a new interpreter that imports the package from SRC."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
-                          text=True, timeout=60)
+    return env
+
+
+def fresh_python(*args, cwd, text=True):
+    """Run ``python *args`` in a new interpreter that imports the package from SRC."""
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=child_env(),
+                          capture_output=True, text=text, timeout=60)
 
 
 def run(capsys, *argv):
@@ -754,6 +760,88 @@ def test_module_form_writes_what_main_writes(tmp_path, capsys):
     result = fresh_python("-m", "shallowfp.cli", *argv, "--out", "module.json", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+class TestEntry:
+    """entry(), the console script, in a new interpreter: main()'s bytes and
+    exit codes, a buffered stdout of its own, and a frozen heap at exit."""
+
+    def test_success_writes_what_main_writes(self, tmp_path, capsys):
+        # the report and then the spectrum rows, both on stdout, in that order
+        K = coeffsets.gen_random(1013, 16, 9)
+        (tmp_path / "k.json").write_text(json.dumps(K.to_json_dict()))
+        argv = ["analyze", "--coeffs", str(tmp_path / "k.json"), "--spectrum", "-"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        result = fresh_python("-m", "shallowfp.cli", *argv, cwd=tmp_path, text=False)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == out.encode()
+
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (["gen", "--method", "cyclic", "--p", "7"], 1, "usage error: "),
+        (["gen", "--method", "cyclic", "--p", "8", "--d", "3"], 2, "error: "),
+    ], ids=["usage", "domain"])
+    def test_failure_exits_with_one_line(self, tmp_path, argv, code, prefix):
+        result = fresh_python("-m", "shallowfp.cli", *argv, cwd=tmp_path)
+        assert (result.returncode, result.stdout) == (code, "")
+        assert result.stderr.count("\n") == 1 and result.stderr.startswith(prefix)
+
+    def test_atexit_handlers_run_on_a_frozen_heap(self, tmp_path):
+        # a handler of the calling script still runs, after entry() froze
+        # the heap and gave stdout back
+        script = ("import atexit, gc, sys\n"
+                  "from shallowfp.cli import entry\n"
+                  "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                  "sys.argv = ['shallowfp', 'gen', '--method', 'cyclic', '--p', '7', '--d', '3']\n"
+                  "entry()\n")
+        result = fresh_python("-c", script, cwd=tmp_path)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.endswith("}\nfrozen True\n")
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        code, _, _ = run(capsys, "gen", "--method", "cyclic", "--p", "7", "--d", "3")
+        assert code == 0 and gc.get_freeze_count() == before
+
+    def test_closed_stdout_at_start(self, tmp_path):
+        # the interpreter sets sys.stdout to None; a command writing a file runs
+        argv = ["gen", "--method", "cyclic", "--p", "7", "--d", "3", "--out", "k.json"]
+        result = subprocess.run([sys.executable, "-m", "shallowfp.cli", *argv], cwd=tmp_path,
+                                env=child_env(), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+                                timeout=60)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert json.loads((tmp_path / "k.json").read_text())["p"] == 7
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv, nbytes", [
+        (["simulate", "--coeffs", "cyc.json", "--sweep"], 10),
+        # the reader leaves first: the report is still in the buffer when
+        # the rows fail, and main() has reported the error already
+        (["analyze", "--coeffs", "cyc.json", "--spectrum", "-"], 0),
+    ], ids=["sweep", "spectrum"])
+    def test_stdout_cut_short_is_a_usage_error(self, tmp_path, unbuffered, argv, nbytes):
+        # under PYTHONUNBUFFERED sys.stdout is a raw stream, which drops the
+        # rest of a short write without an error; the sweep's 1.6 MB fill
+        # the pipe long before its reader closes it
+        K = coeffsets.gen_cyclic(65551, 64)
+        (tmp_path / "cyc.json").write_text(json.dumps(K.to_json_dict()))
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "shallowfp.cli", *argv], cwd=tmp_path,
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                bufsize=0)
+        try:
+            proc.stdout.read(nbytes)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 1
+        assert err == b"usage error: [Errno 32] Broken pipe\n"
 
 
 # gen (the GAP search included), circuit --stats and --emit-qasm do
