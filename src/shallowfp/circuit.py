@@ -1,17 +1,22 @@
 """Gate-level IR for fingerprinting circuits.
 
-Every builder takes a `CoefficientSet` K and produces one of three layouts:
+A `Circuit` is an immutable record: a tuple of gates, checked against the
+register once, and the ``style`` of the builder that made it ("" for one
+made by hand).  Each builder checks its `CoefficientSet` K (`DomainError`
+for a set its layout cannot take) and returns the circuit whole, in one
+of three layouts:
 
 * deep    -- one multi-controlled R_y(4 pi k_j x / p) per coefficient, the
              j-th gate controlled on the binary pattern of j-1,
 * shallow -- one singly-controlled R_y(4 pi t_j x / p) per generator plus a
              final uncontrolled R_y(4 pi t_0 x / p), with t_0 and the
              generators T read from K.params["t0"] (default 0) and
-             K.params["T"],
-* aikps   -- per small prime r in K.params["R"]: a bank of controlled
+             K.params["T"]; K must be the subset sums of t_0 and T,
+* aikps   -- per small prime r in R: a bank of controlled
              R_y(2^{k-1} 4 pi r^{-1} x / p) rotations plus one uncontrolled
-             closing R_y, with the bank width set by K.params["s_max"] and
-             the label by K.params["eps"].
+             closing R_y, with the bank width set by s_max; K must come
+             from `gen_aikps`, which rebuilds R and s_max from K's p and
+             K.params["eps"].
 
 Basis convention is little-endian: qubit q contributes bit q of the basis
 index, so for deep/shallow circuits the control-register value equals the
@@ -19,8 +24,8 @@ coefficient index (subset bitmask) directly and the target qubit is the
 highest bit.
 
 Depth is greedy disjoint-support layering; the LNN CX cost is a declared
-model (3 CX per singly-controlled rotation, d*ceil(log2 d) for the deep
-multi-controlled bank), not a router.
+model per style (3 CX per singly-controlled rotation, d*ceil(log2 d) for
+the deep multi-controlled bank), not a router.
 
 QASM lowering.  A run of consecutive controlled rotations on one target
 with one tuple of control qubits is a single uniformly controlled R_y
@@ -35,9 +40,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
+from . import coeffsets
 from .coeffsets import CoefficientSet
+from .errors import DomainError
 from .record import Record
 
 if TYPE_CHECKING:
@@ -68,23 +75,17 @@ class Gate(Record):
 
 
 class Circuit(Record):
-    """A gate list on ``num_qubits`` wires; unlike the other records it grows
-    by `add`, and its fields may be reassigned, so it has no hash."""
+    """A gate list on ``num_qubits`` wires, made whole; ``style`` is "deep",
+    "shallow" or "aikps" for a builder's circuit and "" for a hand-made one."""
 
-    __slots__ = ("num_qubits", "gates", "label")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    __slots__ = ("num_qubits", "gates", "label", "style")
 
-    def __init__(self, num_qubits: int, gates: list[Gate] | None = None, label: str = ""):
-        self.num_qubits = num_qubits
-        self.gates = [] if gates is None else gates
-        self.label = label
-
-    def add(self, gate: Gate) -> None:
-        if any(q >= self.num_qubits or q < 0 for q in gate.qubits):
+    def __init__(self, num_qubits: int, gates: Iterable[Gate] = (), label: str = "",
+                 style: str = ""):
+        gates = tuple(gates)
+        if any(q >= num_qubits or q < 0 for gate in gates for q in gate.qubits):
             raise ValueError("gate touches a qubit outside the register")
-        self.gates.append(gate)
+        super().__init__(num_qubits, gates, label, style)
 
 
 # Declared linear-nearest-neighbor CX budget per rotation construct.
@@ -115,33 +116,34 @@ def build_deep(K: CoefficientSet, x: int) -> Circuit:
     m = d.bit_length() - 1
     p = int(K.p)
     label = f"deep[d={d},m={m}" + (f",padded_from={K.d}" if d != K.d else "") + "]"
-    c = Circuit(m + 1, label=label)
-    for q in range(m):
-        c.add(Gate("h", q))
+    gates = [Gate("h", q) for q in range(m)]
     pairs = [((q, False), (q, True)) for q in range(m)]  # shared by every gate's controls
     for j, k in enumerate(padded.coefficients):
         angle = _reduced_angle(k, x, p)
         if m == 0:
-            c.add(Gate("ry", 0, angle))
+            gates.append(Gate("ry", 0, angle))
         else:
             controls = tuple(pair[(j >> q) & 1] for q, pair in enumerate(pairs))
-            c.add(Gate("cry", m, angle, controls))
-    return c
+            gates.append(Gate("cry", m, angle, controls))
+    return Circuit(m + 1, gates, label, "deep")
 
 
 def build_shallow(K: CoefficientSet, x: int) -> Circuit:
     """Shallow layout: one singly-controlled rotation per generator in K.params["T"]."""
-    T = K.params["T"]
+    if "T" not in K.params:
+        raise DomainError("shallow circuit needs a subset-sum set (gap/optimized "
+                          "shallow output with generators)")
+    t0, T = K.params.get("t0", 0), K.params["T"]
+    if K.coefficients != coeffsets.expand_subset_sums(t0, T, K.p).coefficients:
+        raise DomainError("shallow circuit needs coefficients equal to the subset sums "
+                          "of t0 and generators")
     m = len(T)
     p = int(K.p)
-    c = Circuit(m + 1, label=f"shallow[m={m}]")
-    for q in range(m):
-        c.add(Gate("h", q))
-    for q, t in enumerate(T):
-        c.add(Gate("cry", m, _reduced_angle(t, x, p), ((q, True),)))
+    gates = [Gate("h", q) for q in range(m)]
+    gates += [Gate("cry", m, _reduced_angle(t, x, p), ((q, True),)) for q, t in enumerate(T)]
     # closing rotation R_0; kept even for t_0 = 0 for structural fidelity
-    c.add(Gate("ry", m, _reduced_angle(K.params.get("t0", 0), x, p)))
-    return c
+    gates.append(Gate("ry", m, _reduced_angle(t0, x, p)))
+    return Circuit(m + 1, gates, f"shallow[m={m}]", "shallow")
 
 
 def aikps_block_width(s_max: int) -> int:
@@ -150,23 +152,28 @@ def aikps_block_width(s_max: int) -> int:
 
 
 def build_aikps(K: CoefficientSet, x: int) -> Circuit:
-    """AIKPS layout: per prime r in K.params["R"], a bank of doubling rotations
-    sharing the target."""
+    """AIKPS layout: per prime r in R, a bank of doubling rotations sharing
+    the target.  R and s_max come from `gen_aikps` at K's p and eps."""
+    eps = K.params.get("eps")
+    if K.method != "aikps" or type(eps) not in (int, float):  # not bool
+        raise DomainError("aikps circuit needs a set generated by --method aikps")
+    K = coeffsets.gen_aikps(K.p, eps)
     p = int(K.p)
     R = K.params["R"]
     w = aikps_block_width(K.params["s_max"])
     n_ctrl = w - 1
     num_qubits = len(R) * n_ctrl + 1
     target = num_qubits - 1
-    c = Circuit(num_qubits, label=f"aikps[eps={K.params['eps']:g},blocks={len(R)},w={w}]")
+    gates = []
     for b, r in enumerate(R):
         r_inv = pow(r, -1, p)
         base = b * n_ctrl
         for k in range(1, w):
             coeff = (1 << (k - 1)) * r_inv % p
-            c.add(Gate("cry", target, _reduced_angle(coeff, x, p), ((base + k - 1, True),)))
-        c.add(Gate("ry", target, _reduced_angle(r_inv, x, p)))
-    return c
+            gates.append(Gate("cry", target, _reduced_angle(coeff, x, p),
+                              ((base + k - 1, True),)))
+        gates.append(Gate("ry", target, _reduced_angle(r_inv, x, p)))
+    return Circuit(num_qubits, gates, f"aikps[eps={eps:g},blocks={len(R)},w={w}]", "aikps")
 
 
 def depth(c: Circuit) -> int:
@@ -182,17 +189,16 @@ def depth(c: Circuit) -> int:
 
 
 def cx_count_lnn(c: Circuit) -> int:
-    """Declared LNN CX cost; dispatches on the builder that made the circuit."""
+    """Declared LNN CX cost; the model is the one of the circuit's style."""
     n_cry = sum(1 for g in c.gates if g.kind == "cry")
-    style = c.label.split("[", 1)[0]
-    if style == "shallow":
+    if c.style == "shallow":
         return n_cry * CX_PER_CONTROLLED_RY_LNN + CX_OVERHEAD_FINAL
-    if style == "deep":
+    if c.style == "deep":
         # nearest-neighbor decomposition of the d-rotation controlled bank
         return n_cry * math.ceil(math.log2(n_cry)) if n_cry > 1 else 1
-    if style == "aikps":
+    if c.style == "aikps":
         return n_cry * CX_PER_CONTROLLED_RY_LNN
-    raise ValueError(f"no LNN cost model for circuit label {c.label!r}")
+    raise ValueError(f"no LNN cost model for circuit style {c.style!r}")
 
 
 # The statevector simulator checks the builders in tests; numpy is imported

@@ -35,7 +35,7 @@ import itertools
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 # Modules that only some commands run are imported inside those commands:
 # analysis, qfa and optimize (so gen, circuit and simulate --j start without
@@ -43,9 +43,6 @@ from typing import TYPE_CHECKING, Sequence
 from . import coeffsets
 from .errors import DomainError
 from .zmod import PrimeModulus, is_prime
-
-if TYPE_CHECKING:
-    from .circuit import Circuit
 
 
 class UsageError(Exception):
@@ -80,8 +77,12 @@ def _output(path: str | None, newline: str | None = None):
 
     The file is opened without truncation and cut to what was written when
     the block ends, so a run that fails before it writes leaves an existing
-    file as it was; a file that the open created is removed."""
+    file as it was; a file that the open created is removed.  A process
+    started with its stdout closed has ``sys.stdout`` None: asking for it
+    is a usage error."""
     if path is None or path == "-":
+        if sys.stdout is None:
+            raise UsageError("stdout is closed")
         yield sys.stdout
         return
     created = not os.path.lexists(path)
@@ -144,11 +145,11 @@ def _cmd_gen(args) -> int:
 def _cmd_analyze(args) -> int:
     from . import analysis
     K = _load_coeffs(args.coeffs)
-    # without --spectrum the handle is stdout, and nothing is written to it
-    with _output(args.spectrum, newline="") as spectrum:
+    # without --spectrum the second handle is stdout, and nothing is written to it
+    with _output(None) as out, _output(args.spectrum, newline="") as spectrum:
         S = analysis.spectrum(K)  # the one forward transform of the run
         report = analysis.analyze(K, S)
-        sys.stdout.write(_json_dumps(report.to_json_dict()))
+        out.write(_json_dumps(report.to_json_dict()))
         if args.spectrum:
             # the bytes csv.writer wrote: numeric fields unquoted, \r\n line ends
             rows = _format_rows(f"%d,{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT}\r\n",
@@ -169,32 +170,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _build_circuit(K: coeffsets.CoefficientSet, style: str, x: int) -> Circuit:
-    from . import circuit
-    if style == "deep":
-        return circuit.build_deep(K, x)
-    if style == "shallow":
-        if "T" not in K.params:
-            raise DomainError("shallow circuit needs a subset-sum set (gap/optimized "
-                              "shallow output with generators)")
-        sums = coeffsets.expand_subset_sums(K.params.get("t0", 0), K.params["T"], K.p)
-        if K.coefficients != sums.coefficients:
-            raise DomainError("shallow circuit needs coefficients equal to the subset sums "
-                              "of t0 and generators")
-        return circuit.build_shallow(K, x)
-    if style == "aikps":
-        if K.method != "aikps" or type(K.params.get("eps")) not in (int, float):  # not bool
-            raise DomainError("aikps circuit needs a set generated by --method aikps")
-        # rebuilt from (p, eps): R and s_max are not read from the file
-        return circuit.build_aikps(coeffsets.gen_aikps(K.p, K.params["eps"]), x)
-    raise UsageError(f"unknown style {style}")
-
-
 def _cmd_circuit(args) -> int:
     from . import circuit
     K = _load_coeffs(args.coeffs)
     with _output(args.emit_qasm) as out:  # None with --stats: stdout
-        c = _build_circuit(K, args.style, args.x)
+        c = getattr(circuit, f"build_{args.style}")(K, args.x)  # it checks K
         out.write(_json_dumps(circuit.stats(c)) if args.stats else circuit.emit_qasm(c))
     return 0
 
@@ -264,7 +244,8 @@ def _cmd_compare(args) -> int:
         for rec in records:
             for mode, style, res in (("general", "deep", rec.general),
                                      ("shallow", "shallow", rec.shallow)):
-                built = circuit.stats(_build_circuit(res.best_set, style, res.argmax_x))
+                build = getattr(circuit, f"build_{style}")
+                built = circuit.stats(build(res.best_set, res.argmax_x))
                 rows.append((rec.p, args.m, mode, res.best_epsilon, res.argmax_x,
                              built["depth"], built["cx_lnn"], res.sweeps_used,
                              res.evaluations, args.seed))

@@ -35,6 +35,15 @@ from .zmod import PrimeModulus, is_prime, primitive_root
 
 _MAX_GAP_DIM = 16
 
+
+def check_gap_dim(m: int) -> None:
+    """Refuse more than 16 generators, the cap of every properness check,
+    subset-sum expansion and shallow search."""
+    if m > _MAX_GAP_DIM:
+        raise ParameterRangeError(f"GAP dimension capped at {_MAX_GAP_DIM} "
+                                  f"(m <= {_MAX_GAP_DIM}), got m={m}")
+
+
 # Cap on the size of every generated set, checked before any draw or scan.
 # AIKPS checks its bound floor(hi) * s_max (|R| <= floor(hi), so
 # d <= floor(hi) * s_max) against it before the prime scan.  Every benchmark
@@ -213,8 +222,7 @@ def is_proper_gap(t0: int, generators: Sequence[int], p: int) -> bool:
     m = len(generators)
     if m < 1:
         raise ParameterRangeError("need at least one generator")
-    if m > _MAX_GAP_DIM:
-        raise ParameterRangeError(f"GAP dimension capped at {_MAX_GAP_DIM}, got {m}")
+    check_gap_dim(m)
     sums = ([0], [0])
     seen = ({0}, {0})
     for k, t in enumerate(generators):
@@ -241,9 +249,7 @@ def expand_subset_sums(t0: int, generators: Sequence[int], p: int) -> Coefficien
 
     Bit i of the mask selects generator t_{i+1}.
     """
-    m = len(generators)
-    if m > _MAX_GAP_DIM:
-        raise ParameterRangeError(f"generator list capped at {_MAX_GAP_DIM}, got {m}")
+    check_gap_dim(len(generators))
     sums = [t0 % p]
     for t in generators:  # doubling trick keeps bitmask order: bit i appended at stage i
         sums = sums + [(v + t) % p for v in sums]
@@ -262,8 +268,9 @@ def gen_gap(p: int, m: int, seed: int, max_tries: int = 1000) -> GapFingerprint:
     refused before the first draw.
     """
     p = PrimeModulus(p)
-    if not (1 <= m <= _MAX_GAP_DIM):
-        raise ParameterRangeError(f"need 1 <= m <= {_MAX_GAP_DIM}, got {m}")
+    if m < 1:
+        raise ParameterRangeError(f"need m >= 1, got {m}")
+    check_gap_dim(m)
     if 3 ** m > p:
         raise GapUnsatisfiableError(
             f"hypothesis unsatisfiable in Z_p: 3^{m} = {3 ** m} > p = {int(p)}")

@@ -135,7 +135,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import check_table_size, epsilon_of, roots_of_unity
-from .coeffsets import _MAX_GAP_DIM, CoefficientSet, expand_subset_sums
+from .coeffsets import CoefficientSet, check_gap_dim, expand_subset_sums
 from .errors import ParameterRangeError
 from .record import Record
 from .rng import SplitMix64
@@ -387,11 +387,10 @@ def _check_size(p: int, size: int, mode: str) -> None:
     check_table_size(p)  # before the evaluator allocates its length-p tables
     if size < 1:
         raise ParameterRangeError("size must be positive")
-    if mode == "shallow" and (1 << size) > 4 * p:
-        raise ParameterRangeError(f"2^{size} far exceeds p={p}; shallow search is pointless")
-    if mode == "shallow" and size > _MAX_GAP_DIM:
-        raise ParameterRangeError(f"shallow search capped at {_MAX_GAP_DIM} generators, "
-                                  f"got {size}")
+    if mode == "shallow":
+        if (1 << size) > 4 * p:
+            raise ParameterRangeError(f"2^{size} far exceeds p={p}; shallow search is pointless")
+        check_gap_dim(size)
     if size * (p - 1) > _SWEEP_MAX:
         raise ParameterRangeError(f"size {size} at p={p} scores {size * (p - 1)} full-row "
                                   f"entries a sweep, above the cap of 2^26")

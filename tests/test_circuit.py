@@ -19,12 +19,14 @@ from shallowfp.circuit import (
     stats,
 )
 from shallowfp.coeffsets import (
+    CoefficientSet,
     expand_subset_sums,
     explicit_set,
     gen_aikps,
     gen_cyclic,
     gen_gap,
 )
+from shallowfp.errors import DomainError
 from shallowfp.qfa import error_prob
 
 
@@ -45,9 +47,8 @@ class TestGateInvariants:
             Gate("cz", 0)
 
     def test_gate_outside_register_rejected(self):
-        c = Circuit(2)
         with pytest.raises(ValueError):
-            c.add(Gate("h", 5))
+            Circuit(2, [Gate("h", 0), Gate("h", 5)])
 
     def test_gate_is_a_hashable_frozen_value(self):
         g = Gate("cry", 2, 0.5, ((0, True),))
@@ -62,12 +63,14 @@ class TestGateInvariants:
     def test_circuit_equality_follows_its_gates(self):
         K = gen_gap(1013, 3, seed=1).expanded
         c = build_shallow(K, 5)
-        assert c == build_shallow(K, 5)
+        assert c == build_shallow(K, 5) and hash(c) == hash(build_shallow(K, 5))
         assert c != build_shallow(K, 6) and c != build_deep(K, 5)
-        c.label = "relabelled"  # a circuit is mutable, and so unhashable
-        assert c != build_shallow(K, 5)
-        with pytest.raises(TypeError):
-            hash(c)
+        assert c != Circuit(c.num_qubits, c.gates, c.label)  # the style differs
+        assert isinstance(c.gates, tuple) and c.style == "shallow"
+        for field in Circuit.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(c, field, getattr(c, field))
+        assert not hasattr(c, "add")
 
 
 class TestStatevector:
@@ -75,13 +78,11 @@ class TestStatevector:
         assert np.allclose(statevector(Circuit(2)), [1, 0, 0, 0])
 
     def test_single_h(self):
-        c = Circuit(1)
-        c.add(Gate("h", 0))
+        c = Circuit(1, [Gate("h", 0)])
         assert np.allclose(statevector(c), [1 / math.sqrt(2)] * 2)
 
     def test_negative_control(self):
-        c = Circuit(2)
-        c.add(Gate("cry", 1, math.pi, ((0, False),)))  # fires on |control=0>
+        c = Circuit(2, [Gate("cry", 1, math.pi, ((0, False),))])  # fires on |control=0>
         sv = statevector(c)
         assert sv[0] == pytest.approx(math.cos(math.pi / 2), abs=1e-12)
         assert sv[2] == pytest.approx(math.sin(math.pi / 2), abs=1e-12)
@@ -166,6 +167,35 @@ class TestShallowBuilder:
         assert depth(build_shallow(K, 1)) == m + 2
 
 
+class TestBuilderInputs:
+    """Each builder refuses a set its layout cannot take, with the one-line
+    DomainError that the CLI prints."""
+
+    def test_shallow_needs_generators(self):
+        with pytest.raises(DomainError, match="subset-sum set"):
+            build_shallow(gen_cyclic(13, 4), 1)
+
+    def test_shallow_needs_the_subset_sums(self):
+        K = expand_subset_sums(5, (1, 3), 31)
+        edited = CoefficientSet(31, (5, 6, 8, 10), K.method, K.params)
+        with pytest.raises(DomainError, match="subset sums"):
+            build_shallow(edited, 1)
+
+    @pytest.mark.parametrize("K", [gen_cyclic(13, 4),
+                                   CoefficientSet(13, (1, 2), "aikps", {"eps": True}),
+                                   CoefficientSet(13, (1, 2), "aikps", {"eps": "0.5"})],
+                             ids=["cyclic", "bool-eps", "str-eps"])
+    def test_aikps_needs_an_aikps_set(self, K):
+        with pytest.raises(DomainError, match="--method aikps"):
+            build_aikps(K, 1)
+
+    def test_aikps_rebuilds_r_and_s_max(self):
+        K = gen_aikps(1013, 0.5)
+        edited = CoefficientSet(K.p, K.coefficients, "aikps",
+                                {**K.params, "R": [2], "s_max": 1})
+        assert build_aikps(edited, 5) == build_aikps(K, 5)
+
+
 class TestAikpsBuilder:
     def test_structure_65537(self):
         c = build_aikps(gen_aikps(65537, 0.5), 1)
@@ -196,13 +226,12 @@ class TestMetrics:
         assert cx_count_lnn(build_deep(K, 1)) == 160  # 32 * 5
 
     def test_cx_shallow_edge_no_controls(self):
-        c = Circuit(1, label="shallow[m=0]")
-        c.add(Gate("ry", 0, 1.0))
-        assert cx_count_lnn(c) == 3
+        assert cx_count_lnn(build_shallow(expand_subset_sums(3, (), 7), 1)) == 3
 
-    def test_unrecognized_label_rejected(self):
-        c = Circuit(1, label="mystery")
-        with pytest.raises(ValueError):
+    def test_unrecognized_style_rejected(self):
+        # the model follows the style, whatever the label says
+        c = Circuit(1, [Gate("ry", 0, 1.0)], label="shallow[m=0]")
+        with pytest.raises(ValueError, match="style ''"):
             cx_count_lnn(c)
 
     def test_stats_keys(self):
@@ -249,23 +278,23 @@ class TestQasm:
         assert len(ops) == m + 2 ** (m + 1)  # nothing else, no x
 
     def test_multiplexor_runs_round_trip(self):
-        c = Circuit(4)
-        for q in range(4):
-            c.add(Gate("h", q))
-        # one run on target 3, controls (0, 1), mixed polarities; the first
-        # and third gates share a pattern, so their angles add
-        c.add(Gate("cry", 3, 0.7, ((0, True), (1, False))))
-        c.add(Gate("cry", 3, 1.9, ((0, False), (1, True))))
-        c.add(Gate("cry", 3, 2.3, ((0, True), (1, False))))
-        c.add(Gate("cry", 3, 4.1, ((0, False), (1, False))))
-        # same target, other control tuple: a new run, controls out of order
-        c.add(Gate("cry", 3, 0.4, ((2, False), (0, True))))
-        c.add(Gate("cry", 3, 5.2, ((2, True), (0, True))))
-        # other target, back to back
-        c.add(Gate("cry", 0, 3.3, ((3, False),)))
-        c.add(Gate("cry", 2, 1.1, ((1, True), (0, False), (3, True))))
-        c.add(Gate("ry", 1, 0.9))
-        c.add(Gate("cry", 3, 6.0, ((0, False), (1, False))))
+        c = Circuit(4, [
+            *(Gate("h", q) for q in range(4)),
+            # one run on target 3, controls (0, 1), mixed polarities; the first
+            # and third gates share a pattern, so their angles add
+            Gate("cry", 3, 0.7, ((0, True), (1, False))),
+            Gate("cry", 3, 1.9, ((0, False), (1, True))),
+            Gate("cry", 3, 2.3, ((0, True), (1, False))),
+            Gate("cry", 3, 4.1, ((0, False), (1, False))),
+            # same target, other control tuple: a new run, controls out of order
+            Gate("cry", 3, 0.4, ((2, False), (0, True))),
+            Gate("cry", 3, 5.2, ((2, True), (0, True))),
+            # other target, back to back
+            Gate("cry", 0, 3.3, ((3, False),)),
+            Gate("cry", 2, 1.1, ((1, True), (0, False), (3, True))),
+            Gate("ry", 1, 0.9),
+            Gate("cry", 3, 6.0, ((0, False), (1, False))),
+        ])
         text = emit_qasm(c)
         cx = sum(1 for line in text.splitlines() if line.startswith("cx "))
         assert cx == 4 + 4 + 2 + 8 + 4
@@ -273,20 +302,16 @@ class TestQasm:
 
     @pytest.mark.parametrize("theta", [0.0, 1.5])
     def test_single_control_lowering(self, theta):
-        c = Circuit(2)
-        c.add(Gate("cry", 1, theta, ((0, True),)))
+        c = Circuit(2, [Gate("cry", 1, theta, ((0, True),))])
         half = theta / 2
         assert emit_qasm(c).splitlines()[3:] == [
             f"ry({half:.17g}) q[1];", "cx q[0],q[1];", f"ry({-half:.17g}) q[1];", "cx q[0],q[1];"]
 
     def test_same_pattern_angles_add(self):
         def one_run(angles):
-            c = Circuit(3)
-            c.add(Gate("h", 0))
-            c.add(Gate("h", 1))
-            for a in angles:
-                c.add(Gate("cry", 2, a, ((0, False), (1, True))))
-            return emit_qasm(c)
+            gates = [Gate("h", 0), Gate("h", 1)]
+            gates += [Gate("cry", 2, a, ((0, False), (1, True))) for a in angles]
+            return emit_qasm(Circuit(3, gates))
 
         split, merged = one_run([1.25, 2.5]), one_run([3.75])
         assert split == merged

@@ -804,14 +804,35 @@ class TestEntry:
         assert code == 0 and gc.get_freeze_count() == before
 
     def test_closed_stdout_at_start(self, tmp_path):
-        # the interpreter sets sys.stdout to None; a command writing a file runs
-        argv = ["gen", "--method", "cyclic", "--p", "7", "--d", "3", "--out", "k.json"]
-        result = subprocess.run([sys.executable, "-m", "shallowfp.cli", *argv], cwd=tmp_path,
-                                env=child_env(), stdout=subprocess.DEVNULL,
-                                stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
-                                timeout=60)
-        assert (result.returncode, result.stderr) == (0, b"")
-        assert json.loads((tmp_path / "k.json").read_text())["p"] == 7
+        # the interpreter sets sys.stdout to None: a command writing files
+        # runs, and one writing to stdout ends with one usage line before
+        # it opens another output
+        K = coeffsets.gen_cyclic(7, 3)
+        cases = [
+            (["gen", "--method", "cyclic", "--p", "7", "--d", "3", "--out", "k.json"], 0),
+            (["optimize", "--p", "31", "--size", "2", "--mode", "shallow", "--out", "o.json"], 0),
+            (["gen", "--method", "cyclic", "--p", "7", "--d", "3"], 1),
+            (["analyze", "--coeffs", "cyc.json"], 1),
+            (["analyze", "--coeffs", "cyc.json", "--spectrum", "s.csv"], 1),
+            (["circuit", "--coeffs", "cyc.json", "--style", "deep", "--x", "2", "--stats"], 1),
+            (["simulate", "--coeffs", "cyc.json", "--j", "5"], 1),
+            (["optimize", "--p", "31", "--size", "2", "--mode", "shallow"], 1),
+        ]
+        for argv, code in cases:
+            (tmp_path / "cyc.json").write_text(json.dumps(K.to_json_dict()))
+            result = subprocess.run([sys.executable, "-m", "shallowfp.cli", *argv],
+                                    cwd=tmp_path, env=child_env(), stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+                                    timeout=60)
+            if code == 0:
+                assert (result.returncode, result.stderr) == (0, b""), argv
+                assert json.loads((tmp_path / argv[-1]).read_text()), argv
+            else:
+                assert (result.returncode, result.stderr) == \
+                    (1, b"usage error: stdout is closed\n"), argv
+                assert [path.name for path in tmp_path.iterdir()] == ["cyc.json"], argv
+            for path in tmp_path.iterdir():
+                path.unlink()
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize("argv, nbytes", [
@@ -866,10 +887,12 @@ NUMPY_FREE = {
 }
 
 
-# commands that compute with numpy; numpy itself does not import dataclasses
+# commands that compute with numpy; numpy itself does not import dataclasses.
+# analyze and simulate --sweep write p rows, so they read the p = 1013 set
+# (the p = 1000003 one loads the same modules, in seconds instead of 0.2 s)
 NUMPY_COMMANDS = {
-    "analyze": ["analyze", "--coeffs", "gap.json", "--spectrum", "s.csv"],
-    "simulate-sweep": ["simulate", "--coeffs", "gap.json", "--sweep", "--out", "s.csv"],
+    "analyze": ["analyze", "--coeffs", "small.json", "--spectrum", "s.csv"],
+    "simulate-sweep": ["simulate", "--coeffs", "small.json", "--sweep", "--out", "s.csv"],
     "optimize": ["optimize", "--p", "31", "--size", "2", "--mode", "shallow", "--out", "o.json"],
     "compare": ["compare", "--p-max", "13", "--m", "2", "--out", "c.csv"],
 }
@@ -878,8 +901,9 @@ NUMPY_COMMANDS = {
 def modules_after(tmp_path, argv) -> set[str]:
     """The modules a fresh interpreter holds after importing the CLI and
     running ``argv`` (None: nothing), which must exit 0."""
-    gap = coeffsets.gen_gap(1000003, 10, 5).expanded
-    (tmp_path / "gap.json").write_text(json.dumps(gap.to_json_dict()))
+    for name, gap in (("gap.json", coeffsets.gen_gap(1000003, 10, 5)),
+                      ("small.json", coeffsets.gen_gap(1013, 5, 2))):
+        (tmp_path / name).write_text(json.dumps(gap.expanded.to_json_dict()))
     aikps = coeffsets.gen_aikps(1000003, 0.5)
     (tmp_path / "aikps.json").write_text(json.dumps(aikps.to_json_dict()))
     script = ("import sys\n"

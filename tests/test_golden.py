@@ -4,6 +4,7 @@ Each hash was recorded from the code before a change that must not alter
 outputs; a change that alters one of them has to say why.
 """
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from shallowfp.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # re-recorded when argmax_x became the member of its conjugate pair below
 # p/2: at p = 307 both argmax_x values and the last bits of both epsilons
@@ -32,6 +35,37 @@ def test_compare_csvs_are_byte_identical(tmp_path, capsys):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in COMPARE_SHA256}
     assert got == COMPARE_SHA256
+
+
+def _compare_pool() -> dict:
+    with open(PERFBENCH / "golden.json") as fh:
+        return json.load(fh)["pools"]["compare"]
+
+
+COMPARE_POOL = _compare_pool()
+
+
+@pytest.mark.parametrize("seed", sorted(COMPARE_POOL["bands"], key=int))
+def test_compare_pool_matches_the_benchmark_references(seed, tmp_path, capsys, monkeypatch):
+    # one run over every pooled prime of a CLI seed, where a benchmark run
+    # draws one prime a band; each row is held to its reference by the
+    # benchmark's own checker
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checker
+    import workloads
+    m, restarts = COMPARE_POOL["m"], COMPARE_POOL["restarts"]
+    primes = [p for band in COMPARE_POOL["bands"][seed] for p in band]
+    (tmp_path / "primes.txt").write_text("".join(f"{p}\n" for p in primes))
+    assert main(["compare", "--p-list", str(tmp_path / "primes.txt"), "--m", str(m),
+                 "--seed", seed, "--restarts", str(restarts),
+                 "--out", str(tmp_path / "cmp.csv")]) == 0
+    capsys.readouterr()
+    keys = tuple(workloads.compare_key(m, restarts, int(seed), p) for p in primes)
+    refs = workloads.load_golden()["refs"]
+    for out in (workloads.Output("cmp.csv", "compare_csv", keys),
+                workloads.Output("cmp_ratios.csv", "compare_ratios", keys)):
+        status, detail = checker.check_output(out, tmp_path, refs)
+        assert status != "failed", f"{out.path}: {detail}"
 
 
 ANALYZE_SHA256 = {
