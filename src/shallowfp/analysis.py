@@ -37,7 +37,7 @@ may differ in the last bit, so eps can differ from the maximum over all
 x != 0 by that much.
 
 Length-p tables (the kernel and the representation-count vector) are
-refused for p > TABLE_MAX_P = 2^22 with `TableTooLargeError`; see
+refused for p > TABLE_MAX_P = 2^22 with `DomainError`; see
 TABLE_MAX_P for the memory this bounds.  The representation counts R_n
 are one inverse DFT of the squared kernel, rounded to integers after a
 check that every entry lies within 1/4 of one and that they sum to d^2;
@@ -49,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coeffsets import CoefficientSet
-from .errors import TableTooLargeError
+from .errors import DomainError
 from .record import Record
 
 # Largest modulus for which a length-p table is built.  The kernel's peak
@@ -91,7 +91,7 @@ def roots_of_unity(p: int) -> np.ndarray:
 
 def check_table_size(p: int) -> None:
     if p > TABLE_MAX_P:
-        raise TableTooLargeError(f"p = {p} exceeds the cap p <= 2^22 on length-p tables")
+        raise DomainError(f"p = {p} exceeds the cap p <= 2^22 on length-p tables")
 
 
 def _multiplicity_vector(A: CoefficientSet) -> np.ndarray:

@@ -16,7 +16,7 @@ of three layouts:
              R_y(2^{k-1} 4 pi r^{-1} x / p) rotations plus one uncontrolled
              closing R_y, with the bank width set by s_max; K must come
              from `gen_aikps`, which rebuilds R and s_max from K's p and
-             K.params["eps"].
+             K.params["eps"]; K must equal the rebuilt set.
 
 Basis convention is little-endian: qubit q contributes bit q of the basis
 index, so for deep/shallow circuits the control-register value equals the
@@ -63,6 +63,8 @@ class Gate(Record):
             raise ValueError(f"unknown gate kind {kind!r}")
         if kind == "cry" and not controls:
             raise ValueError("cry needs at least one control")
+        if kind != "cry" and controls:  # emit_qasm writes h and ry uncontrolled
+            raise ValueError(f"{kind} takes no controls")
         if any(c == target for c, _ in controls):
             raise ValueError("control and target must differ")
         if not math.isfinite(angle):
@@ -157,10 +159,13 @@ def build_aikps(K: CoefficientSet, x: int) -> Circuit:
     eps = K.params.get("eps")
     if K.method != "aikps" or type(eps) not in (int, float):  # not bool
         raise DomainError("aikps circuit needs a set generated by --method aikps")
-    K = coeffsets.gen_aikps(K.p, eps)
+    rebuilt = coeffsets.gen_aikps(K.p, eps)
+    if K.coefficients != rebuilt.coefficients:
+        raise DomainError("aikps circuit needs coefficients equal to the set rebuilt "
+                          "from p and eps")
     p = int(K.p)
-    R = K.params["R"]
-    w = aikps_block_width(K.params["s_max"])
+    R = rebuilt.params["R"]
+    w = aikps_block_width(rebuilt.params["s_max"])
     n_ctrl = w - 1
     num_qubits = len(R) * n_ctrl + 1
     target = num_qubits - 1

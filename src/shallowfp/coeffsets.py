@@ -22,13 +22,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .errors import (
-    CoefficientFileError,
-    EmptyAikpsRangeError,
-    GapSearchExhaustedError,
-    GapUnsatisfiableError,
-    ParameterRangeError,
-)
+from .errors import DomainError
 from .record import Record
 from .rng import SplitMix64
 from .zmod import PrimeModulus, is_prime, primitive_root
@@ -40,8 +34,8 @@ def check_gap_dim(m: int) -> None:
     """Refuse more than 16 generators, the cap of every properness check,
     subset-sum expansion and shallow search."""
     if m > _MAX_GAP_DIM:
-        raise ParameterRangeError(f"GAP dimension capped at {_MAX_GAP_DIM} "
-                                  f"(m <= {_MAX_GAP_DIM}), got m={m}")
+        raise DomainError(f"GAP dimension capped at {_MAX_GAP_DIM} "
+                          f"(m <= {_MAX_GAP_DIM}), got m={m}")
 
 
 # Cap on the size of every generated set, checked before any draw or scan.
@@ -53,13 +47,13 @@ _MAX_SET_SIZE = 1 << 22
 
 def _check_set_size(d: int) -> None:
     if d > _MAX_SET_SIZE:
-        raise ParameterRangeError(f"set size d={d} exceeds the cap d <= 2^22")
+        raise DomainError(f"set size d={d} exceeds the cap d <= 2^22")
 
 
 def _json_int(data: dict, key: str) -> int:
     value = data[key]
     if type(value) is not int:  # bool is an int subclass, and not a residue
-        raise CoefficientFileError(
+        raise DomainError(
             f"field {key!r} must be an integer, got {type(value).__name__}")
     return value
 
@@ -67,7 +61,7 @@ def _json_int(data: dict, key: str) -> int:
 def _json_ints(data: dict, key: str) -> tuple[int, ...]:
     values = data[key]
     if not isinstance(values, list) or any(type(v) is not int for v in values):
-        raise CoefficientFileError(f"field {key!r} must be a list of integers")
+        raise DomainError(f"field {key!r} must be a list of integers")
     return tuple(values)
 
 
@@ -82,9 +76,9 @@ class CoefficientSet(Record):
         if not isinstance(p, PrimeModulus):
             p = PrimeModulus(p)
         if len(coefficients) == 0:
-            raise ParameterRangeError("coefficient set must be non-empty")
+            raise DomainError("coefficient set must be non-empty")
         if any(not (0 <= k < p) for k in coefficients):
-            raise ParameterRangeError(f"coefficients must lie in [0, p) for p={int(p)}")
+            raise DomainError(f"coefficients must lie in [0, p) for p={int(p)}")
         super().__init__(p, coefficients, method, {} if params is None else params)
 
     def __hash__(self):  # params is a dict; equal sets agree on the other fields
@@ -112,23 +106,25 @@ class CoefficientSet(Record):
     @classmethod
     def from_json_dict(cls, data) -> "CoefficientSet":
         """Inverse of `to_json_dict`; a missing or mistyped field raises
-        `CoefficientFileError`."""
+        `DomainError`."""
         if not isinstance(data, dict):
-            raise CoefficientFileError("coefficient file must hold a JSON object")
+            raise DomainError("coefficient file must hold a JSON object")
         missing = [key for key in ("p", "coefficients") if key not in data]
         if missing:
-            raise CoefficientFileError(f"coefficient file lacks field {missing[0]!r}")
+            raise DomainError(f"coefficient file lacks field {missing[0]!r}")
         params = data.get("params", {})
         if not isinstance(params, dict):
-            raise CoefficientFileError("field 'params' must be a JSON object")
+            raise DomainError("field 'params' must be a JSON object")
         # t0 and T come only from their own fields, as to_json_dict writes them
         params = {k: v for k, v in params.items() if k not in ("t0", "T")}
         if "t0" in data:
             params["t0"] = _json_int(data, "t0")
         if "generators" in data:
             params["T"] = _json_ints(data, "generators")
-        return cls(_json_int(data, "p"), _json_ints(data, "coefficients"),
-                   data.get("method", "explicit"), params)
+        method = data.get("method", "explicit")
+        if not isinstance(method, str):  # records hash their method
+            raise DomainError("field 'method' must be a string")
+        return cls(_json_int(data, "p"), _json_ints(data, "coefficients"), method, params)
 
 
 class GapFingerprint(Record):
@@ -148,7 +144,7 @@ def gen_cyclic(p: int, d: int) -> CoefficientSet:
     """k_i = g^i mod p for i = 1..d, g the smallest primitive root."""
     p = PrimeModulus(p)
     if not (1 <= d <= p - 1):
-        raise ParameterRangeError(f"cyclic set needs 1 <= d <= p-1, got d={d}, p={int(p)}")
+        raise DomainError(f"cyclic set needs 1 <= d <= p-1, got d={d}, p={int(p)}")
     _check_set_size(d)
     g = primitive_root(p)
     coeffs = []
@@ -171,9 +167,9 @@ def gen_aikps(p: int, eps: float) -> CoefficientSet:
     """
     p = PrimeModulus(p)
     if not 0 < eps < math.inf:
-        raise ParameterRangeError(f"AIKPS eps must be positive and finite, got {eps}")
+        raise DomainError(f"AIKPS eps must be positive and finite, got {eps}")
     if p < 5:
-        raise ParameterRangeError(f"AIKPS construction needs p >= 5, got p={int(p)}")
+        raise DomainError(f"AIKPS construction needs p >= 5, got p={int(p)}")
     log2p = math.log2(p)
     fits = (2.0 + 3.0 * eps) * math.log2(log2p) <= 64.0  # else a power overflows
     if fits:
@@ -181,14 +177,14 @@ def gen_aikps(p: int, eps: float) -> CoefficientSet:
         s_max = math.floor(log2p ** (1.0 + 2.0 * eps))
         fits = math.floor(hi) * s_max <= _MAX_SET_SIZE
     if not fits:
-        raise ParameterRangeError(f"AIKPS size bound floor(hi) * s_max exceeds "
-                                  f"{_MAX_SET_SIZE} for p={int(p)}, eps={eps}")
+        raise DomainError(f"AIKPS size bound floor(hi) * s_max exceeds "
+                          f"{_MAX_SET_SIZE} for p={int(p)}, eps={eps}")
     lo = hi / 2.0
     r_primes = tuple(r for r in range(2, math.floor(hi) + 1)
                      if lo < r < hi and r != p and is_prime(r))
     if not r_primes:
-        raise EmptyAikpsRangeError(f"no prime other than p in the AIKPS interval "
-                                   f"({lo:.6g}, {hi:.6g}) for p={int(p)}, eps={eps}")
+        raise DomainError(f"no prime other than p in the AIKPS interval "
+                          f"({lo:.6g}, {hi:.6g}) for p={int(p)}, eps={eps}")
     coeffs = []
     for r in r_primes:
         r_inv = pow(r, -1, p)
@@ -221,7 +217,7 @@ def is_proper_gap(t0: int, generators: Sequence[int], p: int) -> bool:
     """
     m = len(generators)
     if m < 1:
-        raise ParameterRangeError("need at least one generator")
+        raise DomainError("need at least one generator")
     check_gap_dim(m)
     sums = ([0], [0])
     seen = ({0}, {0})
@@ -269,15 +265,15 @@ def gen_gap(p: int, m: int, seed: int, max_tries: int = 1000) -> GapFingerprint:
     """
     p = PrimeModulus(p)
     if m < 1:
-        raise ParameterRangeError(f"need m >= 1, got {m}")
+        raise DomainError(f"need m >= 1, got {m}")
     check_gap_dim(m)
     if 3 ** m > p:
-        raise GapUnsatisfiableError(
+        raise DomainError(
             f"hypothesis unsatisfiable in Z_p: 3^{m} = {3 ** m} > p = {int(p)}")
     if max_tries < 1:
-        raise ParameterRangeError(f"max_tries must be positive, got {max_tries}")
+        raise DomainError(f"max_tries must be positive, got {max_tries}")
     if 5 ** m - 1 > 100 * p:
-        raise ParameterRangeError(
+        raise DomainError(
             f"proper GAP out of reach for p={int(p)}, m={m}: a draw is proper with "
             f"probability about exp(-(5^m - 1)/(2p)) = exp(-{(5 ** m - 1) / (2 * p):.0f}), "
             f"and the search is refused when (5^m - 1)/(2p) > 50")
@@ -289,7 +285,7 @@ def gen_gap(p: int, m: int, seed: int, max_tries: int = 1000) -> GapFingerprint:
             K = expand_subset_sums(t0, gens, p)
             return GapFingerprint(CoefficientSet(p, K.coefficients, K.method,
                                                  {**K.params, "seed": seed}), attempt)
-    raise GapSearchExhaustedError(
+    raise DomainError(
         f"no proper GAP found for p={int(p)}, m={m} in {max_tries} tries (seed {seed})")
 
 
@@ -297,7 +293,7 @@ def gen_random(p: int, d: int, seed: int) -> CoefficientSet:
     """d seeded uniform draws from [1, p-1]; duplicates allowed."""
     p = PrimeModulus(p)
     if d < 1:
-        raise ParameterRangeError("d must be positive")
+        raise DomainError("d must be positive")
     _check_set_size(d)
     rng = SplitMix64(seed)
     coeffs = tuple(rng.in_range(1, p) for _ in range(d))

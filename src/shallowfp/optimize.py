@@ -136,7 +136,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import check_table_size, epsilon_of, roots_of_unity
 from .coeffsets import CoefficientSet, check_gap_dim, expand_subset_sums
-from .errors import ParameterRangeError
+from .errors import DomainError
 from .record import Record
 from .rng import SplitMix64
 from .zmod import PrimeModulus, primitive_root
@@ -148,11 +148,11 @@ class DescentConfig(Record):
     def __init__(self, seed: int, max_sweeps: int = 100, mode: str = "general",
                  restarts: int = 0):
         if max_sweeps < 1:
-            raise ParameterRangeError("max_sweeps must be >= 1")
+            raise DomainError("max_sweeps must be >= 1")
         if mode not in ("general", "shallow"):
-            raise ParameterRangeError(f"unknown mode {mode!r}")
+            raise DomainError(f"unknown mode {mode!r}")
         if restarts < 0:
-            raise ParameterRangeError("restarts must be nonnegative")
+            raise DomainError("restarts must be nonnegative")
         super().__init__(seed, max_sweeps, mode, restarts)
 
 
@@ -386,14 +386,14 @@ def _expand_point(p: int, point: np.ndarray, mode: str) -> CoefficientSet:
 def _check_size(p: int, size: int, mode: str) -> None:
     check_table_size(p)  # before the evaluator allocates its length-p tables
     if size < 1:
-        raise ParameterRangeError("size must be positive")
+        raise DomainError("size must be positive")
     if mode == "shallow":
         if (1 << size) > 4 * p:
-            raise ParameterRangeError(f"2^{size} far exceeds p={p}; shallow search is pointless")
+            raise DomainError(f"2^{size} far exceeds p={p}; shallow search is pointless")
         check_gap_dim(size)
     if size * (p - 1) > _SWEEP_MAX:
-        raise ParameterRangeError(f"size {size} at p={p} scores {size * (p - 1)} full-row "
-                                  f"entries a sweep, above the cap of 2^26")
+        raise DomainError(f"size {size} at p={p} scores {size * (p - 1)} full-row "
+                          f"entries a sweep, above the cap of 2^26")
 
 
 def coordinate_descent(p: int, size: int, cfg: DescentConfig,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import CompositeModulusError, ModulusTooLargeError
+from .errors import DomainError
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
 # (in particular for every n < 2^63); also the primes trial-divided first.
@@ -54,9 +54,9 @@ class PrimeModulus(int):
 
     def __new__(cls, p: int) -> "PrimeModulus":
         if p >= _MAX_MODULUS:
-            raise ModulusTooLargeError(f"modulus {p} is not below 2^63")
+            raise DomainError(f"modulus {p} is not below 2^63")
         if p < 2 or not is_prime(p):
-            raise CompositeModulusError(f"{p} is not prime")
+            raise DomainError(f"{p} is not prime")
         return super().__new__(cls, p)
 
     def __repr__(self) -> str:

@@ -53,7 +53,7 @@ from shallowfp.coeffsets import (
     gen_random,
     is_proper_gap,
 )
-from shallowfp.errors import GapUnsatisfiableError
+from shallowfp.errors import DomainError
 from shallowfp.optimize import (
     DescentConfig,
     compare_experiment,
@@ -231,7 +231,7 @@ def test_criterion_8_theorem_parameterization_unsatisfiable():
         p, eps = 101, 0.5
         m = math.ceil(math.log2(p) - 2 * math.log2(eps))
         assert 3 ** m > p
-        with pytest.raises(GapUnsatisfiableError):
+        with pytest.raises(DomainError, match=r"^hypothesis unsatisfiable in Z_p: "):
             gen_gap(p, m, seed=0)
 
 

@@ -17,7 +17,7 @@ from shallowfp.analysis import (
     spectrum_rows,
 )
 from shallowfp.coeffsets import explicit_set, gen_aikps, gen_gap, gen_random
-from shallowfp.errors import TableTooLargeError
+from shallowfp.errors import DomainError
 from shallowfp.qfa import error_prob, exp_sum
 from shallowfp.zmod import is_prime, primitive_root
 
@@ -206,8 +206,9 @@ class TestEpsilon:
 
     def test_table_size_cap(self):
         K = explicit_set(4194319, [1, 2, 3])  # the smallest prime above 2^22
+        cap = r"^p = 4194319 exceeds the cap p <= 2\^22 on length-p tables$"
         for fn in (spectrum, epsilon_of, additive_energy, analyze):
-            with pytest.raises(TableTooLargeError):
+            with pytest.raises(DomainError, match=cap):
                 fn(K)
 
     def test_translation_and_dilation_invariance(self):

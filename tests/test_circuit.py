@@ -42,6 +42,13 @@ class TestGateInvariants:
         with pytest.raises(ValueError):
             Gate("cry", 1, 0.5, ((1, True),))
 
+    @pytest.mark.parametrize("kind", ["h", "ry"])
+    def test_uncontrolled_kinds_take_no_controls(self, kind):
+        # emit_qasm writes h and ry without controls, so a controlled one
+        # would simulate differently from its QASM
+        with pytest.raises(ValueError, match=f"^{kind} takes no controls$"):
+            Gate(kind, 1, 0.5, ((0, True),))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Gate("cz", 0)
@@ -188,6 +195,13 @@ class TestBuilderInputs:
     def test_aikps_needs_an_aikps_set(self, K):
         with pytest.raises(DomainError, match="--method aikps"):
             build_aikps(K, 1)
+
+    def test_aikps_needs_the_rebuilt_coefficients(self):
+        K = gen_aikps(1013, 0.5)
+        for coefficients in (K.coefficients[:3], K.coefficients[:-1] + (1,)):
+            edited = CoefficientSet(K.p, coefficients, "aikps", K.params)
+            with pytest.raises(DomainError, match="equal to the set rebuilt from p and eps"):
+                build_aikps(edited, 5)
 
     def test_aikps_rebuilds_r_and_s_max(self):
         K = gen_aikps(1013, 0.5)

@@ -176,9 +176,10 @@ COMMANDS_ON_FILE = {
     ('{"p": 7, "coefficients": [1, 2], "t0": null}', 2, "'t0' must be an integer"),
     ('{"p": 7, "coefficients": [1, 2], "generators": [true]}', 2, "'generators'"),
     ('{"p": 7, "coefficients": [1, 2], "params": [1]}', 2, "'params'"),
+    ('{"p": 7, "coefficients": [1, 2], "method": [1]}', 2, "'method' must be a string"),
 ], ids=["missing", "garbled", "binary", "no-coefficients", "no-p", "array", "p-string",
         "p-float", "coefficient-string", "coefficients-int", "t0-null", "generator-bool",
-        "params-list"])
+        "params-list", "method-list"])
 def test_bad_coefficient_file(tmp_path, capsys, monkeypatch, command, content, code, needle):
     # an unreadable file or invalid JSON is a usage error (1); valid JSON
     # without the schema's fields is a domain error (2); one line either way
@@ -427,6 +428,22 @@ class TestCircuit:
         assert code == 2
         assert stdout == ""
         assert err.count("\n") == 1 and "subset sums" in err
+
+    def test_aikps_refuses_edited_coefficients(self, tmp_path, capsys):
+        # the layout is rebuilt from p and eps, so a cut-down file would
+        # otherwise print the circuit of the full 495-coefficient set
+        kpath = tmp_path / "k.json"
+        run(capsys, "gen", "--method", "aikps", "--p", "1013", "--eps", "0.5",
+            "--out", str(kpath))
+        data = json.loads(kpath.read_text())
+        assert len(data["coefficients"]) == 495
+        data["coefficients"] = data["coefficients"][:3]
+        kpath.write_text(json.dumps(data))
+        code, stdout, err = run(capsys, "circuit", "--coeffs", str(kpath),
+                                "--style", "aikps", "--x", "5", "--stats")
+        assert code == 2
+        assert stdout == ""
+        assert err.count("\n") == 1 and "rebuilt from p and eps" in err
 
     @pytest.mark.parametrize("style,params", [("aikps", {"eps": "0.5"}),
                                               ("shallow", {"t0": 0, "T": "ab"}),

@@ -17,13 +17,7 @@ from shallowfp.coeffsets import (
     gen_random,
     is_proper_gap,
 )
-from shallowfp.errors import (
-    CompositeModulusError,
-    EmptyAikpsRangeError,
-    GapSearchExhaustedError,
-    GapUnsatisfiableError,
-    ParameterRangeError,
-)
+from shallowfp.errors import DomainError
 from shallowfp.rng import SplitMix64
 from shallowfp.zmod import PrimeModulus, is_prime
 
@@ -74,7 +68,7 @@ def plant(T, p, relation):
 
 class TestCoefficientSet:
     def test_composite_int_modulus_rejected(self):
-        with pytest.raises(CompositeModulusError):
+        with pytest.raises(DomainError, match=r"^10 is not prime$"):
             CoefficientSet(10, (1, 2))
 
     def test_modulus_is_coerced_once(self):
@@ -159,7 +153,7 @@ class TestAikps:
         # (1013, 8), whose scan alone ran for minutes; 1e300 would overflow
         start = time.perf_counter()
         for p, eps in [(65537, 1.25), (1013, 3), (1013, 8), (5, 1e300)]:
-            with pytest.raises(ParameterRangeError, match="size bound"):
+            with pytest.raises(DomainError, match=r"^AIKPS size bound floor\(hi\) \* s_max "):
                 gen_aikps(p, eps)
         assert time.perf_counter() - start < 1.0
 
@@ -169,7 +163,7 @@ class TestAikps:
         import shallowfp.coeffsets as mod
 
         monkeypatch.setattr(mod, "is_prime", lambda n: False)
-        with pytest.raises(EmptyAikpsRangeError):
+        with pytest.raises(DomainError, match=r"^no prime other than p in the AIKPS interval "):
             gen_aikps(65537, 0.5)
 
 
@@ -257,9 +251,10 @@ class TestProperGap:
             assert not numpy_proper_gap(planted, p), name
 
     def test_dimension_cap(self):
-        with pytest.raises(ParameterRangeError):
+        with pytest.raises(DomainError, match=r"^GAP dimension capped at 16 \(m <= 16\), "
+                                              r"got m=17$"):
             is_proper_gap(0, tuple(range(1, 18)), 101)
-        with pytest.raises(ParameterRangeError):
+        with pytest.raises(DomainError, match=r"^need at least one generator$"):
             is_proper_gap(0, (), 101)
 
 
@@ -306,7 +301,8 @@ class TestGenGap:
             fp.tries = 0
 
     def test_unsatisfiable(self):
-        with pytest.raises(GapUnsatisfiableError):
+        with pytest.raises(DomainError,
+                           match=r"^hypothesis unsatisfiable in Z_p: 3\^3 = 27 > p = 13$"):
             gen_gap(13, 3, seed=0)
 
     @pytest.mark.parametrize("p,seed,tries", [(1000033, 5, 122), (1000003, 24, 121)])
@@ -315,7 +311,8 @@ class TestGenGap:
         assert gen_gap(p, 10, seed).tries == tries
 
     def test_exhaustion(self):
-        with pytest.raises(GapSearchExhaustedError):
+        with pytest.raises(DomainError,
+                           match=r"^no proper GAP found for p=1013, m=6 in 1 tries \(seed 0\)$"):
             gen_gap(1013, 6, seed=0, max_tries=1)
 
     def test_forced_trivial(self):
@@ -355,6 +352,13 @@ class TestJsonRoundTrip:
         assert back.coefficients == K.coefficients
         assert int(back.p) == int(K.p)
         assert back.method == K.method
+
+    def test_method_must_be_a_string(self):
+        # records hash their method, so a list there would make an unhashable set
+        data = {"p": 7, "coefficients": [1, 2], "method": [1]}
+        with pytest.raises(DomainError, match=r"^field 'method' must be a string$"):
+            CoefficientSet.from_json_dict(data)
+        hash(CoefficientSet.from_json_dict({**data, "method": "explicit"}))
 
     def test_field_order(self):
         keys = list(gen_gap(1013, 3, seed=1).expanded.to_json_dict())

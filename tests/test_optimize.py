@@ -14,7 +14,7 @@ from descent_oracle import full_table_candidate_eps, oracle_locally_optimal, ora
 from shallowfp import optimize
 from shallowfp.analysis import epsilon_of, roots_of_unity
 from shallowfp.coeffsets import expand_subset_sums, explicit_set
-from shallowfp.errors import ParameterRangeError
+from shallowfp.errors import DomainError
 from shallowfp.rng import SplitMix64
 from shallowfp.zmod import primitive_root
 from shallowfp.optimize import (
@@ -464,13 +464,14 @@ class TestLanes:
     def test_shallow_lane_exception_reaches_the_caller(self, monkeypatch):
         def fail(p, cfg):
             if p == 13:
-                raise ParameterRangeError(f"no shallow search at p={p}")
+                raise DomainError(f"no shallow search at p={p}")
 
         lane_patch(monkeypatch, shallow=fail)
         records = compare_experiment([3, 13, 101], 2, DescentConfig(seed=1))
         assert next(records).p == 3
-        with pytest.raises(ParameterRangeError, match=r"^no shallow search at p=13$"):
+        with pytest.raises(DomainError, match=r"^no shallow search at p=13$") as caught:
             next(records)
+        assert caught.type is DomainError
         assert_no_child_left()
 
     def test_unpicklable_exception_arrives_as_type_and_message(self, monkeypatch):
@@ -506,7 +507,7 @@ class TestLanes:
         assert time.perf_counter() - started < 10  # killed, not waited for
         assert_no_child_left()
 
-    @pytest.mark.parametrize("error", [KeyboardInterrupt, ParameterRangeError])
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, DomainError])
     def test_general_lane_exception_reaps_the_lane(self, monkeypatch, error):
         def fail(p, cfg):
             if p == 13:
