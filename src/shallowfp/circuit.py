@@ -40,15 +40,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from . import coeffsets
 from .coeffsets import CoefficientSet
 from .errors import DomainError
 from .record import Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class Gate(Record):
@@ -200,51 +197,10 @@ def cx_count_lnn(c: Circuit) -> int:
         return n_cry * CX_PER_CONTROLLED_RY_LNN + CX_OVERHEAD_FINAL
     if c.style == "deep":
         # nearest-neighbor decomposition of the d-rotation controlled bank
-        return n_cry * math.ceil(math.log2(n_cry)) if n_cry > 1 else 1
+        return n_cry * math.ceil(math.log2(n_cry)) if n_cry > 1 else n_cry
     if c.style == "aikps":
         return n_cry * CX_PER_CONTROLLED_RY_LNN
     raise ValueError(f"no LNN cost model for circuit style {c.style!r}")
-
-
-# The statevector simulator checks the builders in tests; numpy is imported
-# here, not at module level, so building and emitting circuits needs none.
-
-def _ry_matrix(theta: float) -> np.ndarray:
-    import numpy as np
-
-    h = theta / 2.0
-    return np.array([[math.cos(h), -math.sin(h)], [math.sin(h), math.cos(h)]])
-
-
-def _apply_2x2(state: np.ndarray, mat: np.ndarray, target: int,
-               controls: tuple[tuple[int, bool], ...], n: int) -> None:
-    import numpy as np
-
-    idx = np.arange(state.size)
-    sel = np.ones(state.size, dtype=bool)
-    for q, pol in controls:
-        sel &= (((idx >> q) & 1) == (1 if pol else 0))
-    i0 = idx[sel & (((idx >> target) & 1) == 0)]
-    i1 = i0 | (1 << target)
-    a0 = state[i0].copy()
-    a1 = state[i1].copy()
-    state[i0] = mat[0, 0] * a0 + mat[0, 1] * a1
-    state[i1] = mat[1, 0] * a0 + mat[1, 1] * a1
-
-
-def statevector(c: Circuit) -> np.ndarray:
-    """Simulate from |0...0>; little-endian basis indexing."""
-    import numpy as np
-
-    if c.num_qubits > 20:
-        raise ValueError("statevector simulation capped at 20 qubits")
-    h_matrix = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    state = np.zeros(1 << c.num_qubits)
-    state[0] = 1.0
-    for gate in c.gates:
-        mat = h_matrix if gate.kind == "h" else _ry_matrix(gate.angle)
-        _apply_2x2(state, mat, gate.target, gate.controls, c.num_qubits)
-    return state
 
 
 def stats(c: Circuit) -> dict:

@@ -66,10 +66,9 @@ scored, never a move).
    conjugate pairs, and never more than the (p-1)/2 of the first half.  It
    grows each time the best eps falls.  Where eps is close to 1 (shallow
    sets at large p) few columns can reach it, and those decide almost
-   every candidate.  One call bounds the next 8 batches on the refine
-   set; they are bounded again only when the set grows or the block runs
-   out, so a move pays a numpy call per block, not per batch, and wastes
-   at most a block when the search stops early.
+   every candidate.  Each batch is bounded on the refine set when it is
+   visited, so a search that stops early bounds no batch it does not
+   reach.
 
 The result is exactly the argmin of the full candidate vector, smallest
 value first; U only decides how many columns the last rung takes.
@@ -184,7 +183,6 @@ _BOUND_COLUMNS = 16  # columns of the bound that orders the survivors of the fir
 _REFINE_MIN, _REFINE_MAX = 64, 8192  # size limits of the ceiling-sized refine set
 _CEILING_SLACK = 1e-9  # relative margin on U(x) >= best, against rounding in U
 _BATCH = 8  # candidates per step of the pruned search
-_REFINE_BATCHES = 8  # batches whose refine bounds one call scores
 _SWEEP_MAX = 1 << 26  # size * (p - 1): full-row entries a first sweep scores at least
 
 
@@ -312,11 +310,10 @@ class _Evaluator:
         keep = np.flatnonzero(bound <= cur)
         keep = keep[np.argsort(bound[keep], kind="stable")]
         cand, bound = cand[keep], bound[keep]
-        # rung 3: the columns whose ceiling U(x) reaches best, resized as best
-        # falls; one call bounds the next _REFINE_BATCHES batches at once
+        # rung 3: each batch on the columns whose ceiling U(x) reaches best,
+        # a set resized as best falls
         ceiling = ((mag + 1.0) ** 2 if self.mode == "general" else 4.0 * mag ** 2) / self._dd
         best, best_v, fine_for = cur, cur_v, None
-        n_fine = block_lo = block_hi = 0
         for lo in range(0, cand.size, _BATCH):
             head = int(cand[lo])
             if (bound[lo], head) > (best, best_v):
@@ -324,15 +321,9 @@ class _Evaluator:
             if best != fine_for:
                 fine_for = best
                 n = int(np.count_nonzero(ceiling >= best * (1 - _CEILING_SLACK)))
-                n = min(max(n, _REFINE_MIN), _REFINE_MAX)
-                if n != n_fine:  # a larger set: the block's bounds are stale
-                    n_fine, block_hi = n, lo
-            if lo >= block_hi:
-                block_lo, block_hi = lo, lo + _REFINE_BATCHES * _BATCH
-                ref_block = self._bound(rest_mag[:n_fine], by_mag[:n_fine],
-                                        log[cand[lo:block_hi]])
+                n_fine = min(max(n, _REFINE_MIN), _REFINE_MAX)
             batch = cand[lo:lo + _BATCH]
-            ref = ref_block[lo - block_lo:lo - block_lo + _BATCH]
+            ref = self._bound(rest_mag[:n_fine], by_mag[:n_fine], log[batch])
             batch = batch[(ref < best) | ((ref == best) & (batch < best_v))]
             if batch.size == 0:
                 continue
@@ -388,7 +379,7 @@ def _check_size(p: int, size: int, mode: str) -> None:
     if size < 1:
         raise DomainError("size must be positive")
     if mode == "shallow":
-        if (1 << size) > 4 * p:
+        if size >= (4 * p).bit_length():  # 2^size > 4p, without building 2^size
             raise DomainError(f"2^{size} far exceeds p={p}; shallow search is pointless")
         check_gap_dim(size)
     if size * (p - 1) > _SWEEP_MAX:
@@ -446,6 +437,9 @@ def compare_experiment(primes: list[int], m: int, cfg: DescentConfig):
     "Lanes"), and yields each prime's record as soon as the prime is done.
     Closing it early ends the lane."""
     primes = [int(PrimeModulus(p)) for p in primes]
+    if m >= _SWEEP_MAX.bit_length():  # 2^m (p - 1) > 2^26 at every p; 2^m is never built
+        raise DomainError(f"m = {m} scores at least 2^{m} full-row entries a sweep, "
+                          f"above the cap of 2^26")
     for p in primes:
         _check_size(p, 1 << m, "general")
         _check_size(p, m, "shallow")

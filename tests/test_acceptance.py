@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from descent_oracle import oracle_locally_optimal
-from qasm_sim import simulate_qasm
+from qasm_sim import simulate_qasm, statevector
 from shallowfp import analysis
 from shallowfp.analysis import (
     additive_energy,
@@ -42,7 +42,6 @@ from shallowfp.circuit import (
     depth,
     emit_qasm,
     pad_pow2,
-    statevector,
 )
 from shallowfp.coeffsets import (
     expand_subset_sums,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qasm_sim import simulate_qasm
+from qasm_sim import simulate_qasm, statevector
 from shallowfp.circuit import (
     Circuit,
     Gate,
@@ -15,7 +15,6 @@ from shallowfp.circuit import (
     depth,
     emit_qasm,
     pad_pow2,
-    statevector,
     stats,
 )
 from shallowfp.coeffsets import (
@@ -94,9 +93,21 @@ class TestStatevector:
         assert sv[0] == pytest.approx(math.cos(math.pi / 2), abs=1e-12)
         assert sv[2] == pytest.approx(math.sin(math.pi / 2), abs=1e-12)
 
-    def test_qubit_cap(self):
-        with pytest.raises(ValueError):
-            statevector(Circuit(21))
+    def test_positive_control(self):
+        fire = Gate("cry", 1, math.pi, ((0, True),))  # fires on |control=1>
+        assert np.allclose(statevector(Circuit(2, [fire])), [1, 0, 0, 0], atol=1e-12)
+        sv = statevector(Circuit(2, [Gate("ry", 0, math.pi), fire]))
+        assert np.allclose(sv, [0, 0, 0, 1], atol=1e-12)
+
+    @pytest.mark.parametrize("ctrl,tgt", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("basis", range(4))
+    def test_cx_on_basis_states(self, basis, ctrl, tgt):
+        # ry(pi) prepares |basis>; cx flips the target bit where the control bit is set
+        prep = "".join(f"ry({math.pi!r}) q[{q}];\n" for q in range(2) if basis >> q & 1)
+        sv = simulate_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{prep}cx q[{ctrl}],q[{tgt}];\n")
+        expected = np.zeros(4)
+        expected[basis ^ (basis >> ctrl & 1) << tgt] = 1.0
+        assert np.allclose(sv, expected, atol=1e-12)
 
 
 class TestDeepBuilder:
@@ -238,6 +249,12 @@ class TestMetrics:
         assert cx_count_lnn(build_shallow(K, 1)) == 18  # 3m+3 at m=5
         K = explicit_set(65537, list(range(1, 33)))
         assert cx_count_lnn(build_deep(K, 1)) == 160  # 32 * 5
+
+    def test_cx_deep_single_coefficient(self):
+        # d = 1 is one uncontrolled rotation: d * ceil(log2 d) = 0 CX
+        c = build_deep(explicit_set(2, [1]), 1)
+        assert [g.kind for g in c.gates] == ["ry"]
+        assert cx_count_lnn(c) == 0
 
     def test_cx_shallow_edge_no_controls(self):
         assert cx_count_lnn(build_shallow(expand_subset_sums(3, (), 7), 1)) == 3

@@ -128,6 +128,9 @@ def test_bad_size_flag_exit_1(tmp_path, capsys, monkeypatch, argv):
      "full-row entries a sweep"),
     (["compare", "--p-list", "primes.txt", "--m", "18", "--out", "x.csv"],
      "full-row entries a sweep"),
+    # 2^m (p - 1) > 2^26 at every p: refused without building or printing 2^m
+    (["compare", "--p-max", "5", "--m", "100000000", "--out", "x.csv"],
+     "full-row entries a sweep"),
     # 10^8 coefficients, refused before the first draw; the cyclic modulus is
     # the largest prime below 2^63, so p - 1 does not bound d
     (["gen", "--method", "random", "--p", "101", "--d", "100000000"], "exceeds the cap"),
@@ -136,7 +139,7 @@ def test_bad_size_flag_exit_1(tmp_path, capsys, monkeypatch, argv):
 ], ids=["gap-m17", "cyclic-d9", "aikps-eps-1", "analyze-range", "shallow-17-generators",
         "p-above-2^63", "aikps-eps-8", "optimize-shallow-size20", "compare-m4",
         "compare-p-max-4194319", "compare-p-max-1e8", "optimize-general-size200000",
-        "compare-m18", "random-d1e8", "cyclic-d1e8-p-below-2^63"])
+        "compare-m18", "compare-m1e8", "random-d1e8", "cyclic-d1e8-p-below-2^63"])
 def test_out_of_range_exit_2(tmp_path, capsys, monkeypatch, argv, needle):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "range.json").write_text(json.dumps({"p": 7, "method": "explicit",
@@ -152,6 +155,28 @@ def test_out_of_range_exit_2(tmp_path, capsys, monkeypatch, argv, needle):
     assert stdout == ""
     assert err.count("\n") == 1 and err.startswith("error:") and needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["optimize", "--p", "5", "--size", "1000000000000", "--mode", "shallow"], "far exceeds"),
+    (["compare", "--p-max", "5", "--m", "1000000000000", "--out", "x.csv"],
+     "full-row entries a sweep"),
+], ids=["optimize-shallow-size1e12", "compare-m1e12"])
+def test_huge_size_refused_before_2_to_the_size(tmp_path, argv, needle):
+    # 2^(10^12) is a 125 GB integer; the child's address space is capped at
+    # 2 GB, so a run that builds it fails fast instead of filling memory
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+    result = subprocess.run([sys.executable, "-m", "shallowfp.cli", *argv], cwd=tmp_path,
+                            env=child_env(), capture_output=True, text=True, timeout=60,
+                            preexec_fn=cap_memory)
+    assert (result.returncode, result.stdout) == (2, "")
+    err = result.stderr
+    assert err.count("\n") == 1 and err.startswith("error:") and needle in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 COMMANDS_ON_FILE = {
@@ -405,6 +430,16 @@ class TestCircuit:
         data = json.loads(stdout)
         assert data["depth"] == 5
         assert data["cx_lnn"] == 12
+
+    def test_deep_stats_of_a_single_coefficient(self, tmp_path, capsys):
+        # d = 1 lowers to one uncontrolled rotation: no CX, as d * ceil(log2 d) says
+        kpath = tmp_path / "k.json"
+        run(capsys, "gen", "--method", "cyclic", "--p", "2", "--d", "1", "--out", str(kpath))
+        code, stdout, _ = run(capsys, "circuit", "--coeffs", str(kpath),
+                              "--style", "deep", "--x", "1", "--stats")
+        assert code == 0
+        data = json.loads(stdout)
+        assert (data["gates"], data["cx_lnn"]) == (1, 0)
 
     def test_emit_qasm_round_trips_through_gen_output(self, tmp_path, capsys):
         kpath = tmp_path / "k.json"

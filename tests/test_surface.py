@@ -9,6 +9,9 @@ script of `pyproject.toml`.  The unused ones must be exactly
 and the list cannot go stale.  Names are matched bare, so a local variable
 or attribute of the same name counts as a reference: the check can miss an
 unused name, but never flags a used one.
+
+The import rule of README's Layout section is checked here too: numpy is
+imported only where arrays are computed.
 """
 import ast
 import re
@@ -17,7 +20,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 KEPT_FOR_TESTS = {
-    "circuit.statevector": "reference simulation the builders and QASM lowering are held to",
     "coeffsets.explicit_set": "the public constructor for caller-supplied residues",
     "qfa.initial_state": "the automaton the closed-form acceptance is held to",
     "qfa.accept_probability": "the automaton the closed-form acceptance is held to",
@@ -62,3 +64,33 @@ def unused_public_names() -> set[str]:
 def test_unused_public_names_are_the_kept_ones(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     assert unused_public_names() == set(KEPT_FOR_TESTS)
+
+
+def _is_numpy_import(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "numpy")
+
+
+def _numpy_imports(nodes, at_load: bool = True) -> list[bool]:
+    """One flag per numpy import in ``nodes``: whether it runs when the
+    module loads, that is, outside every function and ``if TYPE_CHECKING:``."""
+    found = []
+    for node in nodes:
+        if _is_numpy_import(node):
+            found.append(at_load)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found += _numpy_imports(ast.iter_child_nodes(node), False)
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            found += _numpy_imports(node.body, False) + _numpy_imports(node.orelse, at_load)
+        else:
+            found += _numpy_imports(ast.iter_child_nodes(node), at_load)
+    return found
+
+
+def test_numpy_is_imported_only_where_arrays_are_computed():
+    imports = {path.stem: _numpy_imports(ast.parse(path.read_text()).body)
+               for path in sorted((ROOT / "src" / "shallowfp").glob("*.py"))}
+    assert {mod for mod, flags in imports.items() if flags} == {"analysis", "optimize", "qfa"}
+    assert {mod for mod, flags in imports.items() if any(flags)} == {"analysis", "optimize"}
