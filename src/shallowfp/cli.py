@@ -203,11 +203,11 @@ def _cmd_compare(args) -> int:
     if args.out == "-":  # the ratios file is named after --out
         raise UsageError("compare --out must name a file, not stdout")
     if args.p_list:
-        with open(args.p_list) as fh:
-            entries = [line.strip() for line in fh if line.strip()]
         try:
+            with open(args.p_list) as fh:
+                entries = [line.strip() for line in fh if line.strip()]
             numbers = [int(entry) for entry in entries]
-        except ValueError as exc:
+        except ValueError as exc:  # UnicodeDecodeError, or an entry that is not an integer
             raise UsageError(f"prime list {args.p_list}: {exc}") from None
         primes = [PrimeModulus(n) for n in numbers]
     else:
@@ -317,16 +317,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _report(line: str) -> None:
+    """Print ``line`` on stderr.  A stderr that cannot take it (a closed
+    pipe, a full disk) loses the line, not the exit code."""
+    with contextlib.suppress(OSError):
+        print(line, file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
     except (UsageError, OSError) as exc:  # OSError: a file that cannot be read or written
-        print(f"usage error: {exc}", file=sys.stderr)
+        _report(f"usage error: {exc}")
         return 1
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
 
 
@@ -344,7 +351,7 @@ def entry() -> None:
             sys.stdout.flush()
         except OSError as exc:  # the flush: main() reports the OSErrors it meets
             if code == 0:  # a run that failed has its one line already
-                print(f"usage error: {exc}", file=sys.stderr)
+                _report(f"usage error: {exc}")
                 code = 1
         finally:
             with contextlib.suppress(OSError):  # after a failed flush: drops the rest

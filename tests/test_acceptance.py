@@ -26,6 +26,7 @@ import sys
 import numpy as np
 import pytest
 
+from automaton import stepped_sweep
 from descent_oracle import oracle_locally_optimal
 from qasm_sim import simulate_qasm, statevector
 from shallowfp import analysis
@@ -58,13 +59,7 @@ from shallowfp.optimize import (
     compare_experiment,
     coordinate_descent,
 )
-from shallowfp.qfa import (
-    accept_probability,
-    acceptance_sweep,
-    error_prob,
-    initial_state,
-    step,
-)
+from shallowfp.qfa import acceptance_sweep, run_word
 from shallowfp.zmod import is_prime
 
 
@@ -124,7 +119,7 @@ def test_criterion_3_epsilon_consistency():
             worst = acceptance_sweep(K)[1:].max()
             assert worst <= eps + 1e-12
             for x in (1, p // 2, p - 1):
-                assert error_prob(K, x) <= eps + 1e-12
+                assert run_word(K, x) <= eps + 1e-12
             bias = analyze(K).bias
             assert abs(eps - (p / d * bias) ** 2) <= 1e-9 * max(eps, 1e-30)
             shift = rng.randrange(p)
@@ -169,12 +164,10 @@ def test_criterion_4_triple_agreement():
             assert p <= 257
             padded = pad_pow2(K)
             d = padded.d
-            state = initial_state(padded)  # the automaton, one letter per x
+            stepped = stepped_sweep(padded, p)  # the automaton, one letter per x
             for x in range(p):
-                if x:
-                    state = step(state)
-                closed = error_prob(padded, x)
-                assert abs(accept_probability(state) - closed) <= 1e-9
+                closed = run_word(padded, x)
+                assert abs(stepped[x] - closed) <= 1e-9
                 cos_block = statevector(build_deep(K, x))[:d]
                 circ_prob = float(cos_block.sum() / math.sqrt(d)) ** 2
                 assert abs(circ_prob - closed) <= 1e-9

@@ -26,7 +26,7 @@ from shallowfp.coeffsets import (
     gen_gap,
 )
 from shallowfp.errors import DomainError
-from shallowfp.qfa import error_prob
+from shallowfp.qfa import run_word
 
 
 def fingerprint_reference(coeffs, p, x):
@@ -148,7 +148,7 @@ class TestDeepBuilder:
         for x in range(13):
             cos_block, _ = np.split(statevector(build_deep(K, x)), 2)
             prob = float(cos_block.sum() / math.sqrt(8)) ** 2
-            assert prob == pytest.approx(error_prob(K, x), abs=1e-10)
+            assert prob == pytest.approx(run_word(K, x), abs=1e-10)
 
 
 class TestShallowBuilder:

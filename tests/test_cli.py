@@ -796,9 +796,9 @@ def test_traced_run_patches_every_alias(tmp_path, capsys, monkeypatch):
     finally:
         patch.remove()
     capsys.readouterr()
-    # the two names the package dropped: analyze(K).bias replaced
-    # fourier_bias, and error_prob is patched where it lives, in qfa
-    assert patch.missing == ["analysis.fourier_bias", "analysis.error_prob"]
+    # the three names the package dropped: analyze(K).bias replaced
+    # fourier_bias, and run_word computes what error_prob did
+    assert patch.missing == ["analysis.fourier_bias", "analysis.error_prob", "qfa.error_prob"]
     totals = spans.layer_totals(tracer)
     tries = coeffsets.gen_gap(1013, 5, 2).tries
     assert totals["coeffsets.gen_gap.tries"] == tries
@@ -837,6 +837,22 @@ class TestEntry:
         result = fresh_python("-m", "shallowfp.cli", *argv, cwd=tmp_path)
         assert (result.returncode, result.stdout) == (code, "")
         assert result.stderr.count("\n") == 1 and result.stderr.startswith(prefix)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["gen", "--method", "cyclic", "--p", "7"], 1),
+        (["gen", "--method", "cyclic", "--p", "4", "--d", "1"], 2),
+    ], ids=["usage", "domain"])
+    def test_stderr_that_cannot_take_the_line_keeps_the_exit_code(self, tmp_path, argv, code):
+        # fd 2 is a pipe whose reader has closed: the line is lost, the code is not
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run([sys.executable, "-m", "shallowfp.cli", *argv],
+                                    cwd=tmp_path, env=child_env(), stdout=subprocess.PIPE,
+                                    stderr=write, timeout=60)
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stdout) == (code, b"")
 
     def test_atexit_handlers_run_on_a_frozen_heap(self, tmp_path):
         # a handler of the calling script still runs, after entry() froze

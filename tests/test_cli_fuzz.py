@@ -45,6 +45,7 @@ PRIME_LISTS = {
     "composite.txt": "9\n",
     "huge.txt": f"{2 ** 63 + 29}\n",
     "empty.txt": "",
+    "binary.txt": b"\xff\xfe7\n",
 }
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)

@@ -21,8 +21,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 KEPT_FOR_TESTS = {
     "coeffsets.explicit_set": "the public constructor for caller-supplied residues",
-    "qfa.initial_state": "the automaton the closed-form acceptance is held to",
-    "qfa.accept_probability": "the automaton the closed-form acceptance is held to",
 }
 
 
@@ -92,5 +90,5 @@ def _numpy_imports(nodes, at_load: bool = True) -> list[bool]:
 def test_numpy_is_imported_only_where_arrays_are_computed():
     imports = {path.stem: _numpy_imports(ast.parse(path.read_text()).body)
                for path in sorted((ROOT / "src" / "shallowfp").glob("*.py"))}
-    assert {mod for mod, flags in imports.items() if flags} == {"analysis", "optimize", "qfa"}
+    assert {mod for mod, flags in imports.items() if flags} == {"analysis", "optimize"}
     assert {mod for mod, flags in imports.items() if any(flags)} == {"analysis", "optimize"}
