@@ -49,19 +49,18 @@ from .record import Record
 
 
 class Gate(Record):
-    """One gate: ``kind`` is "h", "ry" or "cry"; ``controls`` holds
-    (qubit, positive-polarity) pairs."""
+    """One gate: ``kind`` is "h" or "ry"; ``controls`` holds
+    (qubit, positive-polarity) pairs, and an ry with controls is a
+    controlled rotation."""
 
     __slots__ = ("kind", "target", "angle", "controls")
 
     def __init__(self, kind: str, target: int, angle: float = 0.0,
                  controls: tuple[tuple[int, bool], ...] = ()):
-        if kind not in ("h", "ry", "cry"):
+        if kind not in ("h", "ry"):
             raise ValueError(f"unknown gate kind {kind!r}")
-        if kind == "cry" and not controls:
-            raise ValueError("cry needs at least one control")
-        if kind != "cry" and controls:  # emit_qasm writes h and ry uncontrolled
-            raise ValueError(f"{kind} takes no controls")
+        if kind == "h" and controls:  # emit_qasm writes h uncontrolled
+            raise ValueError("h takes no controls")
         if any(c == target for c, _ in controls):
             raise ValueError("control and target must differ")
         if not math.isfinite(angle):
@@ -118,12 +117,8 @@ def build_deep(K: CoefficientSet, x: int) -> Circuit:
     gates = [Gate("h", q) for q in range(m)]
     pairs = [((q, False), (q, True)) for q in range(m)]  # shared by every gate's controls
     for j, k in enumerate(padded.coefficients):
-        angle = _reduced_angle(k, x, p)
-        if m == 0:
-            gates.append(Gate("ry", 0, angle))
-        else:
-            controls = tuple(pair[(j >> q) & 1] for q, pair in enumerate(pairs))
-            gates.append(Gate("cry", m, angle, controls))
+        controls = tuple(pair[(j >> q) & 1] for q, pair in enumerate(pairs))
+        gates.append(Gate("ry", m, _reduced_angle(k, x, p), controls))
     return Circuit(m + 1, gates, label, "deep")
 
 
@@ -139,7 +134,7 @@ def build_shallow(K: CoefficientSet, x: int) -> Circuit:
     m = len(T)
     p = int(K.p)
     gates = [Gate("h", q) for q in range(m)]
-    gates += [Gate("cry", m, _reduced_angle(t, x, p), ((q, True),)) for q, t in enumerate(T)]
+    gates += [Gate("ry", m, _reduced_angle(t, x, p), ((q, True),)) for q, t in enumerate(T)]
     # closing rotation R_0; kept even for t_0 = 0 for structural fidelity
     gates.append(Gate("ry", m, _reduced_angle(t0, x, p)))
     return Circuit(m + 1, gates, f"shallow[m={m}]", "shallow")
@@ -147,7 +142,7 @@ def build_shallow(K: CoefficientSet, x: int) -> Circuit:
 
 def aikps_block_width(s_max: int) -> int:
     """Wires per block: enough control bits to index 1..s_max, plus target."""
-    return max(1, math.ceil(math.log2(s_max))) + 1 if s_max > 1 else 2
+    return max(1, (s_max - 1).bit_length()) + 1
 
 
 def build_aikps(K: CoefficientSet, x: int) -> Circuit:
@@ -172,7 +167,7 @@ def build_aikps(K: CoefficientSet, x: int) -> Circuit:
         base = b * n_ctrl
         for k in range(1, w):
             coeff = (1 << (k - 1)) * r_inv % p
-            gates.append(Gate("cry", target, _reduced_angle(coeff, x, p),
+            gates.append(Gate("ry", target, _reduced_angle(coeff, x, p),
                               ((base + k - 1, True),)))
         gates.append(Gate("ry", target, _reduced_angle(r_inv, x, p)))
     return Circuit(num_qubits, gates, f"aikps[eps={eps:g},blocks={len(R)},w={w}]", "aikps")
@@ -192,14 +187,14 @@ def depth(c: Circuit) -> int:
 
 def cx_count_lnn(c: Circuit) -> int:
     """Declared LNN CX cost; the model is the one of the circuit's style."""
-    n_cry = sum(1 for g in c.gates if g.kind == "cry")
+    n_ctrl = sum(1 for g in c.gates if g.controls)
     if c.style == "shallow":
-        return n_cry * CX_PER_CONTROLLED_RY_LNN + CX_OVERHEAD_FINAL
+        return n_ctrl * CX_PER_CONTROLLED_RY_LNN + CX_OVERHEAD_FINAL
     if c.style == "deep":
         # nearest-neighbor decomposition of the d-rotation controlled bank
-        return n_cry * math.ceil(math.log2(n_cry)) if n_cry > 1 else n_cry
+        return n_ctrl * math.ceil(math.log2(n_ctrl)) if n_ctrl > 1 else n_ctrl
     if c.style == "aikps":
-        return n_cry * CX_PER_CONTROLLED_RY_LNN
+        return n_ctrl * CX_PER_CONTROLLED_RY_LNN
     raise ValueError(f"no LNN cost model for circuit style {c.style!r}")
 
 
@@ -258,7 +253,7 @@ def _emit_multiplexor(lines: list[str], run: list[Gate]) -> None:
 
 
 def _run_key(gate: Gate) -> tuple | None:
-    if gate.kind != "cry":
+    if not gate.controls:
         return None
     return gate.target, tuple(q for q, _ in gate.controls)
 
@@ -266,9 +261,9 @@ def _run_key(gate: Gate) -> tuple | None:
 def emit_qasm(c: Circuit) -> str:
     """OpenQASM 2.0 text using only h, ry and cx from qelib1.
 
-    Each run of consecutive cry gates sharing a target and a tuple of
-    control qubits is emitted as one multiplexor (2^n R_y, 2^n CX), so the
-    output is consumable by any QASM 2.0 simulator.  Emission is
+    Each run of consecutive controlled ry gates sharing a target and a
+    tuple of control qubits is emitted as one multiplexor (2^n R_y, 2^n
+    CX), so the output is consumable by any QASM 2.0 simulator.  Emission is
     byte-stable for a fixed circuit (fixed ordering, angles at 17
     significant digits).
     """

@@ -58,10 +58,6 @@ _FLOAT = "%.17g"  # 17 significant digits: every float reads back exactly
 _CHUNK = 1 << 12  # rows formatted by one template in _format_rows
 
 
-def _fmt(x: float) -> str:
-    return _FLOAT % x
-
-
 def _format_rows(row: str, rows) -> str:
     """Every tuple of ``rows`` formatted by the %-template ``row``, one
     template per chunk of rows instead of one call per value."""
@@ -163,7 +159,7 @@ def _cmd_simulate(args) -> int:
     K = _load_coeffs(args.coeffs)
     with _output(args.out) as out:
         if args.j is not None:
-            out.write(_fmt(qfa.run_word(K, args.j)) + "\n")
+            out.write(_FLOAT % qfa.run_word(K, args.j) + "\n")
         else:
             probs = qfa.acceptance_sweep(K).tolist()
             out.write("j,accept_prob\n" + _format_rows(f"%d,{_FLOAT}\n", enumerate(probs)))
@@ -206,10 +202,9 @@ def _cmd_compare(args) -> int:
         try:
             with open(args.p_list) as fh:
                 entries = [line.strip() for line in fh if line.strip()]
-            numbers = [int(entry) for entry in entries]
+            primes = [int(entry) for entry in entries]
         except ValueError as exc:  # UnicodeDecodeError, or an entry that is not an integer
             raise UsageError(f"prime list {args.p_list}: {exc}") from None
-        primes = [PrimeModulus(n) for n in numbers]
     else:
         # the largest prime is checked first, so a --p-max above the table
         # cap ends the run at once instead of after a scan of minutes
@@ -219,8 +214,8 @@ def _cmd_compare(args) -> int:
     if not primes:
         raise UsageError("empty prime list")
 
-    cfg = optimize.DescentConfig(seed=args.seed, restarts=args.restarts)
-    experiment = optimize.compare_experiment(primes, args.m, cfg)  # checks primes and sizes
+    # checks every prime and size before the first search
+    experiment = optimize.compare_experiment(primes, args.m, args.seed, args.restarts)
     ratios_path = os.path.splitext(args.out)[0] + "_ratios.csv"
     # closing: a run that stops early still ends the experiment's search process
     with _output(args.out, newline="") as out_fh, \

@@ -11,8 +11,7 @@ Supported constructions:
 * aikps      -- products s * r^{-1} for small primes r and small s,
 * gap        -- subset sums of m generators, searched until the associated
                 3^m-point progression is proper,
-* random     -- seeded uniform draws from [1, p-1],
-* explicit   -- caller-supplied coefficients.
+* random     -- seeded uniform draws from [1, p-1].
 
 All generators are deterministic functions of (p, parameters, seed); the
 seeded ones use the SplitMix64 stream documented in rng.py.
@@ -20,7 +19,7 @@ seeded ones use the SplitMix64 stream documented in rng.py.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 from .record import Record
@@ -298,9 +297,3 @@ def gen_random(p: int, d: int, seed: int) -> CoefficientSet:
     rng = SplitMix64(seed)
     coeffs = tuple(rng.in_range(1, p) for _ in range(d))
     return CoefficientSet(p, coeffs, "random", {"seed": seed})
-
-
-def explicit_set(p: int, coefficients: Iterable[int]) -> CoefficientSet:
-    """Wrap caller-supplied coefficients (reduced mod p) as a CoefficientSet."""
-    p = PrimeModulus(p)
-    return CoefficientSet(p, tuple(k % p for k in coefficients), "explicit", {})

@@ -167,13 +167,6 @@ class DescentResult(Record):
                  "history")
 
     @property
-    def best_point(self) -> tuple[int, ...]:
-        """The coefficients (general) or generators (shallow) of ``best_set``."""
-        if self.best_set.params["mode"] == "shallow":
-            return self.best_set.params["T"]
-        return self.best_set.coefficients
-
-    @property
     def sweeps_used(self) -> int:
         return len(self.history) - 1
 
@@ -430,12 +423,15 @@ class ComparisonRecord(Record):
         return max(self.shallow.best_epsilon, 1e-15) / max(self.general.best_epsilon, 1e-15)
 
 
-def compare_experiment(primes: list[int], m: int, cfg: DescentConfig):
-    """For each prime: optimize d = 2^m free coefficients and m generators.
-    Every prime and size is checked when this is called; the returned
-    iterator runs the searches, the shallow ones in a forked lane (see
-    "Lanes"), and yields each prime's record as soon as the prime is done.
-    Closing it early ends the lane."""
+def compare_experiment(primes: list[int], m: int, seed: int, restarts: int = 0):
+    """For each prime: optimize d = 2^m free coefficients and m generators,
+    each search with ``seed`` and ``restarts``.  Every prime, size and
+    setting is checked when this is called; the returned iterator runs the
+    searches, the shallow ones in a forked lane (see "Lanes"), and yields
+    each prime's record as soon as the prime is done.  Closing it early
+    ends the lane."""
+    general = DescentConfig(seed, restarts=restarts)
+    shallow = DescentConfig(seed, mode="shallow", restarts=restarts)
     primes = [int(PrimeModulus(p)) for p in primes]
     if m >= _SWEEP_MAX.bit_length():  # 2^m (p - 1) > 2^26 at every p; 2^m is never built
         raise DomainError(f"m = {m} scores at least 2^{m} full-row entries a sweep, "
@@ -443,12 +439,11 @@ def compare_experiment(primes: list[int], m: int, cfg: DescentConfig):
     for p in primes:
         _check_size(p, 1 << m, "general")
         _check_size(p, m, "shallow")
-    return _compare_records(primes, m, cfg)
+    return _compare_records(primes, m, general, shallow)
 
 
-def _compare_records(primes: list[int], m: int, cfg: DescentConfig):
-    general = DescentConfig(cfg.seed, cfg.max_sweeps, "general", cfg.restarts)
-    shallow = DescentConfig(cfg.seed, cfg.max_sweeps, "shallow", cfg.restarts)
+def _compare_records(primes: list[int], m: int, general: DescentConfig,
+                     shallow: DescentConfig):
     with _in_child(coordinate_descent(p, m, shallow) for p in primes) as shallow_results:
         for p in primes:
             gen_res = coordinate_descent(p, 1 << m, general)

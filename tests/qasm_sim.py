@@ -5,7 +5,7 @@
 pair: the matrix acts on the target where every control qubit reads its
 polarity.  The basis is little-endian: qubit q is bit q of the index.
 
-* `statevector(c)` runs a `Circuit` gate by gate: h, ry, and cry with its
+* `statevector(c)` runs a `Circuit` gate by gate: h, and ry with its
   polarity controls.  It is the reference the builders and the QASM
   lowering are held to.
 * `simulate_qasm(text)` reads exactly the dialect the emitter produces,

@@ -28,6 +28,7 @@ import pytest
 
 from automaton import stepped_sweep
 from descent_oracle import oracle_locally_optimal
+from helpers import best_point, explicit_set
 from qasm_sim import simulate_qasm, statevector
 from shallowfp import analysis
 from shallowfp.analysis import (
@@ -46,7 +47,6 @@ from shallowfp.circuit import (
 )
 from shallowfp.coeffsets import (
     expand_subset_sums,
-    explicit_set,
     gen_aikps,
     gen_cyclic,
     gen_gap,
@@ -202,7 +202,7 @@ def test_criterion_6_coordinate_descent_exhaustive():
                 res = coordinate_descent(p, m, cfg, initial=(t1, t2))
                 eps_values = [e for _, e in res.history]
                 assert all(a >= b for a, b in zip(eps_values, eps_values[1:]))
-                assert oracle_locally_optimal(p, "shallow", np.asarray(res.best_point))
+                assert oracle_locally_optimal(p, "shallow", np.asarray(best_point(res)))
                 assert res.best_epsilon >= oracle - 1e-12
                 best_found = min(best_found, res.best_epsilon)
         assert abs(best_found - oracle) <= 1e-12
@@ -210,8 +210,7 @@ def test_criterion_6_coordinate_descent_exhaustive():
 
 def test_criterion_7_ratio_reproduction():
     with criterion(7, "shallow/general epsilon ratio band (m=3)"):
-        records = list(compare_experiment(primes_in(8, 1013), 3,
-                                          DescentConfig(seed=7, restarts=3)))
+        records = list(compare_experiment(primes_in(8, 1013), 3, seed=7, restarts=3))
         in_band = sum(1 for r in records if 0.9 <= math.sqrt(r.ratio) <= 1.5)
         assert in_band >= math.ceil(0.8 * len(records)), \
             f"only {in_band}/{len(records)} epsilon ratios in [0.9, 1.5]"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import explicit_set
 from shallowfp import analysis
 from shallowfp.analysis import (
     additive_energy,
@@ -16,7 +17,7 @@ from shallowfp.analysis import (
     spectrum,
     spectrum_rows,
 )
-from shallowfp.coeffsets import explicit_set, gen_aikps, gen_gap, gen_random
+from shallowfp.coeffsets import gen_aikps, gen_gap, gen_random
 from shallowfp.errors import DomainError
 from shallowfp.qfa import run_word
 from shallowfp.zmod import is_prime, primitive_root

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import explicit_set
 from qasm_sim import simulate_qasm, statevector
 from shallowfp.circuit import (
     Circuit,
@@ -20,7 +21,6 @@ from shallowfp.circuit import (
 from shallowfp.coeffsets import (
     CoefficientSet,
     expand_subset_sums,
-    explicit_set,
     gen_aikps,
     gen_cyclic,
     gen_gap,
@@ -39,28 +39,34 @@ def fingerprint_reference(coeffs, p, x):
 class TestGateInvariants:
     def test_control_equals_target_rejected(self):
         with pytest.raises(ValueError):
-            Gate("cry", 1, 0.5, ((1, True),))
+            Gate("ry", 1, 0.5, ((1, True),))
 
-    @pytest.mark.parametrize("kind", ["h", "ry"])
+    @pytest.mark.parametrize("kind", ["h"])
     def test_uncontrolled_kinds_take_no_controls(self, kind):
-        # emit_qasm writes h and ry without controls, so a controlled one
-        # would simulate differently from its QASM
+        # emit_qasm writes h without controls, so a controlled one would
+        # simulate differently from its QASM
         with pytest.raises(ValueError, match=f"^{kind} takes no controls$"):
             Gate(kind, 1, 0.5, ((0, True),))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Gate("cz", 0)
+        for kind in ("cz", "cry"):  # a controlled rotation is an ry with controls
+            with pytest.raises(ValueError, match=f"^unknown gate kind '{kind}'$"):
+                Gate(kind, 0)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf])
+    def test_angle_must_be_finite(self, angle):
+        with pytest.raises(ValueError, match="^angle must be finite$"):
+            Gate("ry", 0, angle)
 
     def test_gate_outside_register_rejected(self):
         with pytest.raises(ValueError):
             Circuit(2, [Gate("h", 0), Gate("h", 5)])
 
     def test_gate_is_a_hashable_frozen_value(self):
-        g = Gate("cry", 2, 0.5, ((0, True),))
-        assert g == Gate("cry", 2, 0.5, ((0, True),))
-        assert g != Gate("cry", 2, 0.5, ((0, False),)) and g != Gate("cry", 2, 0.25, ((0, True),))
-        assert len({g, Gate("cry", 2, 0.5, ((0, True),)), Gate("h", 0)}) == 2
+        g = Gate("ry", 2, 0.5, ((0, True),))
+        assert g == Gate("ry", 2, 0.5, ((0, True),))
+        assert g != Gate("ry", 2, 0.5, ((0, False),)) and g != Gate("ry", 2, 0.25, ((0, True),))
+        assert len({g, Gate("ry", 2, 0.5, ((0, True),)), Gate("h", 0)}) == 2
         for field in ("kind", "target", "angle", "controls"):
             with pytest.raises(AttributeError):
                 setattr(g, field, 1)
@@ -88,13 +94,13 @@ class TestStatevector:
         assert np.allclose(statevector(c), [1 / math.sqrt(2)] * 2)
 
     def test_negative_control(self):
-        c = Circuit(2, [Gate("cry", 1, math.pi, ((0, False),))])  # fires on |control=0>
+        c = Circuit(2, [Gate("ry", 1, math.pi, ((0, False),))])  # fires on |control=0>
         sv = statevector(c)
         assert sv[0] == pytest.approx(math.cos(math.pi / 2), abs=1e-12)
         assert sv[2] == pytest.approx(math.sin(math.pi / 2), abs=1e-12)
 
     def test_positive_control(self):
-        fire = Gate("cry", 1, math.pi, ((0, True),))  # fires on |control=1>
+        fire = Gate("ry", 1, math.pi, ((0, True),))  # fires on |control=1>
         assert np.allclose(statevector(Circuit(2, [fire])), [1, 0, 0, 0], atol=1e-12)
         sv = statevector(Circuit(2, [Gate("ry", 0, math.pi), fire]))
         assert np.allclose(sv, [0, 0, 0, 1], atol=1e-12)
@@ -113,8 +119,8 @@ class TestStatevector:
 class TestDeepBuilder:
     def test_structure_m1(self):
         c = build_deep(explicit_set(7, [1, 2]), 1)
-        kinds = [g.kind for g in c.gates]
-        assert kinds == ["h", "cry", "cry"]
+        shape = [(g.kind, len(g.controls)) for g in c.gates]
+        assert shape == [("h", 0), ("ry", 1), ("ry", 1)]
         assert c.num_qubits == 2
 
     @pytest.mark.parametrize("x", [0, 1, 6, 12])
@@ -135,7 +141,7 @@ class TestDeepBuilder:
     def test_control_patterns_cover_all(self):
         c = build_deep(gen_cyclic(17, 8), 1)
         patterns = {tuple(pol for _, pol in g.controls)
-                    for g in c.gates if g.kind == "cry"}
+                    for g in c.gates if g.controls}
         assert len(patterns) == 8
 
     @pytest.mark.parametrize("m", range(1, 8))
@@ -155,14 +161,14 @@ class TestShallowBuilder:
     def test_structure(self):
         K = expand_subset_sums(5, (1, 3, 9), 31)
         c = build_shallow(K, 2)
-        kinds = [g.kind for g in c.gates]
-        assert kinds == ["h", "h", "h", "cry", "cry", "cry", "ry"]
+        shape = [(g.kind, len(g.controls)) for g in c.gates]
+        assert shape == [("h", 0)] * 3 + [("ry", 1)] * 3 + [("ry", 0)]
         assert depth(c) == 5
 
     def test_zero_offset_keeps_final_gate(self):
         K = expand_subset_sums(0, (1, 3), 31)
         c = build_shallow(K, 7)
-        assert c.gates[-1].kind == "ry"
+        assert (c.gates[-1].kind, c.gates[-1].controls) == ("ry", ())
         assert c.gates[-1].angle == 0.0
 
     @pytest.mark.parametrize("x", [0, 1, 17, 30])
@@ -224,8 +230,7 @@ class TestBuilderInputs:
 class TestAikpsBuilder:
     def test_structure_65537(self):
         c = build_aikps(gen_aikps(65537, 0.5), 1)
-        n_cry = sum(1 for g in c.gates if g.kind == "cry")
-        assert n_cry == 7 * 8
+        assert sum(1 for g in c.gates if g.controls) == 7 * 8
         assert depth(c) == 63  # 7 blocks of 9 serialized rotations
         bound = 2 * math.log2(65537) ** 1.5 * math.log2(math.log2(65537))
         assert depth(c) <= bound
@@ -253,7 +258,7 @@ class TestMetrics:
     def test_cx_deep_single_coefficient(self):
         # d = 1 is one uncontrolled rotation: d * ceil(log2 d) = 0 CX
         c = build_deep(explicit_set(2, [1]), 1)
-        assert [g.kind for g in c.gates] == ["ry"]
+        assert [(g.kind, g.controls) for g in c.gates] == [("ry", ())]
         assert cx_count_lnn(c) == 0
 
     def test_cx_shallow_edge_no_controls(self):
@@ -281,8 +286,8 @@ class TestQasm:
         text = emit_qasm(build_shallow(K, 2))
         lines = text.splitlines()
         assert sum(1 for l in lines if l.startswith("h ")) == 1
-        assert sum(1 for l in lines if l.startswith("cx ")) == 2  # one decomposed cry
-        assert sum(1 for l in lines if l.startswith("ry(")) == 3  # cry halves + final R_0
+        assert sum(1 for l in lines if l.startswith("cx ")) == 2  # one lowered controlled ry
+        assert sum(1 for l in lines if l.startswith("ry(")) == 3  # its two halves + final R_0
 
     @pytest.mark.parametrize("builder_idx", range(4))
     def test_round_trip(self, builder_idx):
@@ -313,18 +318,18 @@ class TestQasm:
             *(Gate("h", q) for q in range(4)),
             # one run on target 3, controls (0, 1), mixed polarities; the first
             # and third gates share a pattern, so their angles add
-            Gate("cry", 3, 0.7, ((0, True), (1, False))),
-            Gate("cry", 3, 1.9, ((0, False), (1, True))),
-            Gate("cry", 3, 2.3, ((0, True), (1, False))),
-            Gate("cry", 3, 4.1, ((0, False), (1, False))),
+            Gate("ry", 3, 0.7, ((0, True), (1, False))),
+            Gate("ry", 3, 1.9, ((0, False), (1, True))),
+            Gate("ry", 3, 2.3, ((0, True), (1, False))),
+            Gate("ry", 3, 4.1, ((0, False), (1, False))),
             # same target, other control tuple: a new run, controls out of order
-            Gate("cry", 3, 0.4, ((2, False), (0, True))),
-            Gate("cry", 3, 5.2, ((2, True), (0, True))),
+            Gate("ry", 3, 0.4, ((2, False), (0, True))),
+            Gate("ry", 3, 5.2, ((2, True), (0, True))),
             # other target, back to back
-            Gate("cry", 0, 3.3, ((3, False),)),
-            Gate("cry", 2, 1.1, ((1, True), (0, False), (3, True))),
+            Gate("ry", 0, 3.3, ((3, False),)),
+            Gate("ry", 2, 1.1, ((1, True), (0, False), (3, True))),
             Gate("ry", 1, 0.9),
-            Gate("cry", 3, 6.0, ((0, False), (1, False))),
+            Gate("ry", 3, 6.0, ((0, False), (1, False))),
         ])
         text = emit_qasm(c)
         cx = sum(1 for line in text.splitlines() if line.startswith("cx "))
@@ -333,7 +338,7 @@ class TestQasm:
 
     @pytest.mark.parametrize("theta", [0.0, 1.5])
     def test_single_control_lowering(self, theta):
-        c = Circuit(2, [Gate("cry", 1, theta, ((0, True),))])
+        c = Circuit(2, [Gate("ry", 1, theta, ((0, True),))])
         half = theta / 2
         assert emit_qasm(c).splitlines()[3:] == [
             f"ry({half:.17g}) q[1];", "cx q[0],q[1];", f"ry({-half:.17g}) q[1];", "cx q[0],q[1];"]
@@ -341,7 +346,7 @@ class TestQasm:
     def test_same_pattern_angles_add(self):
         def one_run(angles):
             gates = [Gate("h", 0), Gate("h", 1)]
-            gates += [Gate("cry", 2, a, ((0, False), (1, True))) for a in angles]
+            gates += [Gate("ry", 2, a, ((0, False), (1, True))) for a in angles]
             return emit_qasm(Circuit(3, gates))
 
         split, merged = one_run([1.25, 2.5]), one_run([3.75])
@@ -375,9 +380,9 @@ def test_multiplexor_angles_match_numpy_reference(m):
     patterns[1] = patterns[2]  # a repeated pattern: angles add
     runs = [
         # one zero rotation: the butterfly's -(v - u) yields -0
-        [Gate("cry", m, 0.0, tuple((q, True) for q in range(m)))],
+        [Gate("ry", m, 0.0, tuple((q, True) for q in range(m)))],
         # mixed polarities, repeats, a zero angle
-        [Gate("cry", m, float(a), tuple((q, bool(pol)) for q, pol in enumerate(row)))
+        [Gate("ry", m, float(a), tuple((q, bool(pol)) for q, pol in enumerate(row)))
          for a, row in zip(angles, patterns)],
         # the deep layout of a d = 2^m set
         build_deep(explicit_set(1000003, [(7919 * j) % 1000003

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import assert_no_child_left, patch_descent
 from shallowfp import coeffsets
 from shallowfp.cli import main
 from shallowfp.errors import DomainError
@@ -636,32 +637,13 @@ class TestCompare:
         assert code == 1
 
 
-def patch_descent(monkeypatch, mode, hook):
-    """Call ``hook(p)`` before every descent of ``mode``; patched before the
-    run starts, so compare's forked shallow lane runs it too."""
-    from shallowfp import optimize
-    real = optimize.coordinate_descent
-
-    def patched(p, size, cfg, initial=None):
-        if cfg.mode == mode:
-            hook(p)
-        return real(p, size, cfg, initial)
-
-    monkeypatch.setattr(optimize, "coordinate_descent", patched)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 # a run that stops early, with its shallow lane busy or not, leaves no process
 class TestCompareLanes:
     def test_shallow_lane_domain_error_exit_2(self, tmp_path, capsys, monkeypatch):
         def fail(p):
             raise DomainError(f"no shallow search at p={p}")
 
-        patch_descent(monkeypatch, "shallow", fail)
+        patch_descent(monkeypatch, shallow=fail)
         code, stdout, err = run(capsys, "compare", "--p-max", "13", "--m", "2",
                                 "--out", str(tmp_path / "x.csv"))
         assert (code, stdout, err) == (2, "", "error: no shallow search at p=2\n")
@@ -684,8 +666,8 @@ class TestCompareLanes:
             if p == 3:
                 raise OSError(28, "No space left on device")
 
-        patch_descent(monkeypatch, "general", full)
-        patch_descent(monkeypatch, "shallow", lambda p: time.sleep(0 if p == 2 else 60))
+        patch_descent(monkeypatch, general=full,
+                      shallow=lambda p: time.sleep(0 if p == 2 else 60))
         started = time.perf_counter()
         code, _, err = run(capsys, "compare", "--p-max", "13", "--m", "2",
                            "--out", str(tmp_path / "x.csv"))

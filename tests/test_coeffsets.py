@@ -314,6 +314,8 @@ class TestGenGap:
         with pytest.raises(DomainError,
                            match=r"^no proper GAP found for p=1013, m=6 in 1 tries \(seed 0\)$"):
             gen_gap(1013, 6, seed=0, max_tries=1)
+        with pytest.raises(DomainError, match=r"^max_tries must be positive, got 0$"):
+            gen_gap(1013, 6, seed=0, max_tries=0)
 
     def test_forced_trivial(self):
         assert expand_subset_sums(0, (1,), 11).coefficients == (0, 1)
@@ -337,6 +339,10 @@ class TestRandom:
 
     def test_different_seeds_differ(self):
         assert gen_random(1013, 10, 1).coefficients != gen_random(1013, 10, 2).coefficients
+
+    def test_draw_bound_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"^bound must be positive$"):
+            SplitMix64(0).below(0)
 
 
 class TestJsonRoundTrip:

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from descent_oracle import full_table_candidate_eps, oracle_locally_optimal, oracle_move
-from shallowfp import optimize
+from helpers import assert_no_child_left, best_point, explicit_set, patch_descent
 from shallowfp.analysis import epsilon_of, roots_of_unity
-from shallowfp.coeffsets import expand_subset_sums, explicit_set
+from shallowfp.coeffsets import expand_subset_sums
 from shallowfp.errors import DomainError
 from shallowfp.rng import SplitMix64
 from shallowfp.zmod import primitive_root
@@ -70,7 +70,7 @@ def _oracle_points(p: int, mode: str, rng: np.random.Generator):
     size = 8 if mode == "general" else 3
     if mode == "general" or (1 << size) <= 4 * p:
         res = coordinate_descent(p, size, DescentConfig(seed=3, mode=mode))
-        yield np.asarray(res.best_point)  # converged: near-ties are likely
+        yield np.asarray(best_point(res))  # converged: near-ties are likely
 
 
 class TestLogTables:
@@ -155,7 +155,7 @@ class TestPrunedSearch:
         p, size = 101, (4 if mode == "general" else 3)
         cfg = DescentConfig(seed=5, mode=mode)
         res = coordinate_descent(p, size, cfg)
-        point = np.asarray(res.best_point, dtype=np.int64)
+        point = np.asarray(best_point(res), dtype=np.int64)
         assert oracle_locally_optimal(p, mode, point)
         point[0] = (point[0] + 1) % p
         assert not oracle_locally_optimal(p, mode, point)
@@ -208,7 +208,7 @@ class TestMoveReuse:
         p, mode = res.best_set.p, res.best_set.params["mode"]
         point, _, sweeps, history = ref  # the descent's eps is history's last entry
         want = explicit_set(p, point) if mode == "general" else expand_subset_sums(0, point, p)
-        assert res.best_point == point
+        assert best_point(res) == point
         assert res.best_epsilon.hex() == epsilon_of(want)[0].hex()
         assert res.sweeps_used == sweeps
         assert res.evaluations == evaluations
@@ -275,7 +275,8 @@ class TestMemory:
             "r = coordinate_descent(65537, 128, DescentConfig(seed=7, max_sweeps=2))\n"
             "status = open('/proc/self/status').read()\n"
             "hwm = int(status.split('VmHWM:')[1].split()[0])\n"
-            "print(json.dumps([hwm, r.best_epsilon.hex(), r.rows_evaluated, r.best_point]))\n")
+            "print(json.dumps([hwm, r.best_epsilon.hex(), r.rows_evaluated,\n"
+            "                  r.best_set.coefficients]))\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
@@ -302,7 +303,7 @@ class TestMemory:
         p = 65537
         res = coordinate_descent(p, 8, DescentConfig(seed=7))
         assert res.best_set.d == 8
-        assert res.best_epsilon == epsilon_of(explicit_set(p, res.best_point))[0]
+        assert res.best_epsilon == epsilon_of(explicit_set(p, best_point(res)))[0]
         assert res.rows_evaluated < res.evaluations
 
     @pytest.mark.full_scale
@@ -311,13 +312,23 @@ class TestMemory:
         res = coordinate_descent(65537, 64, DescentConfig(seed=7, max_sweeps=2))
         assert res.best_epsilon.hex() == "0x1.9d5972a6dd2dcp-4"
         assert res.evaluations == 8388800
-        assert res.best_point == (
+        assert best_point(res) == (
             12066, 38129, 39206, 46320, 36060, 47453, 58491, 48895, 26466, 21354, 64236,
             36943, 45903, 40243, 5607, 34297, 44591, 22565, 40502, 14073, 48176, 13006,
             10142, 2137, 52785, 47594, 39611, 14893, 19272, 9246, 35449, 63661, 38345,
             54483, 36354, 62508, 50545, 41590, 22536, 40540, 3554, 38529, 40001, 19181,
             54147, 16631, 8113, 49279, 29143, 62185, 10123, 29071, 41299, 62695, 49452,
             52500, 23871, 50856, 7851, 62787, 64999, 14043, 20107, 26041)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"max_sweeps": 0}, r"^max_sweeps must be >= 1$"),
+    ({"mode": "x"}, r"^unknown mode 'x'$"),
+    ({"restarts": -1}, r"^restarts must be nonnegative$"),
+])
+def test_config_refuses_bad_settings(kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        DescentConfig(0, **kwargs)
 
 
 class TestGeneralMode:
@@ -336,7 +347,7 @@ class TestGeneralMode:
         cfg = DescentConfig(seed=123, restarts=1)
         a = coordinate_descent(31, 4, cfg)
         b = coordinate_descent(31, 4, cfg)
-        assert a.best_point == b.best_point
+        assert best_point(a) == best_point(b)
         assert a.best_epsilon == b.best_epsilon
         assert a.history == b.history
 
@@ -347,35 +358,35 @@ class TestGeneralMode:
 
     def test_final_epsilon_matches_canonical_path(self):
         res = coordinate_descent(31, 4, DescentConfig(seed=9))
-        eps, x = epsilon_of(explicit_set(31, res.best_point))
+        eps, x = epsilon_of(explicit_set(31, best_point(res)))
         assert (res.best_epsilon, res.argmax_x) == (eps, x)
 
     def test_audit_passes_after_convergence(self):
         cfg = DescentConfig(seed=11)
         res = coordinate_descent(31, 3, cfg)
         assert res.sweeps_used < cfg.max_sweeps
-        assert oracle_locally_optimal(31, "general", np.asarray(res.best_point))
+        assert oracle_locally_optimal(31, "general", np.asarray(best_point(res)))
 
 
 class TestShallowMode:
     def test_one_sweep_at_p_16411_scores_few_rows(self):
         # eps near 1: only the columns whose ceiling reaches the best eps decide
         res = coordinate_descent(16411, 3, DescentConfig(seed=7, mode="shallow", max_sweeps=1))
-        assert res.best_point == (11433, 5500, 6793)
+        assert best_point(res) == (11433, 5500, 6793)
         assert res.best_epsilon == 0.9822980284984616
         assert res.rows_evaluated <= 100
 
     @pytest.mark.full_scale
     def test_shallow_descent_at_p_65537(self):
         res = coordinate_descent(65537, 3, DescentConfig(seed=7, mode="shallow", max_sweeps=2))
-        assert res.best_point == (7001, 4162, 27266)
+        assert best_point(res) == (7001, 4162, 27266)
         assert res.best_epsilon == 0.9926054799162713
         assert res.rows_evaluated <= 100
 
     def test_expanded_set_epsilon(self):
         cfg = DescentConfig(seed=2, mode="shallow")
         res = coordinate_descent(31, 2, cfg)
-        expanded = expand_subset_sums(0, res.best_point, 31)
+        expanded = expand_subset_sums(0, best_point(res), 31)
         eps, x = epsilon_of(expanded)
         assert (res.best_epsilon, res.argmax_x) == (eps, x)
         assert res.best_set.coefficients == expanded.coefficients
@@ -402,44 +413,26 @@ class TestShallowMode:
 
 class TestCompareExperiment:
     def test_records_and_ratio(self):
-        cfg = DescentConfig(seed=3)
-        records = list(compare_experiment([11, 13], 2, cfg))
+        records = list(compare_experiment([11, 13], 2, seed=3))
         assert [r.p for r in records] == [11, 13]
         for r in records:
             assert r.ratio == pytest.approx(
                 max(r.shallow.best_epsilon, 1e-15) / max(r.general.best_epsilon, 1e-15))
             assert r.general.best_set.d == 4
-            assert len(r.shallow.best_point) == 2
+            assert len(best_point(r.shallow)) == 2
+        # the settings are checked when it is called, before any search
+        with pytest.raises(DomainError, match=r"^restarts must be nonnegative$"):
+            compare_experiment([11, 13], 2, seed=3, restarts=-1)
 
 
 # p = 307 with seed 1: the best shallow run spins to max_sweeps
 LANE_PRIMES = [2, 3, 13, 101, 151, 307, 311, 457, 601]
 
 
-def lane_patch(monkeypatch, shallow=None, general=None):
-    """Replace optimize.coordinate_descent by one that calls ``shallow`` or
-    ``general`` (p, cfg) first where given; patched before the first record,
-    so the shallow lane's forked process runs it too."""
-    real = optimize.coordinate_descent
-
-    def patched(p, size, cfg, initial=None):
-        hook = shallow if cfg.mode == "shallow" else general
-        if hook is not None:
-            hook(p, cfg)
-        return real(p, size, cfg, initial)
-
-    monkeypatch.setattr(optimize, "coordinate_descent", patched)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestLanes:
     @pytest.mark.parametrize("seed", [1, 7])
     def test_records_equal_direct_descents(self, seed):
-        records = list(compare_experiment(LANE_PRIMES, 3, DescentConfig(seed=seed, restarts=3)))
+        records = list(compare_experiment(LANE_PRIMES, 3, seed, restarts=3))
         assert [r.p for r in records] == LANE_PRIMES
         for rec in records:
             for mode, size, res in (("general", 8, rec.general), ("shallow", 3, rec.shallow)):
@@ -456,18 +449,17 @@ class TestLanes:
         assert_no_child_left()
 
     def test_without_fork_the_records_are_the_same(self, monkeypatch):
-        cfg = DescentConfig(seed=1, restarts=3)
-        forked = list(compare_experiment(LANE_PRIMES, 3, cfg))
+        forked = list(compare_experiment(LANE_PRIMES, 3, seed=1, restarts=3))
         monkeypatch.delattr(os, "fork")
-        assert list(compare_experiment(LANE_PRIMES, 3, cfg)) == forked
+        assert list(compare_experiment(LANE_PRIMES, 3, seed=1, restarts=3)) == forked
 
     def test_shallow_lane_exception_reaches_the_caller(self, monkeypatch):
-        def fail(p, cfg):
+        def fail(p):
             if p == 13:
                 raise DomainError(f"no shallow search at p={p}")
 
-        lane_patch(monkeypatch, shallow=fail)
-        records = compare_experiment([3, 13, 101], 2, DescentConfig(seed=1))
+        patch_descent(monkeypatch, shallow=fail)
+        records = compare_experiment([3, 13, 101], 2, seed=1)
         assert next(records).p == 3
         with pytest.raises(DomainError, match=r"^no shallow search at p=13$") as caught:
             next(records)
@@ -478,29 +470,29 @@ class TestLanes:
         class LocalError(Exception):  # a local class does not pickle
             pass
 
-        def fail(p, cfg):
+        def fail(p):
             raise LocalError("lane broke")
 
-        lane_patch(monkeypatch, shallow=fail)
+        patch_descent(monkeypatch, shallow=fail)
         with pytest.raises(RuntimeError, match=r"^LocalError: lane broke$"):
-            list(compare_experiment([3, 13], 2, DescentConfig(seed=1)))
+            list(compare_experiment([3, 13], 2, seed=1))
         assert_no_child_left()
 
     def test_killed_lane_names_the_signal(self, monkeypatch):
         parent = os.getpid()
 
-        def die(p, cfg):
+        def die(p):
             if os.getpid() != parent:  # only ever in the forked process
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        lane_patch(monkeypatch, shallow=die)
+        patch_descent(monkeypatch, shallow=die)
         with pytest.raises(ChildProcessError, match="SIGKILL"):
-            list(compare_experiment([3, 13], 2, DescentConfig(seed=1)))
+            list(compare_experiment([3, 13], 2, seed=1))
         assert_no_child_left()
 
     def test_close_after_the_first_record_reaps_the_lane(self, monkeypatch):
-        lane_patch(monkeypatch, shallow=lambda p, cfg: time.sleep(0 if p == 3 else 60))
-        records = compare_experiment([3, 13, 101], 2, DescentConfig(seed=1))
+        patch_descent(monkeypatch, shallow=lambda p: time.sleep(0 if p == 3 else 60))
+        records = compare_experiment([3, 13, 101], 2, seed=1)
         assert next(records).p == 3
         started = time.perf_counter()
         records.close()
@@ -509,14 +501,14 @@ class TestLanes:
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, DomainError])
     def test_general_lane_exception_reaps_the_lane(self, monkeypatch, error):
-        def fail(p, cfg):
+        def fail(p):
             if p == 13:
                 raise error("stopped")
 
         # the lane is still searching when the caller stops
-        lane_patch(monkeypatch, general=fail,
-                   shallow=lambda p, cfg: time.sleep(0 if p == 3 else 60))
-        records = compare_experiment([3, 13, 101], 2, DescentConfig(seed=1))
+        patch_descent(monkeypatch, general=fail,
+                   shallow=lambda p: time.sleep(0 if p == 3 else 60))
+        records = compare_experiment([3, 13, 101], 2, seed=1)
         assert next(records).p == 3
         started = time.perf_counter()
         with pytest.raises(error):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from automaton import states, stepped_sweep
+from helpers import explicit_set
 from shallowfp.analysis import epsilon_of
-from shallowfp.coeffsets import CoefficientSet, explicit_set, gen_cyclic, gen_random
+from shallowfp.coeffsets import CoefficientSet, gen_cyclic, gen_random
 from shallowfp.qfa import acceptance_sweep, run_word
 
 
@@ -74,6 +75,10 @@ class TestAcceptProbability:
 class TestRunWord:
     def test_j0(self):
         assert run_word(gen_random(31, 3, 6), 0) == pytest.approx(1.0)
+
+    def test_negative_length_refused(self):
+        with pytest.raises(ValueError, match=r"^word length must be nonnegative$"):
+            run_word(gen_random(31, 3, 6), -1)
 
     def test_closed_form_example(self):
         assert run_word(explicit_set(3, [1, 2]), 1) == pytest.approx(0.25, abs=1e-12)

@@ -4,11 +4,10 @@ A public top-level function or class of `src/shallowfp` counts as used if
 another top-level definition of the package refers to it (by name, by
 attribute or by import), if the traced benchmark patches it (an alias in
 `perfbench/spans.PATCHES` ends with its name), or if it is a console
-script of `pyproject.toml`.  The unused ones must be exactly
-`KEPT_FOR_TESTS`, so a helper that only tests call cannot creep back in,
-and the list cannot go stale.  Names are matched bare, so a local variable
-or attribute of the same name counts as a reference: the check can miss an
-unused name, but never flags a used one.
+script of `pyproject.toml`.  No public name may be unused, so a helper
+that only tests call lives with the tests (`tests/helpers.py`).  Names are
+matched bare, so a local variable or attribute of the same name counts as
+a reference: the check can miss an unused name, but never flags a used one.
 
 The import rule of README's Layout section is checked here too: numpy is
 imported only where arrays are computed.
@@ -18,11 +17,6 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-KEPT_FOR_TESTS = {
-    "coeffsets.explicit_set": "the public constructor for caller-supplied residues",
-}
-
 
 def _patched_names() -> set[str]:
     import spans
@@ -59,9 +53,9 @@ def unused_public_names() -> set[str]:
             and not any(name in refs for other, refs in defs.items() if other != (mod, name))}
 
 
-def test_unused_public_names_are_the_kept_ones(monkeypatch):
+def test_no_public_name_is_unused(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    assert unused_public_names() == set(KEPT_FOR_TESTS)
+    assert unused_public_names() == set()
 
 
 def _is_numpy_import(node: ast.AST) -> bool:

@@ -44,6 +44,8 @@ def test_is_prime_examples():
     assert not is_prime(561)  # Carmichael number, 3 * 11 * 17
     assert is_prime(2)
     assert not is_prime(0)
+    with pytest.raises(ValueError, match=r"^is_prime expects a nonnegative integer$"):
+        is_prime(-1)
 
 
 def test_is_prime_matches_trial_division_small():
