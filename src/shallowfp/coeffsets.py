@@ -192,7 +192,7 @@ def gen_aikps(p: int, eps: float) -> CoefficientSet:
                           {"eps": eps, "R": list(r_primes), "s_max": s_max})
 
 
-def is_proper_gap(t0: int, generators: Sequence[int], p: int) -> bool:
+def is_proper_gap(generators: Sequence[int], p: int) -> bool:
     """True iff all 3^m values 2 t_0 + sum n_i t_i (n_i in {0,1,2}) are distinct mod p.
 
     Difference criterion: two values collide iff their digit vectors differ
@@ -280,7 +280,7 @@ def gen_gap(p: int, m: int, seed: int, max_tries: int = 1000) -> GapFingerprint:
     for attempt in range(1, max_tries + 1):
         t0 = rng.below(p)
         gens = tuple(rng.in_range(1, p) for _ in range(m))
-        if is_proper_gap(t0, gens, p):
+        if is_proper_gap(gens, p):
             K = expand_subset_sums(t0, gens, p)
             return GapFingerprint(CoefficientSet(p, K.coefficients, K.method,
                                                  {**K.params, "seed": seed}), attempt)

@@ -115,14 +115,16 @@ descents of every prime in list order and sends each pickled result down
 a pipe, while the caller runs the general descents and pairs each with
 its prime's shallow result as that arrives.  Both lanes call the same
 `coordinate_descent`, so every record equals the in-process one, and a
-prime costs the larger of its two searches, not their sum.  The child
-sends an exception it raises (or, if that does not pickle, its type name
-and message) and the caller raises it; the child leaves only by
-os._exit, and the caller kills and reaps it however the iteration ends.
-Where os.fork does not exist the shallow descents run in-process.  On
-Python >= 3.12, forking a process that holds OpenBLAS threads raises a
-DeprecationWarning; the child makes no BLAS call (it uses only ufuncs,
-take, argsort, argpartition and pocketfft).
+prime costs the larger of its two searches, not their sum.  The lane
+only speeds the run up: where its pipe ends early (the child raised or
+was killed), the caller runs every shallow descent the child did not
+deliver itself, so an error is raised as in one process and a killed lane
+changes no record.  The child leaves only by os._exit, and the caller
+kills and reaps it however the iteration ends.  Where os.fork does not
+exist the shallow descents run in-process.  On Python >= 3.12, forking a
+process that holds OpenBLAS threads raises a DeprecationWarning; the
+child makes no BLAS call (it uses only ufuncs, take, argsort,
+argpartition and pocketfft).
 """
 from __future__ import annotations
 
@@ -444,69 +446,53 @@ def compare_experiment(primes: list[int], m: int, seed: int, restarts: int = 0):
 
 def _compare_records(primes: list[int], m: int, general: DescentConfig,
                      shallow: DescentConfig):
-    with _in_child(coordinate_descent(p, m, shallow) for p in primes) as shallow_results:
+    # each call looks coordinate_descent up when it runs, so a wrapper
+    # installed after this module was imported still runs in both lanes
+    searches = [lambda p=p: coordinate_descent(p, m, shallow) for p in primes]
+    with _in_child(searches) as shallow_results:
         for p in primes:
             gen_res = coordinate_descent(p, 1 << m, general)
             yield ComparisonRecord(p, gen_res, next(shallow_results))
 
 
 @contextlib.contextmanager
-def _in_child(items):
-    """An iterator over ``items``, which a forked child computes beside the
-    caller (see "Lanes"); ``items`` itself where os.fork does not exist."""
+def _in_child(calls):
+    """An iterator over the results of ``calls``, zero-argument callables,
+    which a forked child computes beside the caller (see "Lanes"); the
+    caller makes every call the child did not deliver, and all of them
+    where os.fork does not exist."""
     if not hasattr(os, "fork"):
-        yield items
+        yield (call() for call in calls)
         return
     import gc  # here, not at the top: no other command loads them
     import signal
     read_fd, write_fd = os.pipe()
     pid = os.fork()
-    if pid == 0:  # the child: send each item, or the exception that stopped it
-        status = 1
+    if pid == 0:  # the child: send each result until the calls end or one stops it
         try:
             gc.freeze()  # leave the parent's garbage alone: a file freed here would flush
             os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                try:
-                    for item in items:
-                        pickle.dump((True, item), pipe)
-                        pipe.flush()
-                except BaseException as exc:
-                    try:
-                        pickle.loads(pickle.dumps(exc))
-                    except Exception:
-                        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-                    pickle.dump((False, exc), pipe)
-            status = 0
+            pipe = open(write_fd, "wb")
+            for call in calls:
+                pickle.dump(call(), pipe)
+                pipe.flush()
         finally:
-            os._exit(status)
+            os._exit(0)
     os.close(write_fd)
     pipe = open(read_fd, "rb")
-    reaped = False
 
     def received():
-        nonlocal reaped
-        while True:
-            try:
-                ok, item = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):  # the child is gone
-                status = os.waitpid(pid, 0)[1]
-                reaped = True
-                code = os.waitstatus_to_exitcode(status)
-                try:
-                    how = f"was killed by {signal.Signals(-code).name}"
-                except ValueError:  # an exit status, or a signal without a name
-                    how = f"ended with exit code {code}"
-                raise ChildProcessError(f"the forked search process {how} before it "
-                                        f"sent every result") from None
-            if not ok:
-                raise item
-            yield item
+        delivered = 0
+        # an empty or torn pipe: the child stopped early, and the rest run here
+        with contextlib.suppress(EOFError, pickle.UnpicklingError):
+            for _ in calls:
+                yield pickle.load(pipe)
+                delivered += 1
+        yield from (call() for call in calls[delivered:])
 
     try:
         yield received()
     finally:
         pipe.close()
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)

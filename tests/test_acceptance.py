@@ -85,7 +85,7 @@ def test_criterion_1_gap_energy_identity():
             # quickly when 3^m is well below p
             for i, p in enumerate(primes_in(3 ** m, 2000)[-13:]):
                 A = gen_gap(p, m, seed=1000 * m + i).expanded
-                assert is_proper_gap(A.params["t0"], A.params["T"], p)
+                assert is_proper_gap(A.params["T"], p)
                 counts = analysis._rep_count_vector(A)
                 assert additive_energy(A) == 6 ** m
                 assert int(counts @ counts) == 6 ** m

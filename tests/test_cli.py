@@ -2,6 +2,7 @@ import gc
 import importlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -673,6 +674,23 @@ class TestCompareLanes:
                            "--out", str(tmp_path / "x.csv"))
         assert time.perf_counter() - started < 10  # the busy lane was killed
         assert code == 1 and len(err.splitlines()) == 2  # p = 2's progress, then the error
+        assert_no_child_left()
+
+    def test_killed_lane_leaves_the_outputs_unchanged(self, tmp_path, capsys, monkeypatch):
+        argv = ["compare", "--p-max", "13", "--m", "2", "--restarts", "1"]
+        assert run(capsys, *argv, "--out", str(tmp_path / "clean.csv"))[0] == 0
+        parent = os.getpid()
+
+        def die(p):
+            if p == 5 and os.getpid() != parent:  # the forked lane, at the third prime
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        patch_descent(monkeypatch, shallow=die)
+        code, stdout, err = run(capsys, *argv, "--out", str(tmp_path / "killed.csv"))
+        assert (code, stdout, len(err.splitlines())) == (0, "", 6)  # one line per prime
+        for clean, killed in (("clean.csv", "killed.csv"),
+                              ("clean_ratios.csv", "killed_ratios.csv")):
+            assert (tmp_path / killed).read_bytes() == (tmp_path / clean).read_bytes()
         assert_no_child_left()
 
     @pytest.mark.parametrize("stop", ["end", "error"])

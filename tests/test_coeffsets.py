@@ -169,16 +169,16 @@ class TestAikps:
 
 class TestProperGap:
     def test_examples(self):
-        assert is_proper_gap(0, (1, 3), 11) is True
-        assert is_proper_gap(0, (1, 1), 11) is False
-        assert is_proper_gap(0, (1, 3, 9), 13) is False  # 27 values in Z_13
+        assert is_proper_gap((1, 3), 11) is True
+        assert is_proper_gap((1, 1), 11) is False
+        assert is_proper_gap((1, 3, 9), 13) is False  # 27 values in Z_13
 
     def test_ambient_modes_differ(self):
         # proper over the integers, but 0 and 23 collide mod 23: the check is mod p
         t0, T, p = 0, (1, 3, 9), 23
         assert brute_proper(t0, T, p, mod=False)
         assert not brute_proper(t0, T, p, mod=True)
-        assert not is_proper_gap(t0, T, p)
+        assert not is_proper_gap(T, p)
 
     @given(st.sampled_from([2, 3, 5, 31, 101, 1009, 1000003]), st.data())
     @settings(max_examples=150, deadline=None)
@@ -191,31 +191,31 @@ class TestProperGap:
                 st.tuples(st.integers(0, len(T) - 1), st.sampled_from([1, -1, 2])),
                 max_size=2)).items():
             T[j] = kind * T[i] % p
-        assert is_proper_gap(t0, tuple(T), p) == brute_proper(t0, T, p, mod=True)
+        assert is_proper_gap(tuple(T), p) == brute_proper(t0, T, p, mod=True)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_exhaustive_tiny_primes(self, p):
         for m in (1, 2, 3):
             for T in itertools.product(range(p), repeat=m):
                 for t0 in (0, 1):
-                    assert is_proper_gap(t0, T, p) == brute_proper(t0, T, p, mod=True), (t0, T)
+                    assert is_proper_gap(T, p) == brute_proper(t0, T, p, mod=True), (t0, T)
 
     def test_m16_below_2_63(self):
         p = 2 ** 63 - 25
         assert is_prime(p)
         rng = SplitMix64(16)
         T = [rng.in_range(1, p) for _ in range(16)]
-        assert is_proper_gap(rng.below(p), T, p)
+        assert is_proper_gap(T, p)
         # generator t_{k+1} (index k) is on side k % 2
         across = T[:15] + [-T[0] % p]  # t_1 + t_16 = 0: sides 0 and 1
         adjacent = [T[0], 2 * T[0] % p] + T[2:]  # 2 t_1 - t_2 = 0: sides 0 and 1
         same_side = T[:2] + [2 * T[0] % p] + T[3:]  # 2 t_1 - t_3 = 0: both on side 0
         # t_1 + ... + t_16 = 0: a collision that shows up only at the last generator
         spread = T[:15] + [-sum(T[:15]) % p]
-        assert not is_proper_gap(0, across, p)
-        assert not is_proper_gap(0, adjacent, p)
-        assert not is_proper_gap(0, same_side, p)
-        assert not is_proper_gap(0, spread, p)
+        assert not is_proper_gap(across, p)
+        assert not is_proper_gap(adjacent, p)
+        assert not is_proper_gap(same_side, p)
+        assert not is_proper_gap(spread, p)
 
     def test_matches_numpy_reference_on_search_draws(self):
         # the draws of gen_gap's stream at the benchmark's size, where about
@@ -224,9 +224,9 @@ class TestProperGap:
         rng = SplitMix64(2024)
         verdicts = []
         for _ in range(600):
-            t0 = rng.below(p)
+            rng.below(p)  # gen_gap's t_0, which the check does not read
             T = tuple(rng.in_range(1, p) for _ in range(m))
-            verdicts.append(is_proper_gap(t0, T, p))
+            verdicts.append(is_proper_gap(T, p))
             assert verdicts[-1] == numpy_proper_gap(T, p), T
         assert 0 < sum(verdicts) < len(verdicts)
 
@@ -238,7 +238,7 @@ class TestProperGap:
         p = 2 ** 61 - 1
         rng = SplitMix64(m)
         T = [rng.in_range(1, p) for _ in range(m)]
-        assert is_proper_gap(0, T, p) and numpy_proper_gap(T, p)
+        assert is_proper_gap(T, p) and numpy_proper_gap(T, p)
         relations = {
             "last": {0: 1, 1: -2, m - 1: 1},
             "side 0": {0: 2, 2: -1, m - 2: 1},
@@ -247,15 +247,15 @@ class TestProperGap:
         }
         for name, relation in relations.items():
             planted = plant(T, p, relation)
-            assert not is_proper_gap(0, planted, p), name
+            assert not is_proper_gap(planted, p), name
             assert not numpy_proper_gap(planted, p), name
 
     def test_dimension_cap(self):
         with pytest.raises(DomainError, match=r"^GAP dimension capped at 16 \(m <= 16\), "
                                               r"got m=17$"):
-            is_proper_gap(0, tuple(range(1, 18)), 101)
+            is_proper_gap(tuple(range(1, 18)), 101)
         with pytest.raises(DomainError, match=r"^need at least one generator$"):
-            is_proper_gap(0, (), 101)
+            is_proper_gap((), 101)
 
 
 class TestExpandSubsetSums:

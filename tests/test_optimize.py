@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -464,9 +465,11 @@ class TestLanes:
         with pytest.raises(DomainError, match=r"^no shallow search at p=13$") as caught:
             next(records)
         assert caught.type is DomainError
+        # raised as in one process, not while handling the pipe's end
+        assert caught.value.__context__ is None
         assert_no_child_left()
 
-    def test_unpicklable_exception_arrives_as_type_and_message(self, monkeypatch):
+    def test_unpicklable_exception_reaches_the_caller_as_its_own_class(self, monkeypatch):
         class LocalError(Exception):  # a local class does not pickle
             pass
 
@@ -474,21 +477,39 @@ class TestLanes:
             raise LocalError("lane broke")
 
         patch_descent(monkeypatch, shallow=fail)
-        with pytest.raises(RuntimeError, match=r"^LocalError: lane broke$"):
+        with pytest.raises(LocalError, match=r"^lane broke$"):
             list(compare_experiment([3, 13], 2, seed=1))
         assert_no_child_left()
 
-    def test_killed_lane_names_the_signal(self, monkeypatch):
-        parent = os.getpid()
+    @pytest.mark.parametrize("when", ["before_search", "while_sending"])
+    def test_lane_killed_at_one_prime_is_finished_by_the_caller(self, monkeypatch, when):
+        parent, here = os.getpid(), []
 
         def die(p):
-            if os.getpid() != parent:  # only ever in the forked process
+            if os.getpid() == parent:
+                here.append(p)
+            elif p == 13 and when == "before_search":
                 os.kill(os.getpid(), signal.SIGKILL)
 
+        real_dump = pickle.dump
+
+        def torn_dump(result, file):  # half of p = 13's result, then the kill
+            if os.getpid() != parent and int(result.best_set.p) == 13:
+                data = pickle.dumps(result)
+                file.write(data[:len(data) // 2])
+                file.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+            real_dump(result, file)
+
         patch_descent(monkeypatch, shallow=die)
-        with pytest.raises(ChildProcessError, match="SIGKILL"):
-            list(compare_experiment([3, 13], 2, seed=1))
+        if when == "while_sending":
+            monkeypatch.setattr(pickle, "dump", torn_dump)
+        records = list(compare_experiment([3, 13, 101], 2, seed=1))
+        assert here == [13, 101]  # the caller ran what the lane did not deliver
         assert_no_child_left()
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "fork")
+        assert records == list(compare_experiment([3, 13, 101], 2, seed=1))
 
     def test_close_after_the_first_record_reaps_the_lane(self, monkeypatch):
         patch_descent(monkeypatch, shallow=lambda p: time.sleep(0 if p == 3 else 60))
