@@ -94,10 +94,6 @@ def check_table_size(p: int) -> None:
         raise DomainError(f"p = {p} exceeds the cap p <= 2^22 on length-p tables")
 
 
-def _multiplicity_vector(A: CoefficientSet) -> np.ndarray:
-    return np.bincount(np.asarray(A.coefficients, dtype=np.int64), minlength=int(A.p))
-
-
 def spectrum(K: CoefficientSet) -> np.ndarray:
     """S(x) = sum_j e(k_j x / p) for x in [0, p), multiplicity respected.
 
@@ -106,7 +102,7 @@ def spectrum(K: CoefficientSet) -> np.ndarray:
     """
     p = int(K.p)
     check_table_size(p)
-    S = np.fft.fft(_multiplicity_vector(K))
+    S = np.fft.fft(np.bincount(np.asarray(K.coefficients, dtype=np.int64), minlength=p))
     np.conjugate(S, out=S)
     S[0] = K.d
     return S

@@ -39,9 +39,11 @@ constraints, so each bound column stands for one conjugate pair
 {x, p - x} (p = 2 keeps its one column).  A bound's entries are a
 columns x candidates matrix (the full rows are candidates x columns),
 computed with the same elementwise numpy operations as the full row (add
-or multiply, abs, square in place, divide by d*d); numpy evaluates each
-of these per element independently of array shape and layout, so every
-bound entry equals an entry of the full row bit for bit.  The maximum over a subset of the columns is then a true
+or multiply, then abs), which numpy evaluates per element independently
+of shape and layout: every bound entry equals a full-row entry bit for
+bit.  Only each candidate's largest entry is squared and divided by d*d;
+rounding is monotone, fl(a a) <= fl(b b) for 0 <= a <= b, so that is its
+largest square.  A bound over a subset of the columns is then a true
 lower bound on the candidate's eps, with no rounding slack, and a bound
 over more columns is never lower.  No rung reads past the 8192th column
 of that order, so where the first half is longer, an argpartition picks
@@ -260,15 +262,15 @@ class _Evaluator:
         over the columns along ``axis`` (``rest`` broadcasts against it).
         The operations run in place, in the operand order of ``rest + E``
         and ``rest * (1 + E)``: with FMA the complex product rounds
-        differently when its operands are swapped."""
+        differently when its operands are swapped.  Only each candidate's
+        largest |S| is squared, which is its largest square (see "Pruning")."""
         if self.mode == "general":
             np.add(rest, E, out=E)
         else:
             np.add(1.0, E, out=E)
             np.multiply(rest, E, out=E)
-        mags = np.abs(E)
-        np.square(mags, out=mags)
-        return mags.max(axis=axis) / self._dd
+        top = np.abs(E).max(axis=axis)
+        return top * top / self._dd
 
     def _bound(self, rest: np.ndarray, cols: np.ndarray, logs: np.ndarray) -> np.ndarray:
         """eps of the candidates with logs ``logs`` over the columns ``cols``

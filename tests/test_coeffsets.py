@@ -71,6 +71,10 @@ class TestCoefficientSet:
         with pytest.raises(DomainError, match=r"^10 is not prime$"):
             CoefficientSet(10, (1, 2))
 
+    def test_empty_set_rejected(self):
+        with pytest.raises(DomainError, match=r"^coefficient set must be non-empty$"):
+            CoefficientSet(7, ())
+
     def test_modulus_is_coerced_once(self):
         K = CoefficientSet(7, (1, 2))
         assert isinstance(K.p, PrimeModulus) and K.p == 7
@@ -317,6 +321,10 @@ class TestGenGap:
         with pytest.raises(DomainError, match=r"^max_tries must be positive, got 0$"):
             gen_gap(1013, 6, seed=0, max_tries=0)
 
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(DomainError, match=r"^need m >= 1, got 0$"):
+            gen_gap(1013, 0, 1)
+
     def test_forced_trivial(self):
         assert expand_subset_sums(0, (1,), 11).coefficients == (0, 1)
 
@@ -343,6 +351,10 @@ class TestRandom:
     def test_draw_bound_must_be_positive(self):
         with pytest.raises(ValueError, match=r"^bound must be positive$"):
             SplitMix64(0).below(0)
+
+    def test_size_must_be_positive(self):
+        with pytest.raises(DomainError, match=r"^d must be positive$"):
+            gen_random(1013, 0, 1)
 
 
 class TestJsonRoundTrip:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from descent_oracle import full_table_candidate_eps, oracle_locally_optimal, oracle_move
 from helpers import assert_no_child_left, best_point, explicit_set, patch_descent
@@ -203,6 +204,37 @@ class TestPrunedSearch:
         assert 0 < res.rows_evaluated < res.evaluations // 10
 
 
+# exact ties, zeros, subnormals, and magnitudes whose squares overflow; below
+# 1e152 the shallow product overflows to inf, never to inf - inf
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 0.5,
+                     1.0, -1.0, 3.0, 1e150, 1.3e151, -1e152]),
+    st.floats(-1e152, 1e152, allow_nan=False, allow_subnormal=True))
+
+
+@given(st.sampled_from(["general", "shallow"]), st.sampled_from([0, 1]),
+       st.integers(1, 5), st.integers(1, 6), st.integers(1, 8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_scores_square_the_peak_as_the_entrywise_reference(mode, axis, n_cand, n_cols,
+                                                           size, data):
+    # the reference squares every entry and then takes the maximum
+    def entries(n):
+        parts = data.draw(st.lists(_PARTS, min_size=2 * n, max_size=2 * n))
+        return np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+
+    rest = entries(n_cols)
+    E = entries(n_cand * n_cols).reshape(n_cand, n_cols)
+    if axis == 0:  # a bound: columns x candidates, rest broadcast down the rows
+        rest, E = rest[:, None], E.T.copy()
+    evaluator = _Evaluator(3, mode, size)
+    with np.errstate(over="ignore", under="ignore"):
+        got = evaluator._scores(rest, E.copy(), axis)
+        mags = np.abs(rest + E if mode == "general" else rest * (1.0 + E))
+        np.square(mags, out=mags)
+        want = mags.max(axis=axis) / evaluator._dd
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestMoveReuse:
     @staticmethod
     def _assert_same(res, ref, evaluations):
@@ -330,6 +362,11 @@ class TestMemory:
 def test_config_refuses_bad_settings(kwargs, message):
     with pytest.raises(DomainError, match=message):
         DescentConfig(0, **kwargs)
+
+
+def test_descent_refuses_an_empty_point():
+    with pytest.raises(DomainError, match=r"^size must be positive$"):
+        coordinate_descent(101, 0, DescentConfig(1))
 
 
 class TestGeneralMode:

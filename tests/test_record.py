@@ -6,6 +6,7 @@ import pytest
 
 from shallowfp import analysis, circuit, coeffsets, optimize
 from shallowfp.record import Record
+from shallowfp.zmod import PrimeModulus
 
 
 def _subclasses(cls):
@@ -56,6 +57,18 @@ def test_record_round_trip_count_and_freeze(cls):
             cls(*fields[:-1])
     with pytest.raises(AttributeError):
         setattr(value, cls.__slots__[0], fields[0])
+
+
+@pytest.mark.parametrize("cls", [coeffsets.CoefficientSet, circuit.Gate,
+                                 optimize.DescentConfig], ids=lambda cls: cls.__name__)
+def test_repr_evaluates_back_to_the_value(cls):
+    value = EXAMPLES[cls]
+    names = {"CoefficientSet": coeffsets.CoefficientSet, "PrimeModulus": PrimeModulus,
+             "Gate": circuit.Gate, "DescentConfig": optimize.DescentConfig}
+    back = eval(repr(value), names)
+    assert back == value and back is not value
+    if cls is coeffsets.CoefficientSet:
+        assert repr(value.p) == "PrimeModulus(1013)" and isinstance(back.p, PrimeModulus)
 
 
 def test_derived_fields_are_read_from_the_stored_ones():
