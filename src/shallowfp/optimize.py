@@ -45,9 +45,10 @@ bit.  Only each candidate's largest entry is squared and divided by d*d;
 rounding is monotone, fl(a a) <= fl(b b) for 0 <= a <= b, so that is its
 largest square.  A bound over a subset of the columns is then a true
 lower bound on the candidate's eps, with no rounding slack, and a bound
-over more columns is never lower.  No rung reads past the 8192th column
-of that order, so where the first half is longer, an argpartition picks
-those columns before they are sorted (columns tied in |rest| may come in
+over more columns is never lower.  A move picks its columns once: one
+argpartition picks the refine set of rung 3, the n columns of largest
+|rest| (n is sized below), and a sort of those n orders them; rungs 1
+and 2 read the first 4 and 16 of them (columns tied in |rest| may come in
 another order than a full sort's; that could change which rows are
 scored, never a move).
 
@@ -61,19 +62,19 @@ scored, never a move).
    the visiting order is that of a single 16-column bound.
 3. Within a batch, a bound over the refine set drops the candidates that
    cannot beat the best, and only the rest get a full row.  The refine set
-   is every column whose ceiling U(x) -- the largest value any candidate
-   can reach there, 4 |rest|^2 / d^2 in shallow mode and
-   (|rest| + 1)^2 / d^2 in general mode -- is at least the best eps (less
-   a 1e-9 relative margin), at least 64 and at most 8192 columns, that is
-   conjugate pairs, and never more than the (p-1)/2 of the first half.  It
-   grows each time the best eps falls.  Where eps is close to 1 (shallow
-   sets at large p) few columns can reach it, and those decide almost
-   every candidate.  Each batch is bounded on the refine set when it is
-   visited, so a search that stops early bounds no batch it does not
-   reach.
+   is sized once per move: n counts the columns whose ceiling U(x) -- the
+   largest value any candidate can reach there, 4 |rest|^2 / d^2 in
+   shallow mode and (|rest| + 1)^2 / d^2 in general mode -- is at least
+   the current value's eps, clipped to at least 64 and at most 8192
+   columns, that is conjugate pairs, and never more than the (p-1)/2 of
+   the first half.  Where eps is close to 1 (shallow sets at large p) few
+   columns can reach it, and those decide almost every candidate.  Each
+   batch is bounded on the refine set when it is visited, so a search
+   that stops early bounds no batch it does not reach.
 
 The result is exactly the argmin of the full candidate vector, smallest
-value first; U only decides how many columns the last rung takes.
+value first; U only decides how many columns the bounds read, so a
+rounding error in U changes that count and never a move.
 Conjugate symmetry (W[p - r] vs conj(W[r])) is still not used in scoring:
 it is not exact in floating point and could flip near-ties, so the full
 rows and the current value's eps run over all p - 1 columns.  Choosing
@@ -91,7 +92,9 @@ each row is one column that numpy sums pairwise, so the rows are reduced.
 Move reuse.  A descent run keeps every move it computed, keyed by the
 point's values and the coordinate, and a state that repeats takes its
 move from there; it still counts p evaluations, so only
-``rows_evaluated`` falls.  States repeat in the confirming sweep after
+``rows_evaluated`` falls.  The first move, of coordinate 0 at the start,
+seeds the memo: its current-value eps is the start's eps, so no other
+row scores the start.  States repeat in the confirming sweep after
 the last move, and where a shallow run spins in a cycle of points whose
 eps differ in the last bits.  The memo holds one entry per move searched
 and one copy of each point visited.  This is exact because a move is a
@@ -107,7 +110,9 @@ is stored in advance.
 Memory per evaluator is O(p) at any size: the table T (3 (p - 1) complex
 entries, 74 KB at p = 1549), the logs (p int64), in general mode one
 cached sum of p - 1 entries, and per move O(16 p + batch p) entries of
-scratch.  Before anything is allocated, p is capped at
+scratch: |rest| and U on the first half, the first two rungs' bounds,
+the refine set's bounds (at most 8192 x batch entries) and the full
+rows.  Before anything is allocated, p is capped at
 analysis.TABLE_MAX_P = 2^22 and size (p - 1), the full-row entries a first
 sweep scores at least, at 2^26: d = 1024 still fits at p = 65537.
 
@@ -178,7 +183,6 @@ class DescentResult(Record):
 _FIRST_COLUMNS = 4  # columns of the bound every candidate gets
 _BOUND_COLUMNS = 16  # columns of the bound that orders the survivors of the first
 _REFINE_MIN, _REFINE_MAX = 64, 8192  # size limits of the ceiling-sized refine set
-_CEILING_SLACK = 1e-9  # relative margin on U(x) >= best, against rounding in U
 _BATCH = 8  # candidates per step of the pruned search
 _SWEEP_MAX = 1 << 26  # size * (p - 1): full-row entries a first sweep scores at least
 
@@ -291,12 +295,12 @@ class _Evaluator:
         # rounding: the bounds take their columns from the first half, one of
         # each conjugate pair
         mag = np.abs(rest[:max(1, rest.size // 2)])
-        if mag.size > _REFINE_MAX:  # no rung reads past the first _REFINE_MAX columns
-            by_mag = np.argpartition(mag, mag.size - _REFINE_MAX)[mag.size - _REFINE_MAX:]
-            by_mag = by_mag[np.argsort(mag[by_mag])[::-1]]
-        else:
-            by_mag = np.argsort(mag)[::-1]  # columns (logs of x), largest |rest| first
-        rest_mag, mag = rest[by_mag], mag[by_mag]
+        # the refine set: the columns whose ceiling U(x) reaches cur, clipped
+        ceiling = ((mag + 1.0) ** 2 if self.mode == "general" else 4.0 * mag ** 2) / self._dd
+        n = min(max(int(np.count_nonzero(ceiling >= cur)), _REFINE_MIN), _REFINE_MAX, mag.size)
+        by_mag = np.argpartition(mag, mag.size - n)[mag.size - n:]
+        by_mag = by_mag[np.argsort(mag[by_mag])[::-1]]  # largest |rest| first
+        rest_mag = rest[by_mag]
         # rung 1: every candidate on the first columns; only a candidate whose
         # bound does not exceed cur can tie or beat the current value
         bound = self._bound(rest_mag[:_FIRST_COLUMNS], by_mag[:_FIRST_COLUMNS], log)
@@ -307,20 +311,13 @@ class _Evaluator:
         keep = np.flatnonzero(bound <= cur)
         keep = keep[np.argsort(bound[keep], kind="stable")]
         cand, bound = cand[keep], bound[keep]
-        # rung 3: each batch on the columns whose ceiling U(x) reaches best,
-        # a set resized as best falls
-        ceiling = ((mag + 1.0) ** 2 if self.mode == "general" else 4.0 * mag ** 2) / self._dd
-        best, best_v, fine_for = cur, cur_v, None
+        # rung 3: each batch on the whole refine set
+        best, best_v = cur, cur_v
         for lo in range(0, cand.size, _BATCH):
-            head = int(cand[lo])
-            if (bound[lo], head) > (best, best_v):
+            if (bound[lo], int(cand[lo])) > (best, best_v):
                 break
-            if best != fine_for:
-                fine_for = best
-                n = int(np.count_nonzero(ceiling >= best * (1 - _CEILING_SLACK)))
-                n_fine = min(max(n, _REFINE_MIN), _REFINE_MAX)
             batch = cand[lo:lo + _BATCH]
-            ref = self._bound(rest_mag[:n_fine], by_mag[:n_fine], log[batch])
+            ref = self._bound(rest_mag, by_mag, log[batch])
             batch = batch[(ref < best) | ((ref == best) & (batch < best_v))]
             if batch.size == 0:
                 continue
@@ -331,17 +328,16 @@ class _Evaluator:
                 best, best_v = low, v
         return best_v, best, cur
 
-    def point_eps(self, point: np.ndarray) -> float:
-        return float(self._full(self._rest(point, 0), self.log[point[:1]])[0])
-
 
 def _descend(evaluator: _Evaluator, start: np.ndarray, cfg: DescentConfig
              ) -> tuple[np.ndarray, float, list[tuple[int, float]]]:
     point = start.copy()
-    cur = evaluator.point_eps(point)
-    history: list[tuple[int, float]] = [(0, cur)]
-    moves: dict[tuple[bytes, int], tuple[int, float, float]] = {}  # see "Move reuse"
     state = point.tobytes()  # one bytes object per point visited, shared by its keys
+    # see "Move reuse"; the first move also scores the start
+    moves: dict[tuple[bytes, int], tuple[int, float, float]] = {
+        (state, 0): evaluator.best_move(point, 0)}
+    cur = moves[state, 0][2]
+    history: list[tuple[int, float]] = [(0, cur)]
     for sweep in range(1, cfg.max_sweeps + 1):
         improved = False
         for i in range(point.size):

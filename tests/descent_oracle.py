@@ -1,30 +1,43 @@
 """Full-table reference for coordinate descent: every candidate value of a
 coordinate scored against the whole (p, p-1) phase table, independent of
-the pruned evaluator in `shallowfp.optimize`.  Cheap at small p only.
+the pruned evaluator in `shallowfp.optimize`.  It scores p (p - 1)
+entries a move: cheap at small p, seconds at p = 16411.
 """
 import numpy as np
 
 from shallowfp.analysis import roots_of_unity
 
+_CHUNK_ENTRIES = 1 << 21  # table entries scored at once, about 32 MB of complex
+
 
 def full_table_candidate_eps(p: int, mode: str, point: np.ndarray, i: int) -> np.ndarray:
     """Reference: eps of every value of coordinate i, scored against the
-    full (p, p-1) phase table E[v, x-1] = e(v x / p)."""
+    full (p, p-1) phase table E[v, x-1] = e(v x / p), a chunk of its rows
+    at a time."""
     W = roots_of_unity(p)
-    E = W[np.outer(np.arange(p), np.arange(1, p)) % p]
+    x = np.arange(1, p)
+
+    def rows(values: np.ndarray) -> np.ndarray:  # the rows E[values]
+        return W[np.outer(values, x) % p]
+
     size = point.size
     if mode == "general":
-        rest = E[point].sum(axis=0) - E[point[i]]
-        sums = rest[None, :] + E
+        E = rows(point)
+        rest = E.sum(axis=0) - E[i]
         d = size
     else:
-        ones = 1.0 + E[point]
+        ones = 1.0 + rows(point)
         rest = np.prod(np.concatenate([ones[:i], ones[i + 1:]]), axis=0)
-        sums = rest[None, :] * (1.0 + E)
         d = 1 << size
-    mags = np.abs(sums)
-    np.square(mags, out=mags)
-    return mags.max(axis=1) / (d * d)
+    eps = np.empty(p)
+    step = max(1, _CHUNK_ENTRIES // p)
+    for lo in range(0, p, step):
+        E = rows(np.arange(lo, min(lo + step, p)))
+        sums = rest[None, :] + E if mode == "general" else rest[None, :] * (1.0 + E)
+        mags = np.abs(sums)
+        np.square(mags, out=mags)
+        eps[lo:lo + step] = mags.max(axis=1) / (d * d)
+    return eps
 
 
 def oracle_move(p: int, mode: str, point: np.ndarray, i: int) -> tuple[int, float, float]:

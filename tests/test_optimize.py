@@ -31,8 +31,9 @@ from shallowfp.optimize import (
 def memo_free_descent(p: int, size: int, cfg: DescentConfig,
                       initial: tuple[int, ...] | None = None):
     """coordinate_descent without move reuse: every coordinate of every
-    sweep is a fresh best_move.  Returns the best run's (point, eps,
-    sweeps, history), the total evaluations and the rows scored."""
+    sweep is a fresh best_move, and the first one gives the start's eps.
+    Returns the best run's (point, eps, sweeps, history), the total
+    evaluations and the rows scored."""
     evaluator = _Evaluator(p, cfg.mode, size)
     rng = SplitMix64(cfg.seed)
     best, evaluations = None, 0
@@ -41,13 +42,15 @@ def memo_free_descent(p: int, size: int, cfg: DescentConfig,
             point = np.asarray(initial, dtype=np.int64) % p
         else:
             point = np.array([rng.in_range(1, p) for _ in range(size)], dtype=np.int64)
-        cur = evaluator.point_eps(point)
-        history = [(0, cur)]
+        history = []
         evaluations += size
         for sweep in range(1, cfg.max_sweeps + 1):
             improved = False
             for i in range(size):
                 best_v, eps, here = evaluator.best_move(point, i)
+                if not history:
+                    cur = here
+                    history.append((0, cur))
                 evaluations += p
                 if eps < here:
                     point[i] = best_v
@@ -147,10 +150,21 @@ class TestPrunedSearch:
             assert moves > 0 or (mode == "shallow" and p < 101), p
 
     @pytest.mark.parametrize("mode", ["general", "shallow"])
-    def test_point_eps_is_the_current_row(self, mode):
-        point = np.array([3, 17, 40], dtype=np.int64)
-        eps = full_table_candidate_eps(101, mode, point, 0)
-        assert _Evaluator(101, mode, 3).point_eps(point) == eps[point[0]]
+    def test_start_eps_is_the_current_row(self, mode):
+        start = (3, 17, 40)
+        res = coordinate_descent(101, 3, DescentConfig(1, max_sweeps=1, mode=mode), start)
+        eps = full_table_candidate_eps(101, mode, np.array(start), 0)
+        assert res.history[0][1].hex() == eps[start[0]].hex()
+
+    @pytest.mark.full_scale
+    def test_general_move_with_the_refine_set_clipped(self):
+        # d = 2: the rest-sum is one phase row, so U(x) = (1 + 1)^2 / 4 = 1
+        # reaches cur on all 8205 first-half columns, and the refine set is
+        # clipped to _REFINE_MAX = 8192 of them
+        p, point = 16411, np.array([5741, 12003], dtype=np.int64)
+        for i in (0, 1):
+            assert _Evaluator(p, "general", 2).best_move(point, i) == \
+                oracle_move(p, "general", point, i)
 
     @pytest.mark.parametrize("mode", ["general", "shallow"])
     def test_audit_agrees_with_oracle(self, mode):
@@ -301,7 +315,8 @@ class TestMemory:
         # belongs to the new process image, while ru_maxrss keeps the peak of
         # the forking test process.  The point and eps were recorded on the
         # commit that still cached the point's rows; the row count is that of
-        # bounds on one column of each conjugate pair
+        # bounds on one column of each conjugate pair, with the start scored
+        # by its first move
         script = (
             "import json\n"
             "from shallowfp.optimize import DescentConfig, coordinate_descent\n"
@@ -317,7 +332,7 @@ class TestMemory:
         hwm_kib, eps, rows, point = json.loads(out)
         assert hwm_kib < 64 * 1024
         assert eps == "0x1.863408c804c37p-5"
-        assert rows == 397
+        assert rows == 396
         assert tuple(point) == (
             32238, 2403, 24605, 36428, 10373, 20851, 22009, 6230, 58030, 21354, 64236, 25389,
             45903, 44763, 39376, 34297, 54960, 52710, 20963, 14073, 39200, 13006, 63272, 37120,
@@ -408,7 +423,7 @@ class TestGeneralMode:
 
 class TestShallowMode:
     def test_one_sweep_at_p_16411_scores_few_rows(self):
-        # eps near 1: only the columns whose ceiling reaches the best eps decide
+        # eps near 1: only the columns whose ceiling reaches the current eps decide
         res = coordinate_descent(16411, 3, DescentConfig(seed=7, mode="shallow", max_sweeps=1))
         assert best_point(res) == (11433, 5500, 6793)
         assert res.best_epsilon == 0.9822980284984616
