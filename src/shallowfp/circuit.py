@@ -8,15 +8,17 @@ of three layouts:
 
 * deep    -- one multi-controlled R_y(4 pi k_j x / p) per coefficient, the
              j-th gate controlled on the binary pattern of j-1,
-* shallow -- one singly-controlled R_y(4 pi t_j x / p) per generator plus a
-             final uncontrolled R_y(4 pi t_0 x / p), with t_0 and the
-             generators T read from K.params["t0"] (default 0) and
-             K.params["T"]; K must be the subset sums of t_0 and T,
-* aikps   -- per small prime r in R: a bank of controlled
-             R_y(2^{k-1} 4 pi r^{-1} x / p) rotations plus one uncontrolled
-             closing R_y, with the bank width set by s_max; K must come
-             from `gen_aikps`, which rebuilds R and s_max from K's p and
-             K.params["eps"]; K must equal the rebuilt set.
+* shallow -- an H layer and one rotation bank: a singly-controlled
+             R_y(4 pi t_j x / p) per generator t_j of K.params["T"], then
+             an uncontrolled R_y(4 pi t_0 x / p), t_0 = K.params["t0"]
+             (default 0); K must be the subset sums of t_0 and T,
+* aikps   -- per prime r in R, the same bank for t_0 = r^{-1} and
+             generators 2^k r^{-1} (k < w - 1) on one shared target; R
+             and s_max are rebuilt by `gen_aikps` from K's p and
+             K.params["eps"], and K must equal the rebuilt set.  A bank's
+             sums r^{-1} {1, ..., 2^(w-1)} are `gen_aikps`'s block only if
+             s_max = 2^(w-1), and with no H layer or register over R the
+             circuit does not prepare K's fingerprint (ROADMAP item 3).
 
 Basis convention is little-endian: qubit q contributes bit q of the basis
 index, so for deep/shallow circuits the control-register value equals the
@@ -25,7 +27,8 @@ highest bit.
 
 Depth is greedy disjoint-support layering; the LNN CX cost is a declared
 model per style (3 CX per singly-controlled rotation, d*ceil(log2 d) for
-the deep multi-controlled bank), not a router.
+the deep multi-controlled bank), not a router.  It charges shallow's closing
+R_y 3 CX and the same R_y in aikps none; `compare` and `--stats` pin it.
 
 QASM lowering.  A run of consecutive controlled rotations on one target
 with one tuple of control qubits is a single uniformly controlled R_y
@@ -97,6 +100,16 @@ def _reduced_angle(k: int, x: int, p: int) -> float:
     return 4.0 * math.pi * ((k * x) % p) / p
 
 
+def _bank(target: int, first: int, t0: int, T: Iterable[int], x: int, p: int) -> list[Gate]:
+    """The rotation bank of the subset sums of t0 and T: R_y(4 pi t x / p) per
+    generator t, the j-th controlled on qubit first + j, then the uncontrolled
+    closing R_y(4 pi t0 x / p), kept even for t0 = 0 for structural fidelity."""
+    gates = [Gate("ry", target, _reduced_angle(t, x, p), ((first + j, True),))
+             for j, t in enumerate(T)]
+    gates.append(Gate("ry", target, _reduced_angle(t0, x, p)))
+    return gates
+
+
 def pad_pow2(K: CoefficientSet) -> CoefficientSet:
     """Pad K to a power-of-two size by repeating the last coefficient."""
     d = K.d
@@ -132,22 +145,13 @@ def build_shallow(K: CoefficientSet, x: int) -> Circuit:
         raise DomainError("shallow circuit needs coefficients equal to the subset sums "
                           "of t0 and generators")
     m = len(T)
-    p = int(K.p)
-    gates = [Gate("h", q) for q in range(m)]
-    gates += [Gate("ry", m, _reduced_angle(t, x, p), ((q, True),)) for q, t in enumerate(T)]
-    # closing rotation R_0; kept even for t_0 = 0 for structural fidelity
-    gates.append(Gate("ry", m, _reduced_angle(t0, x, p)))
+    gates = [Gate("h", q) for q in range(m)] + _bank(m, 0, t0, T, x, int(K.p))
     return Circuit(m + 1, gates, f"shallow[m={m}]", "shallow")
 
 
-def aikps_block_width(s_max: int) -> int:
-    """Wires per block: enough control bits to index 1..s_max, plus target."""
-    return max(1, (s_max - 1).bit_length()) + 1
-
-
 def build_aikps(K: CoefficientSet, x: int) -> Circuit:
-    """AIKPS layout: per prime r in R, a bank of doubling rotations sharing
-    the target.  R and s_max come from `gen_aikps` at K's p and eps."""
+    """AIKPS layout: per prime r in R, the bank of t0 = r^{-1} and generators
+    2^k r^{-1} on one target; R and s_max come from `gen_aikps` at K's p, eps."""
     eps = K.params.get("eps")
     if K.method != "aikps" or type(eps) not in (int, float):  # not bool
         raise DomainError("aikps circuit needs a set generated by --method aikps")
@@ -157,20 +161,15 @@ def build_aikps(K: CoefficientSet, x: int) -> Circuit:
                           "from p and eps")
     p = int(K.p)
     R = rebuilt.params["R"]
-    w = aikps_block_width(rebuilt.params["s_max"])
-    n_ctrl = w - 1
-    num_qubits = len(R) * n_ctrl + 1
-    target = num_qubits - 1
+    n_ctrl = max(1, (rebuilt.params["s_max"] - 1).bit_length())  # bits to index 1..s_max
+    target = len(R) * n_ctrl
     gates = []
     for b, r in enumerate(R):
         r_inv = pow(r, -1, p)
-        base = b * n_ctrl
-        for k in range(1, w):
-            coeff = (1 << (k - 1)) * r_inv % p
-            gates.append(Gate("ry", target, _reduced_angle(coeff, x, p),
-                              ((base + k - 1, True),)))
-        gates.append(Gate("ry", target, _reduced_angle(r_inv, x, p)))
-    return Circuit(num_qubits, gates, f"aikps[eps={eps:g},blocks={len(R)},w={w}]", "aikps")
+        T = [(r_inv << k) % p for k in range(n_ctrl)]
+        gates += _bank(target, b * n_ctrl, r_inv, T, x, p)
+    return Circuit(target + 1, gates, f"aikps[eps={eps:g},blocks={len(R)},w={n_ctrl + 1}]",
+                   "aikps")
 
 
 def depth(c: Circuit) -> int:

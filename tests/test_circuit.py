@@ -241,6 +241,29 @@ class TestAikpsBuilder:
         bound = (1 + 2 * eps) * math.log2(p) ** (1 + eps) * math.log2(math.log2(p))
         assert depth(c) <= bound
 
+    @pytest.mark.parametrize("p,eps,x", [(13, 0.5, 5), (101, 1.0, 50), (1013, 0.5, 12),
+                                         (65537, 0.5, 1)])
+    def test_each_block_is_the_shallow_bank_of_its_binary_gap(self, p, eps, x):
+        # block b, moved to controls 0..n_ctrl-1 and target n_ctrl, is the
+        # shallow circuit of t0 = r^-1 and generators 2^k r^-1 without its H
+        # layer; that set is r^-1 {1, ..., 2^n_ctrl}, gen_aikps's block
+        # r^-1 {1, ..., s_max} extended to the next power of two
+        K = gen_aikps(p, eps)
+        R, s_max = K.params["R"], K.params["s_max"]
+        n_ctrl = max(1, (s_max - 1).bit_length())
+        c = build_aikps(K, x)
+        assert len(c.gates) == len(R) * (n_ctrl + 1)
+        for b, r in enumerate(R):
+            r_inv = pow(r, -1, p)
+            bank = expand_subset_sums(r_inv, [(r_inv << k) % p for k in range(n_ctrl)], p)
+            assert bank.coefficients == tuple(s * r_inv % p for s in range(1, 2 ** n_ctrl + 1))
+            assert bank.coefficients[:s_max] == K.coefficients[b * s_max:(b + 1) * s_max]
+            block = c.gates[b * (n_ctrl + 1):(b + 1) * (n_ctrl + 1)]
+            moved = [Gate(g.kind, n_ctrl, g.angle,
+                          tuple((q - b * n_ctrl, pol) for q, pol in g.controls))
+                     for g in block]
+            assert moved == [g for g in build_shallow(bank, x).gates if g.kind != "h"]
+
 
 class TestMetrics:
     def test_depth_examples(self):

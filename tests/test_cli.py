@@ -2,6 +2,8 @@ import gc
 import importlib
 import json
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -812,6 +814,48 @@ def test_module_form_writes_what_main_writes(tmp_path, capsys):
     result = fresh_python("-m", "shallowfp.cli", *argv, "--out", "module.json", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+class TestReadme:
+    """README's CLI examples, run as written and compared with what they show."""
+
+    text = (SRC.parent / "README.md").read_text()
+
+    def test_cli_block_runs_in_order(self, tmp_path, capsys, monkeypatch):
+        # the first sh block between "## CLI" and the next "### " heading
+        section = self.text.split("\n## CLI\n", 1)[1].split("\n### ", 1)[0]
+        block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+        commands = [shlex.split(line) for line in block.splitlines()
+                    if line and not line.startswith("#")]
+        assert commands and all(argv[0] == "shallowfp" for argv in commands)
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv[1:]) == 0, argv
+            capsys.readouterr()
+
+    def test_seed_rule_example(self, capsys):
+        rule = self.text.split("\nSeed rule:", 1)[1].split("\n\n", 1)[0]
+        command = re.search(r"`(gen [^`]+)`", rule).group(1).split()
+        shown = json.loads(re.search(r"`(\[[\d, ]+\])`", rule).group(1))
+        seeds = [int(seed) for seed in re.findall(r"`--seed (-?\d+)`", rule)]
+        assert (shown, seeds) == ([233, 986, 390, 339], [-1, 2 ** 64 - 1, 2 ** 65 - 1])
+        for seed in seeds:
+            code, stdout, _ = run(capsys, *command, "--seed", str(seed))
+            assert (code, json.loads(stdout)["coefficients"]) == (0, shown)
+
+    def test_compare_progress_example(self, tmp_path, capsys):
+        # every field of the shown line but the wall time
+        notes = self.text.split("\nProgress goes to stderr", 1)[1]
+        p = int(re.search(r"here p = (\d+) of", notes).group(1))
+        flags = re.search(r"of `(--m [^`]+)`", notes).group(1).split()
+        shown = json.loads(notes.split("```\n", 1)[1].split("\n```", 1)[0])
+        (tmp_path / "primes.txt").write_text(f"{p}\n")
+        code, _, err = run(capsys, "compare", "--p-list", str(tmp_path / "primes.txt"),
+                           *flags, "--out", str(tmp_path / "cmp.csv"))
+        got = json.loads(err)
+        assert code == 0 and list(got) == list(shown)
+        del got["seconds"], shown["seconds"]
+        assert got == shown
 
 
 class TestEntry:

@@ -12,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from shallowfp.circuit import build_aikps, build_shallow, emit_qasm, stats
 from shallowfp.cli import main
+from shallowfp.coeffsets import expand_subset_sums, gen_aikps
+from shallowfp.errors import DomainError
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -171,6 +174,38 @@ def test_circuit_qasm_is_byte_identical(name, tmp_path):
     assert main(["circuit", "--coeffs", str(kpath), *circuit_args,
                  "--emit-qasm", str(qpath)]) == 0
     assert hashlib.sha256(qpath.read_bytes()).hexdigest() == QASM_SHA256[name]
+
+
+# every shallow and AIKPS circuit of a grid, in this order, hashed as its
+# stats JSON then its QASM; recorded before the two builders shared one
+# rotation bank
+CIRCUIT_GRID_P = (5, 13, 101, 257, 1013, 65537, 1000003)
+CIRCUIT_GRID_SHA256 = "176c99ef46e6f0eb9221328df062ea25c8668e4bb9f3d155aa0b7342601582cd"
+
+
+def _circuit_grid():
+    for p in CIRCUIT_GRID_P:
+        aikps = []  # generated once per p, not per x: build_aikps rebuilds each set
+        for eps in (0.3, 0.5, 1.0, 2.0):
+            try:
+                aikps.append(gen_aikps(p, eps))
+            except DomainError:
+                pass
+        for x in sorted({0, 1, 2, 5, p // 3, p - 1}):
+            yield from (build_aikps(K, x) for K in aikps)
+            for m in range(1, 7):
+                T = [(7 * j * j + 1) % p for j in range(m)]
+                for t0 in (0, 3 % p):
+                    yield build_shallow(expand_subset_sums(t0, T, p), x)
+
+
+def test_shallow_and_aikps_circuit_grid_is_byte_identical():
+    digest, count = hashlib.sha256(), 0
+    for c in _circuit_grid():
+        digest.update(json.dumps(stats(c)).encode())
+        digest.update(emit_qasm(c).encode())
+        count += 1
+    assert (count, digest.hexdigest()) == (632, CIRCUIT_GRID_SHA256)
 
 
 GAP_1E6 = ["--method", "gap", "--p", "1000003", "--m", "10", "--seed", "5"]
