@@ -191,6 +191,38 @@ class TestShallowBuilder:
         assert depth(build_shallow(K, 1)) == m + 2
 
 
+def base3_gap(p, t0, m):
+    return expand_subset_sums(t0, tuple(3 ** i for i in range(m)), p)
+
+
+class TestProductIdentity:
+    """The shallow automaton accepts as m + 1 independent qubits do.  For the
+    subset sums K of t0 and T, with sigma = 2 t0 + sum(T),
+    run_word(K, x) = cos^2(pi sigma x / p) * prod_i cos^2(pi t_i x / p), the
+    probability that R_y(2 pi g x / p) on qubit q, one qubit per g in
+    T + (sigma,), leaves all qubits at 0 (ROADMAP item 13)."""
+
+    @pytest.mark.parametrize("K,step", [
+        (base3_gap(1013, 0, 3), 1),
+        (expand_subset_sums(17, (5, 40, 200, 611), 1013), 1),
+        (expand_subset_sums(5, (3,), 7), 1),
+        (expand_subset_sums(1, (1,), 2), 1),
+        (gen_gap(1013, 4, seed=3).expanded, 1),
+        (base3_gap(16411, 3, 8), 7),
+    ], ids=["1013-t0=0-m=3", "1013-t0=17-m=4", "7-m=1", "2-m=1", "gen_gap-1013-m=4",
+            "base3-16411-m=8"])
+    def test_acceptance_is_the_cos2_product(self, K, step):
+        p, T = int(K.p), K.params["T"]
+        factors = T + ((2 * K.params["t0"] + sum(T)) % p,)
+        for x in range(0, p, step):
+            product = math.prod(math.cos(math.pi * (g * x % p) / p) ** 2 for g in factors)
+            assert run_word(K, x) == pytest.approx(product, abs=1e-14), x
+            c = Circuit(len(factors), [Gate("ry", q, 2 * math.pi * (g * x % p) / p)
+                                       for q, g in enumerate(factors)])
+            assert depth(c) == 1 and "cx" not in emit_qasm(c)
+            assert statevector(c)[0] ** 2 == pytest.approx(product, abs=1e-14), x
+
+
 class TestBuilderInputs:
     """Each builder refuses a set its layout cannot take, with the one-line
     DomainError that the CLI prints."""

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from shallowfp.errors import DomainError
+from shallowfp.rng import SplitMix64
 from shallowfp.zmod import (
     PrimeModulus,
     factorize,
@@ -100,6 +101,37 @@ def test_factorize_hard_composites():
         f = factorize(n)
         assert all(is_prime(q) for q in f)
         assert n == math.prod(q ** e for q, e in f.items()), n
+
+
+def test_factorize_products_of_two_31_bit_primes():
+    # balanced semiprimes, where rho runs longest: it needs about sqrt(q)
+    # steps for the smaller prime q; seeded, so the list is the same each run
+    rng = SplitMix64(1)
+    primes = []
+    while len(primes) < 20:
+        q = rng.in_range(2 ** 30, 2 ** 31)
+        if is_prime(q):
+            primes.append(q)
+    for a, b in zip(primes[::2], primes[1::2]):
+        start = time.perf_counter()
+        assert factorize(a * b) == {a: 1, b: 1}, (a, b)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_factorize_retries_when_c_1_gives_n():
+    # 1031 * 1223 has no factor below 2^10.  With x = y = 2 and c = 1, Floyd's
+    # search first meets gcd(x - y, n) > 1 with x = y mod n, so gcd = n and
+    # the loop retries with c = 2 (checked by replaying c = 1 by hand)
+    n = 1031 * 1223
+    x = y = 2
+    g = 1
+    while g == 1:
+        x = (x * x + 1) % n
+        y = (y * y + 1) % n
+        y = (y * y + 1) % n
+        g = math.gcd(x - y, n)
+    assert g == n
+    assert factorize(n) == {1031: 1, 1223: 1}
 
 
 def test_primitive_root_matches_trial_reference():
